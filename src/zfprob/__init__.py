@@ -34,11 +34,9 @@ from .linalg import (
 )
 from .rng import (
     ALGORITHM_ID,
-    GaussianStream,
     RngSpec,
     derive_seed,
     gaussian_block,
-    gaussian_stream,
     uniform_block,
 )
 from .reduction import (
@@ -66,21 +64,11 @@ from .decode import (
 from .probability import (
     ProbabilityEstimate,
     erf,
-    gaussian_window_mass,
     pzf_diagonal,
     pzf_empirical,
     pzf_monte_carlo,
     pzf_quadrature,
 )
-from .cli import (
-    ExperimentConfig,
-    ExperimentReport,
-    Verdict,
-    load_matrix_csv,
-    load_vector_csv,
-    main,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -88,9 +76,6 @@ __all__ = [
     "DecodeResult",
     "DimensionMismatchError",
     "DimensionTooLargeError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GaussianStream",
     "ILSInstance",
     "InvalidGridError",
     "IterationLimitExceededError",
@@ -109,23 +94,17 @@ __all__ = [
     "RngSpec",
     "SingularDiagonalError",
     "SingularMatrixError",
-    "Verdict",
     "back_substitute",
     "derive_seed",
     "det_upper_triangular",
     "erf",
     "gaussian_block",
-    "gaussian_stream",
-    "gaussian_window_mass",
     "ils_brute_force",
     "int_determinant",
     "is_lll_reduced",
     "lift_estimate",
     "lll_reduce",
-    "load_matrix_csv",
-    "load_vector_csv",
     "lovasz_holds",
-    "main",
     "orthogonality_defect",
     "pzf_diagonal",
     "pzf_empirical",

@@ -59,7 +59,9 @@ from .rng import ALGORITHM_ID, RngSpec
 from .tolerances import (
     DEFAULT_DELTA,
     DEFECT_INVARIANCE_TOL,
+    DET_PRESERVATION_TOL,
     QUADRATURE_MAX_DIM,
+    REDUCTION_RECONSTRUCTION_TOL,
     REFERENCE_VALUE_TOL,
 )
 
@@ -82,6 +84,7 @@ __all__ = [
 DEFAULT_DELTA_GRID = (0.3, 0.5, 0.75, 0.99, 1.0)
 DEFAULT_SIGMA_GRID = (0.1, 0.5, 1.0)
 METHODS = ("quad", "mc", "empirical", "diagonal")
+ENSEMBLE_METHODS = ("quad", "empirical")
 _MEASUREMENT_ROLE = 4  # ensembles.py uses roles 0-3 for its own sub-streams
 
 # Bundled reference cases with pinned four-decimal expected values.
@@ -289,24 +292,27 @@ def _estimate_record(est: ProbabilityEstimate) -> dict:
 
 def _triangular_from(matrix):
     """Matrices straight from a file may be rectangular models; reduce to
-    the square triangular factor when they are not already triangular."""
+    the square triangular factor when they are not already triangular.
+
+    Returns (r, q1) where q1 is the orthonormal factor that maps an
+    observation onto r's rows, or None when the matrix is used as is."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise DimensionMismatchError(f"need a matrix, got shape {matrix.shape}")
     if matrix.shape[0] == matrix.shape[1] and np.allclose(
             matrix, np.triu(matrix), atol=1e-300, rtol=0.0):
         if np.all(np.diag(matrix) > 0):
-            return np.triu(matrix)
-    return qr_factorize(matrix).r
+            return np.triu(matrix), None
+    f = qr_factorize(matrix)
+    return f.r, f.q1
 
 
-def _dispatch_estimator(r, sigma, method, trials, seed):
+def _dispatch_estimator(r, sigma, method, trials, spec: RngSpec):
     if method == "quad":
         return pzf_quadrature(r, sigma)
     if method == "diagonal":
         return pzf_diagonal(r, sigma)
     count = trials if trials else 100_000
-    spec = RngSpec(seed=seed)
     if method == "mc":
         return pzf_monte_carlo(r, sigma, count, spec)
     return pzf_empirical(r, sigma, count, spec)
@@ -426,7 +432,7 @@ def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
     if not config.matrix_path:
         raise ParseError("reduce requires --matrix")
     report = ExperimentReport(command="reduce", config=config.to_dict())
-    r = _triangular_from(load_matrix_csv(config.matrix_path))
+    r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     result = lll_reduce(r, LLLParams(delta=config.delta))
     check = is_lll_reduced(result.r_bar, config.delta)
     defect_before = orthogonality_defect(r)
@@ -449,10 +455,10 @@ def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
         "lovasz_ok": check.lovasz_ok,
     })
     report.verdicts.append(Verdict(
-        name="reduce-reconstruction", passed=recon <= 1e-9,
+        name="reduce-reconstruction", passed=recon <= REDUCTION_RECONSTRUCTION_TOL,
         detail=f"relative error {recon:.3e}"))
     report.verdicts.append(Verdict(
-        name="reduce-determinant-preserved", passed=drift <= 1e-9,
+        name="reduce-determinant-preserved", passed=drift <= DET_PRESERVATION_TOL,
         detail=f"relative drift {drift:.3e}"))
     report.verdicts.append(Verdict(
         name="reduce-output-is-reduced", passed=check.is_reduced,
@@ -470,15 +476,13 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
     matrix = load_matrix_csv(config.matrix_path)
     y = load_vector_csv(config.y_path)
     sigma = config.sigma if config.sigma is not None else 1.0
-    if matrix.shape[0] == matrix.shape[1] and np.allclose(
-            matrix, np.triu(matrix), atol=1e-300, rtol=0.0) and np.all(np.diag(matrix) > 0):
-        r, y_tilde = np.triu(matrix), y
-    else:
-        f = qr_factorize(matrix)
+    r, q1 = _triangular_from(matrix)
+    y_tilde = y
+    if q1 is not None:
         if y.shape[0] != matrix.shape[0]:
             raise DimensionMismatchError(
                 f"observation length {y.shape[0]} does not match {matrix.shape[0]} rows")
-        r, y_tilde = f.r, f.q1.T @ y
+        y_tilde = q1.T @ y
     inst = ILSInstance(r=r, y_tilde=y_tilde, sigma=sigma)
     zf = zf_decode(inst)
     sic = sic_decode(inst)
@@ -511,9 +515,10 @@ def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
     if not config.matrix_path:
         raise ParseError("pzf requires --matrix")
     report = ExperimentReport(command="pzf", config=config.to_dict())
-    r = _triangular_from(load_matrix_csv(config.matrix_path))
+    r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     sigma = config.sigma if config.sigma is not None else 1.0
-    est = _dispatch_estimator(r, sigma, config.method, config.trials, config.seed)
+    est = _dispatch_estimator(r, sigma, config.method, config.trials,
+                              RngSpec(seed=config.seed))
     report.cases.append({
         "matrix_digest": matrix_digest(r),
         "r": r,
@@ -557,7 +562,7 @@ def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
         raise InvalidGridError(f"grid must be strictly increasing, got {list(grid)}")
     report = ExperimentReport(command="sweep-delta", config=config.to_dict())
     if config.matrix_path:
-        matrix = _triangular_from(load_matrix_csv(config.matrix_path))
+        matrix, _ = _triangular_from(load_matrix_csv(config.matrix_path))
         if matrix.shape[0] != 2:
             raise DimensionMismatchError(
                 "sweep-delta covers 2x2 matrices; larger reductions are not "
@@ -637,15 +642,9 @@ def _ensemble_case(args) -> dict:
     a = random_model_matrix(spec, m, n)
     r = qr_factorize(a).r
     measure_spec = role_spec(spec, _MEASUREMENT_ROLE)
-
-    def measure(matrix):
-        if method == "quad":
-            return pzf_quadrature(matrix, sigma)
-        return pzf_empirical(matrix, sigma, trials, measure_spec)
-
-    before = measure(r)
+    before = _dispatch_estimator(r, sigma, method, trials, measure_spec)
     red = lll_reduce(r, LLLParams(delta=delta))
-    after = measure(red.r_bar)
+    after = _dispatch_estimator(red.r_bar, sigma, method, trials, measure_spec)
     budget = before.error_bound + after.error_bound
     if after.value > before.value + budget:
         outcome = "increased"
@@ -663,6 +662,9 @@ def cmd_ensemble(config: ExperimentConfig) -> ExperimentReport:
     """Random-model survey: how often does the reduction raise, keep, or
     lower the success probability?  Descriptive for n >= 3; for n = 2 a
     decrease would contradict a guarantee, so it fails the run."""
+    if config.method not in ENSEMBLE_METHODS:
+        raise ValueError(f"ensemble measures with one of {ENSEMBLE_METHODS}, "
+                         f"got {config.method!r}")
     n = config.n if config.n else 2
     m = config.m if config.m else n
     if m < n:
@@ -717,25 +719,44 @@ COMMANDS = {
 }
 
 
-def _add_common(sub):
-    sub.add_argument("--matrix", dest="matrix_path", help="CSV matrix file")
-    sub.add_argument("--y", dest="y_path", help="CSV observation vector file")
-    sub.add_argument("--sigma", type=float, default=None, help="noise standard deviation")
-    sub.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                     help="reduction quality parameter in (0.25, 1]")
-    sub.add_argument("--delta-grid", dest="delta_grid", default=None,
-                     help="comma-separated increasing deltas")
-    sub.add_argument("--method", choices=METHODS, default="quad")
-    sub.add_argument("--trials", type=int, default=None,
-                     help="sample/instance count (default depends on the command)")
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--n", type=int, default=0, help="problem dimension for ensembles")
-    sub.add_argument("--m", type=int, default=0, help="model rows for ensembles")
-    sub.add_argument("--out", dest="out_path", default=None, help="report file path")
-    sub.add_argument("--format", dest="out_format", choices=("json", "csv"),
-                     default="json")
-    sub.add_argument("--parallel", type=int, default=0,
-                     help="worker processes for independent cases")
+# ExperimentConfig field -> (flag, add_argument keywords).  Every flag's
+# default is the field's dataclass default, so a subcommand that lacks a
+# flag still echoes the full configuration.
+_FLAGS = {
+    "matrix_path": ("--matrix", dict(help="CSV matrix file")),
+    "y_path": ("--y", dict(help="CSV observation vector file")),
+    "sigma": ("--sigma", dict(type=float, help="noise standard deviation")),
+    "delta": ("--delta", dict(type=float, help="reduction quality parameter in (0.25, 1]")),
+    "delta_grid": ("--delta-grid", dict(help="comma-separated increasing deltas")),
+    "method": ("--method", dict(choices=METHODS)),
+    "trials": ("--trials", dict(type=int,
+                                help="sample/instance count (default depends on the command)")),
+    "seed": ("--seed", dict(type=int)),
+    "n": ("--n", dict(type=int, help="problem dimension")),
+    "m": ("--m", dict(type=int, help="model rows for ensembles")),
+    "parallel": ("--parallel", dict(type=int, help="worker processes for independent cases")),
+    "out_path": ("--out", dict(help="report file path")),
+    "out_format": ("--format", dict(choices=("json", "csv"))),
+}
+
+# subcommand -> (description, the ExperimentConfig fields it reads); every
+# subcommand also takes --out and --format
+SUBCOMMANDS = {
+    "reproduce": ("run the bundled reference cases against their pinned values",
+                  ("delta",)),
+    "reduce": ("reduce a matrix and report the transform and checks",
+               ("matrix_path", "delta")),
+    "decode": ("decode an observation with the ZF, SIC, and brute-force decoders",
+               ("matrix_path", "y_path", "sigma")),
+    "pzf": ("estimate the success probability of one matrix",
+            ("matrix_path", "sigma", "method", "trials", "seed")),
+    "sweep-delta": ("success probability across a delta grid",
+                    ("matrix_path", "sigma", "delta_grid", "trials", "seed", "parallel")),
+    "invariance": ("permutation-reduction invariance suite on random instances",
+                   ("trials", "seed", "n", "parallel")),
+    "ensemble": ("survey how the reduction moves the success probability",
+                 ("sigma", "delta", "method", "trials", "seed", "n", "m", "parallel")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -744,32 +765,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lattice reductions, integer least-squares decoders, and "
                     "success-probability estimators with replayable reports.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "reproduce": "run the bundled reference cases against their pinned values",
-        "reduce": "reduce a matrix and report the transform and checks",
-        "decode": "decode an observation with the ZF, SIC, and brute-force decoders",
-        "pzf": "estimate the success probability of one matrix",
-        "sweep-delta": "success probability across a delta grid",
-        "invariance": "permutation-reduction invariance suite on random instances",
-        "ensemble": "survey how the reduction moves the success probability",
-    }
-    for name, desc in descriptions.items():
-        _add_common(sub.add_parser(name, help=desc, description=desc))
+    for name, (desc, fields) in SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=desc, description=desc,
+                                 argument_default=argparse.SUPPRESS)
+        for dest in (*fields, "out_path", "out_format"):
+            flag, kwargs = _FLAGS[dest]
+            command.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 
 def config_from_args(args) -> ExperimentConfig:
-    grid = None
-    if args.delta_grid:
+    fields = dict(vars(args))
+    grid = fields.pop("delta_grid", None)
+    if grid:
         try:
-            grid = tuple(float(tok) for tok in str(args.delta_grid).split(",") if tok.strip())
+            fields["delta_grid"] = tuple(float(tok) for tok in grid.split(",") if tok.strip())
         except ValueError:
-            raise InvalidGridError(f"could not parse delta grid {args.delta_grid!r}") from None
-    return ExperimentConfig(
-        command=args.command, matrix_path=args.matrix_path, y_path=args.y_path,
-        sigma=args.sigma, delta=args.delta, delta_grid=grid, method=args.method,
-        trials=args.trials, seed=args.seed, n=args.n, m=args.m,
-        out_path=args.out_path, out_format=args.out_format, parallel=args.parallel)
+            raise InvalidGridError(f"could not parse delta grid {grid!r}") from None
+    return ExperimentConfig(**fields)
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:

@@ -26,7 +26,7 @@ from .errors import (
     SingularDiagonalError,
 )
 from .linalg import check_upper_triangular, round_nearest
-from .rng import GaussianStream, RngSpec, gaussian_block, gaussian_stream, uniform_block
+from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
     DIAGONAL_OFFDIAG_TOL,
     ERF_ABS_ERROR,
@@ -45,10 +45,6 @@ __all__ = [
     "pzf_quadrature",
     "pzf_monte_carlo",
     "pzf_empirical",
-    "gaussian_window_mass",
-    "RngSpec",
-    "GaussianStream",
-    "gaussian_stream",
 ]
 
 MIN_SAMPLES = 1000
@@ -249,18 +245,3 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
                                error_bound=stderr, evaluations=trials,
                                seed=rng.seed)
 
-
-def gaussian_window_mass(t: float, zeta: float, sigma: float) -> float:
-    """Integral of exp(-x^2 / (2 sigma^2)) over the window [t - zeta, t + zeta].
-
-    Even in t, strictly decreasing in |t|, and vanishing as |t| grows;
-    evaluated as an erf difference.
-    """
-    if not (zeta > 0):
-        raise ValueError(f"zeta must be positive, got {zeta!r}")
-    if sigma == 0 or not math.isfinite(sigma):
-        raise ValueError(f"sigma must be a nonzero finite real, got {sigma!r}")
-    s = abs(sigma)
-    root2sig = math.sqrt(2.0) * s
-    return s * math.sqrt(math.pi / 2.0) * (
-        math.erf((t + zeta) / root2sig) - math.erf((t - zeta) / root2sig))

@@ -18,8 +18,6 @@ __all__ = [
     "derive_seed",
     "uniform_block",
     "gaussian_block",
-    "GaussianStream",
-    "gaussian_stream",
 ]
 
 ALGORITHM_ID = "splitmix64-boxmuller-v1"
@@ -108,27 +106,3 @@ def gaussian_block(spec: RngSpec, start: int, count: int) -> np.ndarray:
     even = (idx & np.uint64(1)) == 0
     return np.where(even, radius * np.cos(angle), radius * np.sin(angle))
 
-
-class GaussianStream:
-    """Stateful cursor over a gaussian stream.
-
-    Successive ``draw`` calls return consecutive blocks; ``position`` can
-    be recorded and passed back as ``start`` to resume or replay.
-    """
-
-    def __init__(self, spec: RngSpec, start: int = 0):
-        _check_spec(spec)
-        if start < 0:
-            raise ValueError("start must be non-negative")
-        self.spec = spec
-        self.position = start
-
-    def draw(self, count: int) -> np.ndarray:
-        out = gaussian_block(self.spec, self.position, count)
-        self.position += count
-        return out
-
-
-def gaussian_stream(seed: int, start: int = 0) -> GaussianStream:
-    """Convenience constructor: a GaussianStream from a bare seed."""
-    return GaussianStream(RngSpec(seed=seed), start=start)

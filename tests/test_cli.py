@@ -1,12 +1,19 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zfprob
 from zfprob.cli import (
+    SUBCOMMANDS,
     ExperimentConfig,
     ExperimentReport,
     Verdict,
@@ -18,12 +25,20 @@ from zfprob.cli import (
     run,
 )
 from zfprob.errors import InvalidGridError, ParseError
+from zfprob.linalg import qr_factorize
 
 
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse reports usage errors this way
+        return exc.code
 
 
 def comparable(report, *drop):
@@ -112,6 +127,26 @@ class TestReduceCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["reduce", "--matrix", "/no/such/file.csv"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestDecodeCommand:
+    def test_rectangular_model_is_factorized(self, tmp_path, capsys):
+        a = np.array([[1.0, 0.5], [0.3, 2.0], [-1.0, 1.0]])
+        y = np.array([0.4, -0.7, 1.1])
+        path = write(tmp_path, "a.csv", "1,0.5\n0.3,2\n-1,1\n")
+        y_path = write(tmp_path, "y.csv", "0.4\n-0.7\n1.1\n")
+        assert main(["decode", "--matrix", path, "--y", y_path]) == 0
+        case = json.loads(capsys.readouterr().out)["cases"][0]
+        f = qr_factorize(a)
+        np.testing.assert_array_equal(case["r"], f.r)
+        np.testing.assert_array_equal(case["y_tilde"], f.q1.T @ y)
+        assert case["optimal_residual"] <= case["zf_residual"] + 1e-12
+
+    def test_rectangular_model_checks_observation_length(self, tmp_path, capsys):
+        path = write(tmp_path, "a.csv", "1,0.5\n0.3,2\n-1,1\n")
+        y_path = write(tmp_path, "y.csv", "0.4\n-0.7\n")
+        assert main(["decode", "--matrix", path, "--y", y_path]) == 2
+        assert "observation length 2" in capsys.readouterr().err
 
 
 class TestPzfCommand:
@@ -248,6 +283,50 @@ class TestReportSerialization:
         a = matrix_digest(np.array([[1.0, 2.0], [0.0, 1.0]]))
         b = matrix_digest(np.array([[1.0, 2.0], [0.0, 1.0000001]]))
         assert a != b and len(a) == 16
+
+
+# the smallest run of each subcommand; M and Y stand for a matrix and an observation file
+MINIMAL_RUNS = {
+    "reproduce": [],
+    "reduce": ["--matrix", "M"],
+    "decode": ["--matrix", "M", "--y", "Y"],
+    "pzf": ["--matrix", "M", "--sigma", "0.5"],
+    "sweep-delta": ["--trials", "1"],
+    "invariance": ["--trials", "1"],
+    "ensemble": ["--trials", "0"],
+}
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "--matrix", "x", "--method", "mc"],
+        ["invariance", "--sigma", "0.1"],
+        ["reduce", "--seed", "3"],
+        ["decode", "--parallel", "2"],
+        ["ensemble", "--method", "mc"],
+        ["ensemble", "--method", "diagonal"],
+    ])
+    def test_mismatched_flag_exits_2(self, argv):
+        assert exit_code(argv) == 2
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_echoed_config_keeps_every_field(self, command, tmp_path, capsys):
+        files = {"M": write(tmp_path, "m.csv", "4,9\n0,1\n"),
+                 "Y": write(tmp_path, "y.csv", "0.4\n-0.7\n")}
+        argv = [command] + [files.get(a, a) for a in MINIMAL_RUNS[command]]
+        assert main(argv) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert set(config) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert len(config) == 14
+
+    def test_import_leaves_cli_unloaded(self):
+        # numpy and scipy load argparse and concurrent.futures on their own,
+        # so the probe is the cli module itself
+        src = str(Path(zfprob.__file__).resolve().parents[1])
+        probe = "import sys, zfprob; assert 'zfprob.cli' not in sys.modules"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
 
 
 class TestConfigValidation:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import nquad, quad
+from scipy.integrate import nquad
 
 from zfprob.ensembles import case_spec, random_triangular, role_spec
 from zfprob.errors import (
@@ -15,7 +15,6 @@ from zfprob.errors import (
 )
 from zfprob.probability import (
     erf,
-    gaussian_window_mass,
     pzf_diagonal,
     pzf_empirical,
     pzf_monte_carlo,
@@ -224,32 +223,3 @@ class TestEmpirical:
     def test_minimum_trial_count(self):
         with pytest.raises(ValueError):
             pzf_empirical(R1, 0.5, 10, RngSpec(seed=1))
-
-
-class TestGaussianWindowMass:
-    @given(st.floats(min_value=0.0, max_value=50.0))
-    @settings(max_examples=100)
-    def test_even_in_t(self, t):
-        assert gaussian_window_mass(t, 1.0, 1.0) == pytest.approx(
-            gaussian_window_mass(-t, 1.0, 1.0), rel=1e-12, abs=1e-300)
-
-    def test_strictly_decreasing_in_magnitude(self):
-        f0 = gaussian_window_mass(0.0, 1.0, 1.0)
-        f_half = gaussian_window_mass(0.5, 1.0, 1.0)
-        f1 = gaussian_window_mass(1.0, 1.0, 1.0)
-        assert f1 < f_half < f0
-
-    def test_tail_vanishes(self):
-        assert gaussian_window_mass(40.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-300)
-
-    def test_against_direct_integration(self):
-        for t, zeta, sigma in ((0.0, 1.0, 1.0), (0.7, 0.3, 0.5), (2.0, 1.5, 2.0)):
-            want, _ = quad(lambda x: math.exp(-x * x / (2 * sigma * sigma)),
-                           t - zeta, t + zeta, epsabs=1e-13)
-            assert abs(gaussian_window_mass(t, zeta, sigma) - want) <= 1e-11
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            gaussian_window_mass(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            gaussian_window_mass(0.0, 1.0, 0.0)

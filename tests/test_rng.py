@@ -3,11 +3,9 @@ import pytest
 
 from zfprob.rng import (
     ALGORITHM_ID,
-    GaussianStream,
     RngSpec,
     derive_seed,
     gaussian_block,
-    gaussian_stream,
     uniform_block,
 )
 
@@ -67,17 +65,6 @@ def test_gaussian_moments_sanity():
     se_var = np.sqrt(2.0 / n)
     assert abs(draws.mean()) < 5 * se_mean
     assert abs(draws.var() - 1.0) < 5 * se_var
-
-
-def test_gaussian_stream_cursor():
-    stream = gaussian_stream(seed=5)
-    a = stream.draw(10)
-    b = stream.draw(10)
-    assert stream.position == 20
-    np.testing.assert_array_equal(np.concatenate([a, b]),
-                                  gaussian_block(RngSpec(seed=5), 0, 20))
-    resumed = GaussianStream(RngSpec(seed=5), start=10)
-    np.testing.assert_array_equal(resumed.draw(10), b)
 
 
 def test_derive_seed_is_deterministic_and_spreads():
