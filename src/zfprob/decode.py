@@ -17,8 +17,7 @@ from .errors import (
     NotUnimodularError,
     SingularDiagonalError,
 )
-from .linalg import back_substitute, check_upper_triangular, int_determinant, round_nearest
-from .tolerances import SOLVE_DIAG_MIN
+from .linalg import back_substitute, int_determinant, positive_triangular, round_nearest
 
 __all__ = [
     "ILSInstance",
@@ -48,7 +47,7 @@ class ILSInstance:
     x_true: np.ndarray | None = None
 
     def __post_init__(self):
-        r = check_upper_triangular(self.r, "R")
+        r, signs = positive_triangular(self.r)
         n = r.shape[0]
         y = np.asarray(self.y_tilde, dtype=float)
         if y.shape != (n,):
@@ -56,7 +55,8 @@ class ILSInstance:
                 f"observation has shape {y.shape}, expected ({n},)")
         if not np.all(np.isfinite(y)):
             raise DimensionMismatchError("observation contains non-finite entries")
-        if n and np.min(np.diag(r)) <= 0.0:
+        # flipping a row of R would flip the matching entry of y_tilde too
+        if np.any(signs < 0.0):
             raise SingularDiagonalError(
                 "R must have a positive diagonal; renormalize signs first")
         if not (self.sigma > 0):
@@ -104,10 +104,6 @@ def sic_decode(inst: ILSInstance) -> DecodeResult:
     """
     r = inst.r
     n = inst.n
-    diag = np.abs(np.diag(r))
-    if n and np.min(diag) < SOLVE_DIAG_MIN:
-        raise SingularDiagonalError(
-            f"diagonal entry {int(np.argmin(diag))} has magnitude {np.min(diag)!r}")
     x = np.zeros(n, dtype=np.int64)
     for k in range(n - 1, -1, -1):
         cancelled = inst.y_tilde[k] - r[k, k + 1:] @ x[k + 1:]

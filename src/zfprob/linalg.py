@@ -19,6 +19,8 @@ from .tolerances import RANK_TOL, SOLVE_DIAG_MIN, UPPER_TRIANGULAR_TOL
 __all__ = [
     "QRFactorization",
     "qr_factorize",
+    "pivot_signs",
+    "positive_triangular",
     "round_nearest",
     "back_substitute",
     "det_upper_triangular",
@@ -68,6 +70,31 @@ def check_upper_triangular(r, name="matrix") -> np.ndarray:
     return np.triu(r)
 
 
+def pivot_signs(r) -> np.ndarray:
+    """The sign rule: +1 or -1 per row, whichever makes that row's pivot
+    positive."""
+    return np.where(r.diagonal() < 0.0, -1.0, 1.0)
+
+
+def positive_triangular(r, name="R"):
+    """The input gate for a triangular factor: returns (signs[:, None] * r, signs).
+
+    Validates r as square upper triangular, raises SingularDiagonalError
+    naming the smallest pivot when any |r_ii| < SOLVE_DIAG_MIN, and flips
+    each negative-pivot row so the returned factor has a positive diagonal.
+    Row flips leave ||R xi|| unchanged; a caller that keeps an observation
+    or an orthogonal factor must flip it with the same signs.
+    """
+    r = check_upper_triangular(r, name)
+    diag = np.abs(r.diagonal())
+    if diag.size and diag.min() < SOLVE_DIAG_MIN:
+        i = int(diag.argmin())
+        raise SingularDiagonalError(
+            f"{name} pivot {i} has magnitude {float(diag[i])!r}, below {SOLVE_DIAG_MIN}")
+    signs = pivot_signs(r)
+    return signs[:, None] * r, signs
+
+
 @dataclass(frozen=True)
 class QRFactorization:
     """Full QR factorization A = [q1 q2] [[r], [0]].
@@ -96,7 +123,7 @@ def qr_factorize(a) -> QRFactorization:
     q, r_full = np.linalg.qr(a, mode="complete")
     r = r_full[:n, :n].copy()
     # flip signs so every pivot is positive; fold the flips into Q's columns
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    signs = pivot_signs(r)
     r = signs[:, None] * r
     q = q.copy()
     q[:, :n] *= signs[None, :]
@@ -129,18 +156,12 @@ def round_nearest(x):
 def back_substitute(r, y) -> np.ndarray:
     """Solve R x = y for upper-triangular R.
 
-    Raises SingularDiagonalError when any |r_ii| < SOLVE_DIAG_MIN.
+    R passes through positive_triangular; a flipped row of R flips the
+    matching entry of y, so the solution is that of the input system.
     """
-    r = check_upper_triangular(r, "R")
-    n = r.shape[0]
-    y = _as_vector(y, n, "y")
-    if n == 0:
-        return np.zeros(0)
-    diag = np.abs(np.diag(r))
-    if np.min(diag) < SOLVE_DIAG_MIN:
-        raise SingularDiagonalError(
-            f"diagonal entry {np.argmin(diag)} has magnitude {np.min(diag)!r}")
-    return solve_triangular(r, y, lower=False)
+    r, signs = positive_triangular(r)
+    y = _as_vector(y, r.shape[0], "y")
+    return solve_triangular(r, signs * y, lower=False)
 
 
 def det_upper_triangular(r) -> float:

@@ -23,9 +23,8 @@ from .errors import (
     DimensionTooLargeError,
     NoConvergenceError,
     NotDiagonalError,
-    SingularDiagonalError,
 )
-from .linalg import check_upper_triangular, round_nearest
+from .linalg import positive_triangular, round_nearest
 from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
     DIAGONAL_OFFDIAG_TOL,
@@ -35,7 +34,6 @@ from .tolerances import (
     QUADRATURE_MAX_DIM,
     QUADRATURE_MIN_TARGET,
     QUADRATURE_NODES_PER_PANEL,
-    SOLVE_DIAG_MIN,
 )
 
 __all__ = [
@@ -84,34 +82,18 @@ def _validate_sigma(sigma):
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
-def _normalized_triangular(r):
-    r = check_upper_triangular(r, "R")
-    n = r.shape[0]
-    if n:
-        diag = np.abs(np.diag(r))
-        if np.min(diag) < SOLVE_DIAG_MIN:
-            raise SingularDiagonalError(
-                f"diagonal entry {int(np.argmin(diag))} has magnitude {np.min(diag)!r}")
-        # row sign flips leave ||R xi|| unchanged, so fix pivots positive
-        signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-        r = signs[:, None] * r
-    return r
-
-
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
     """Closed form for diagonal R: product over i of erf(r_ii / (2 sqrt2 sigma))."""
     _validate_sigma(sigma)
     r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise NotDiagonalError(f"need a square matrix, got shape {r.shape}")
-    n = r.shape[0]
-    off = r - np.diag(np.diag(r))
-    if n and np.max(np.abs(off)) > DIAGONAL_OFFDIAG_TOL:
-        i, j = np.unravel_index(int(np.argmax(np.abs(off))), off.shape)
-        raise NotDiagonalError(f"entry ({i}, {j}) = {r[i, j]!r} is non-negligible")
-    d = np.abs(np.diag(r))
-    if n and np.min(d) < SOLVE_DIAG_MIN:
-        raise SingularDiagonalError("diagonal has a near-zero entry")
+    # lower entries count too, so look before the triangular gate does
+    if r.ndim == 2 and r.shape[0] == r.shape[1] and r.size:
+        off = np.abs(r - np.diag(np.diag(r)))
+        if np.max(off) > DIAGONAL_OFFDIAG_TOL:
+            i, j = np.unravel_index(int(np.argmax(off)), off.shape)
+            raise NotDiagonalError(f"entry ({i}, {j}) = {r[i, j]!r} is non-negligible")
+    d = np.diag(positive_triangular(r)[0])
+    n = d.size
     value = float(np.prod(_erf_array(d / (2.0 * math.sqrt(2.0) * sigma))))
     return ProbabilityEstimate(value=min(max(value, 0.0), 1.0), method="Diagonal",
                                error_bound=n * ERF_ABS_ERROR, evaluations=n)
@@ -164,7 +146,7 @@ def pzf_quadrature(r, sigma: float,
     if target_abs_error < QUADRATURE_MIN_TARGET:
         raise ValueError(
             f"target_abs_error below {QUADRATURE_MIN_TARGET} is not supported")
-    r = _normalized_triangular(r)
+    r, _ = positive_triangular(r)
     n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise DimensionTooLargeError(
@@ -209,7 +191,7 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     _validate_sigma(sigma)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    r = _normalized_triangular(r)
+    r, _ = positive_triangular(r)
     n = r.shape[0]
     xi = uniform_block(rng, 0, samples * n).reshape(samples, n) - 0.5
     t = xi @ r.T
@@ -234,7 +216,7 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
     _validate_sigma(sigma)
     if trials < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
-    r = _normalized_triangular(r)
+    r, _ = positive_triangular(r)
     n = r.shape[0]
     noise = sigma * gaussian_block(rng, 0, trials * n).reshape(trials, n)
     coords = solve_triangular(r, noise.T, lower=False)

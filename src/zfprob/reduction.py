@@ -27,8 +27,9 @@ from .errors import (
 )
 from .linalg import (
     check_upper_triangular,
-    det_upper_triangular,
     int_determinant,
+    pivot_signs,
+    positive_triangular,
     qr_factorize,
     round_nearest,
 )
@@ -39,7 +40,6 @@ from .tolerances import (
     MAX_ITERATIONS_PER_N2,
     ORDERING_TIE_TOL,
     REDUCTION_RECONSTRUCTION_TOL,
-    SIZE_REDUCE_DIAG_MIN,
     SOLVE_DIAG_MIN,
 )
 
@@ -118,9 +118,11 @@ class ReductionResult:
 
     def det_drift(self, r_input) -> float:
         """Relative |det| change through the reduction."""
-        d_in = abs(det_upper_triangular(np.triu(r_input)))
-        d_out = abs(det_upper_triangular(self.r_bar))
-        return abs(d_out - d_in) / max(d_in, 1e-300)
+        r_input = check_upper_triangular(np.triu(r_input), "R")
+        e = _unit_exponent(r_input)
+        d_in = _pivot_product(np.ldexp(r_input, -e))
+        d_out = _pivot_product(np.ldexp(self.r_bar, -e))
+        return abs(d_out - d_in) / d_in
 
     def check(self, r_input):
         """Raise unless every structural invariant holds against r_input."""
@@ -139,23 +141,22 @@ class ReductionResult:
                 f"determinant drift {drift:.3e} exceeds {DET_PRESERVATION_TOL}")
 
 
-def _require_nonsingular_diag(r, where):
-    diag = np.abs(np.diag(r))
-    if r.shape[0] and np.min(diag) < SIZE_REDUCE_DIAG_MIN:
-        i = int(np.argmin(diag))
-        raise SingularDiagonalError(f"{where}: |r_{i}{i}| = {diag[i]!r} is below threshold")
+def _unit_exponent(a) -> int:
+    """The e that puts a's largest |entry| in [2**(e-1), 2**e).  Scaling by
+    2**-e is exact, so ratios of n-fold products keep every bit, while the
+    products themselves stop over- or underflowing on scaled inputs."""
+    return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
 
 
-def _normalize_signs(r, q):
-    # flip any negative pivot row of r, absorbing the sign into q's column
-    for j in range(r.shape[0]):
-        if r[j, j] < 0.0:
-            r[j, :] = -r[j, :]
-            q[:, j] = -q[:, j]
+def _pivot_product(r) -> float:
+    det = abs(float(np.prod(r.diagonal())))
+    if not (0.0 < det < math.inf):
+        raise SingularMatrixError(f"product of the pivots is {det!r} even after rescaling")
+    return det
 
 
 def _size_reduce_inplace(r, z, i, k) -> bool:
-    if abs(r[i, i]) < SIZE_REDUCE_DIAG_MIN:
+    if abs(r[i, i]) < SOLVE_DIAG_MIN:
         raise SingularDiagonalError(f"pivot {i} has magnitude {abs(r[i, i])!r}")
     mu = round_nearest(r[i, k] / r[i, i])
     if mu == 0:
@@ -203,17 +204,17 @@ def _swap_inplace(r, z, q, k):
     a = r[k - 1, k - 1]
     b = r[k, k - 1]
     rho = math.hypot(a, b)
-    if rho < SIZE_REDUCE_DIAG_MIN:
+    if rho < SOLVE_DIAG_MIN:
         raise SingularDiagonalError(f"columns {k-1},{k} are numerically dependent")
     c = a / rho
     s = b / rho
     g = np.array([[c, -s], [s, c]])
     r[[k - 1, k], :] = g.T @ r[[k - 1, k], :]
     q[:, [k - 1, k]] = q[:, [k - 1, k]] @ g
-    for j in (k - 1, k):
-        if r[j, j] < 0.0:
-            r[j, :] = -r[j, :]
-            q[:, j] = -q[:, j]
+    pair = slice(k - 1, k + 1)
+    signs = pivot_signs(r[pair, pair])
+    r[pair, :] *= signs[:, None]
+    q[:, pair] *= signs
     r[k, k - 1] = 0.0
 
 
@@ -248,12 +249,10 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     """
     if params is None:
         params = LLLParams()
-    r = check_upper_triangular(r, "R")
+    r, signs = positive_triangular(r)
     n = r.shape[0]
-    _require_nonsingular_diag(r, "lll_reduce")
     z = np.eye(n, dtype=np.int64)
-    q = np.eye(n)
-    _normalize_signs(r, q)
+    q = np.diag(signs)
     limit = params.max_iterations
     if limit is None:
         limit = MAX_ITERATIONS_PER_N2 * max(n, 1) ** 2
@@ -348,7 +347,6 @@ def sqrd(a) -> ReductionResult:
     n = r.shape[0]
     work = r.copy()
     remaining = list(range(n))
-    basis: list[np.ndarray] = []
     perm: list[int] = []
     for _ in range(n):
         best = None
@@ -364,7 +362,6 @@ def sqrd(a) -> ReductionResult:
         if nv < SOLVE_DIAG_MIN:
             raise RankDeficientError("columns became dependent during ordering")
         v /= nv
-        basis.append(v)
         remaining.remove(best)
         for c in remaining:
             work[:, c] -= v * (v @ work[:, c])
@@ -374,7 +371,8 @@ def sqrd(a) -> ReductionResult:
 def vblast(r) -> ReductionResult:
     """Column reordering chosen last to first, each pick maximizing the
     pivot that position would get; z is the corresponding permutation."""
-    r = check_upper_triangular(r, "R")
+    # row sign flips leave every residual norm, and so the order, unchanged
+    r, signs = positive_triangular(r)
     n = r.shape[0]
     remaining = list(range(n))
     tail: list[int] = []
@@ -397,16 +395,15 @@ def vblast(r) -> ReductionResult:
         tail.append(best)
         remaining.remove(best)
     perm = list(reversed(tail))
-    return _perm_result(r, perm)
+    return _perm_result(signs[:, None] * r, perm)
 
 
 def orthogonality_defect(r) -> float:
     """Product of column norms over |det|; 1 exactly when columns are
     orthogonal, larger otherwise."""
-    r = check_upper_triangular(r, "R")
-    n = r.shape[0]
-    det = abs(det_upper_triangular(r))
-    if det < SOLVE_DIAG_MIN ** max(n, 1):
-        raise SingularMatrixError("matrix is singular to working precision")
-    norms = np.linalg.norm(r, axis=0)
-    return float(np.prod(norms) / det)
+    r, _ = positive_triangular(r)
+    r = np.ldexp(r, -_unit_exponent(r))
+    defect = float(np.prod(np.linalg.norm(r, axis=0))) / _pivot_product(r)
+    if not math.isfinite(defect):
+        raise SingularMatrixError("orthogonality defect overflows even after rescaling")
+    return defect

@@ -10,8 +10,7 @@ QR_RECONSTRUCTION_TOL = 1e-10    # ||Q1 R - A||_F / ||A||_F
 RANK_TOL = 1e-12                 # pivot threshold, relative to largest column norm
 
 # --- Triangular solves and diagonals ----------------------------------------
-SOLVE_DIAG_MIN = 1e-14           # |r_ii| below this counts as singular
-SIZE_REDUCE_DIAG_MIN = 1e-14     # pivot floor for a size-reduction step
+SOLVE_DIAG_MIN = 1e-14           # |r_ii| below this counts as singular (absolute)
 UPPER_TRIANGULAR_TOL = 1e-10     # allowed below-diagonal magnitude, relative
 
 # --- Reduction contracts -----------------------------------------------------
@@ -20,9 +19,6 @@ DET_PRESERVATION_TOL = 1e-9          # relative |det| drift through a reduction
 LLL_CHECK_SLACK = 1e-12              # boundary slack in reduced-form checks
 ORDERING_TIE_TOL = 1e-12             # equal-pivot tie window in sqrd / vblast
 DEFECT_INVARIANCE_TOL = 1e-9         # orthogonality-defect drift under permutations
-
-# --- Decoders ----------------------------------------------------------------
-RESIDUAL_CONSISTENCY_TOL = 1e-12     # recomputed residual must match stored value
 
 # --- Probability estimators --------------------------------------------------
 DIAGONAL_OFFDIAG_TOL = 1e-14     # off-diagonal magnitude tolerated by pzf_diagonal

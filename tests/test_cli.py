@@ -24,8 +24,10 @@ from zfprob.cli import (
     matrix_digest,
     run,
 )
+from zfprob.ensembles import case_spec, random_triangular
 from zfprob.errors import InvalidGridError, ParseError
 from zfprob.linalg import qr_factorize
+from zfprob.reduction import orthogonality_defect
 
 
 def write(tmp_path, name, text):
@@ -123,6 +125,19 @@ class TestReduceCommand:
         case = json.loads(capsys.readouterr().out)["cases"][0]
         assert case["z"][1][2] == 1
         assert case["stats"]["swaps"] == 0
+
+    def test_scaled_factor_gives_finite_strict_json(self, tmp_path, capsys):
+        r = random_triangular(case_spec(96, 0), 48)
+        path = write(tmp_path, "m.csv",
+                     "\n".join(",".join(repr(v) for v in row) for row in (1e-8 * r).tolist()))
+        assert main(["reduce", "--matrix", path]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        case = json.loads(capsys.readouterr().out, parse_constant=refuse)["cases"][0]
+        assert case["defect_before"] == pytest.approx(orthogonality_defect(r), rel=1e-12)
+        assert math.isfinite(case["defect_after"])
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["reduce", "--matrix", "/no/such/file.csv"]) == 2

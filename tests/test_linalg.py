@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zfprob.decode import ILSInstance, zf_decode
 from zfprob.errors import (
     DimensionMismatchError,
+    NotDiagonalError,
     RankDeficientError,
     SingularDiagonalError,
 )
@@ -15,9 +17,13 @@ from zfprob.linalg import (
     check_upper_triangular,
     det_upper_triangular,
     int_determinant,
+    positive_triangular,
     qr_factorize,
     round_nearest,
 )
+from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
+from zfprob.reduction import lll_reduce, orthogonality_defect, vblast
+from zfprob.rng import RngSpec
 from zfprob.tolerances import ORTHONORMALITY_TOL, QR_RECONSTRUCTION_TOL
 
 # hand back-substitution on [[1,0.44],[0,0.28]] x = [-0.7,-0.24]:
@@ -181,3 +187,77 @@ def test_check_upper_triangular_flags_entry():
         check_upper_triangular(np.array([[1.0, 0.0], [0.5, 1.0]]))
     out = check_upper_triangular(np.array([[1.0, 2.0], [1e-14, 1.0]]))
     assert out[1, 0] == 0.0
+
+
+def _reduced(reduce):
+    def call(r):
+        result = reduce(r)
+        result.check(r)  # q_bar carries any row flips, so this holds against the input
+        return result.r_bar, result.z
+    return call
+
+
+def _estimate(estimator, *args):
+    return lambda r: (estimator(r, 0.5, *args).value,)
+
+
+FACTOR = np.array([[2.0, 1.3], [0.0, 0.5]])
+DIAGONAL = np.diag([2.0, 0.5])
+
+# every entry point that takes its factor through positive_triangular:
+# name -> (a valid factor, a call whose outputs must not change when the
+# factor's rows are sign-flipped)
+GATED = {
+    "positive_triangular": (FACTOR, lambda r: positive_triangular(r)[:1]),
+    # y = R x, so flipping a row of R flips y with it
+    "back_substitute": (FACTOR, lambda r: (back_substitute(r, r @ np.arange(r.shape[1])),)),
+    "lll_reduce": (FACTOR, _reduced(lll_reduce)),
+    "vblast": (FACTOR, _reduced(vblast)),
+    "orthogonality_defect": (FACTOR, lambda r: (orthogonality_defect(r),)),
+    "pzf_quadrature": (FACTOR, _estimate(pzf_quadrature)),
+    "pzf_monte_carlo": (FACTOR, _estimate(pzf_monte_carlo, 1000, RngSpec(seed=3))),
+    "pzf_empirical": (FACTOR, _estimate(pzf_empirical, 1000, RngSpec(seed=3))),
+    "pzf_diagonal": (DIAGONAL, _estimate(pzf_diagonal)),
+    "ILSInstance": (FACTOR, lambda r: (zf_decode(ILSInstance(r=r, y_tilde=[0.3, -0.2],
+                                                              sigma=1.0)).estimate,)),
+}
+
+
+def _set(i, j, value):
+    def corrupt(r):
+        r = r.copy()
+        r[i, j] = value
+        return r
+    return corrupt
+
+
+# corrupted input -> (how to make it from a valid factor, the error every
+# gated entry point raises, or None for "same outputs as the valid factor")
+REFUSALS = {
+    "negative pivot": (lambda r: np.array([[1.0], [-1.0]]) * r, None),
+    "pivot 1e-15": (_set(1, 1, 1e-15), SingularDiagonalError),
+    "below-diagonal entry": (_set(1, 0, 0.5), DimensionMismatchError),
+    "non-square": (lambda r: np.hstack([r, [[0.0], [1.0]]]), DimensionMismatchError),
+    "non-finite": (_set(0, 1, math.nan), DimensionMismatchError),
+}
+EXCEPTIONS = {
+    # y_tilde would have to flip with R's rows, so the instance refuses instead
+    ("negative pivot", "ILSInstance"): SingularDiagonalError,
+    ("below-diagonal entry", "pzf_diagonal"): NotDiagonalError,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GATED))
+@pytest.mark.parametrize("row", sorted(REFUSALS))
+def test_gated_entry_points_share_one_refusal_table(row, entry):
+    factor, call = GATED[entry]
+    corrupt, error = REFUSALS[row]
+    error = EXCEPTIONS.get((row, entry), error)
+    r = corrupt(factor)
+    if error is None:
+        for got, want in zip(call(r), call(factor), strict=True):
+            np.testing.assert_array_equal(got, want)
+    else:
+        with pytest.raises(error) as raised:
+            call(r)
+        assert type(raised.value) is error

@@ -8,10 +8,12 @@ from zfprob.errors import (
     DimensionMismatchError,
     IterationLimitExceededError,
     SingularDiagonalError,
+    SingularMatrixError,
 )
 from zfprob.linalg import int_determinant, qr_factorize
 from zfprob.reduction import (
     LLLParams,
+    ReductionResult,
     ReductionStats,
     is_lll_reduced,
     lll_reduce,
@@ -286,3 +288,26 @@ class TestOrthogonalityDefect:
             for strategy in (sqrd, vblast):
                 reordered = strategy(r).r_bar
                 assert abs(orthogonality_defect(reordered) - base) <= 1e-9 * max(base, 1.0)
+
+    def test_power_of_two_scaling_is_exact_at_n48(self):
+        # the raw pivot products of these inputs over- and underflow
+        r = random_triangular(case_spec(95, 0), 48)
+        base = orthogonality_defect(r)
+        assert math.isfinite(base)
+        for scale in (2.0 ** -40, 2.0 ** 40):
+            assert orthogonality_defect(scale * r) == base
+
+    def test_product_out_of_range_after_rescaling_refused(self):
+        # every pivot clears the floor, but their product underflows
+        with pytest.raises(SingularMatrixError) as raised:
+            orthogonality_defect(np.diag([1.0] + [1e-13] * 30))
+        assert type(raised.value) is SingularMatrixError
+
+
+def test_det_drift_on_scaled_factor():
+    r = 1e-8 * random_triangular(case_spec(95, 0), 48)
+    bumped = r.copy()
+    bumped[0, 0] *= 1.0 + 1e-6
+    result = ReductionResult(r_bar=bumped, z=np.eye(48, dtype=np.int64), q_bar=np.eye(48),
+                             stats=ReductionStats())
+    assert result.det_drift(r) == pytest.approx(1e-6, rel=1e-6)
