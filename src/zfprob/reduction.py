@@ -13,7 +13,7 @@ Indices are 0-based throughout.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,11 +118,15 @@ class ReductionResult:
 
     def det_drift(self, r_input) -> float:
         """Relative |det| change through the reduction."""
-        r_input = check_upper_triangular(np.triu(r_input), "R")
-        e = _unit_exponent(r_input)
-        d_in = _pivot_product(np.ldexp(r_input, -e))
-        d_out = _pivot_product(np.ldexp(self.r_bar, -e))
-        return abs(d_out - d_in) / d_in
+        r_input = check_upper_triangular(r_input, "R")
+        d_in, e_in = _frexp_product(r_input.diagonal())
+        d_out, e_out = _frexp_product(self.r_bar.diagonal())
+        if d_in == 0.0:
+            raise SingularMatrixError("input factor has a zero pivot")
+        # both determinants scaled by the same exact 2**-e_in
+        with np.errstate(over="ignore"):
+            d_out = float(np.ldexp(d_out, e_out - e_in))
+        return _in_range(abs(d_out - d_in) / d_in, "determinant drift")
 
     def check(self, r_input):
         """Raise unless every structural invariant holds against r_input."""
@@ -141,18 +145,18 @@ class ReductionResult:
                 f"determinant drift {drift:.3e} exceeds {DET_PRESERVATION_TOL}")
 
 
-def _unit_exponent(a) -> int:
-    """The e that puts a's largest |entry| in [2**(e-1), 2**e).  Scaling by
-    2**-e is exact, so ratios of n-fold products keep every bit, while the
-    products themselves stop over- or underflowing on scaled inputs."""
-    return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+def _frexp_product(v) -> tuple[float, int]:
+    """|prod(v)| as (m, e), the product being m * 2**e.  m multiplies frexp
+    mantissas in [0.5, 1), so it stays normal for len(v) < 1022, and it
+    carries the raw product's bits wherever that product is normal."""
+    m, e = np.frexp(v)
+    return abs(float(np.prod(m))), int(e.sum())
 
 
-def _pivot_product(r) -> float:
-    det = abs(float(np.prod(r.diagonal())))
-    if not (0.0 < det < math.inf):
-        raise SingularMatrixError(f"product of the pivots is {det!r} even after rescaling")
-    return det
+def _in_range(x: float, what: str) -> float:
+    if not math.isfinite(x):
+        raise SingularMatrixError(f"{what} is {x!r}, out of floating-point range")
+    return x
 
 
 def _size_reduce_inplace(r, z, i, k) -> bool:
@@ -395,15 +399,17 @@ def vblast(r) -> ReductionResult:
         tail.append(best)
         remaining.remove(best)
     perm = list(reversed(tail))
-    return _perm_result(signs[:, None] * r, perm)
+    result = _perm_result(r, perm)
+    # fold the row flips into q_bar so Qbar^T R Z = Rbar holds against the input
+    return replace(result, q_bar=signs[:, None] * result.q_bar)
 
 
 def orthogonality_defect(r) -> float:
     """Product of column norms over |det|; 1 exactly when columns are
     orthogonal, larger otherwise."""
     r, _ = positive_triangular(r)
-    r = np.ldexp(r, -_unit_exponent(r))
-    defect = float(np.prod(np.linalg.norm(r, axis=0))) / _pivot_product(r)
-    if not math.isfinite(defect):
-        raise SingularMatrixError("orthogonality defect overflows even after rescaling")
-    return defect
+    norms, e_norms = _frexp_product(np.linalg.norm(r, axis=0))
+    det, e_det = _frexp_product(r.diagonal())
+    with np.errstate(over="ignore"):
+        defect = float(np.ldexp(norms / det, e_norms - e_det))
+    return _in_range(defect, "orthogonality defect")

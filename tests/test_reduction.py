@@ -297,10 +297,25 @@ class TestOrthogonalityDefect:
         for scale in (2.0 ** -40, 2.0 ** 40):
             assert orthogonality_defect(scale * r) == base
 
-    def test_product_out_of_range_after_rescaling_refused(self):
-        # every pivot clears the floor, but their product underflows
+    def test_orthogonal_factor_with_underflowing_pivot_product(self):
+        # every pivot clears the floor, but their raw product underflows
+        assert orthogonality_defect(np.diag([1.0] + [1e-13] * 30)) == 1.0
+
+    @pytest.mark.parametrize("corner", [2.0 ** 21, 2.0 ** 22])
+    def test_wide_dynamic_range_at_n48(self, corner):
+        # one large entry over unit pivots: nothing is out of range
+        r = np.eye(48)
+        r[0, 47] = corner
+        assert orthogonality_defect(r) == math.sqrt(1.0 + corner ** 2)
+        result = lll_reduce(r)
+        assert result.det_drift(r) == 0.0
+        result.check(r)
+
+    def test_overflowing_defect_refused(self):
+        r = np.diag([1.0] + [1e-13] * 39)
+        r[0, :] = 1.0
         with pytest.raises(SingularMatrixError) as raised:
-            orthogonality_defect(np.diag([1.0] + [1e-13] * 30))
+            orthogonality_defect(r)
         assert type(raised.value) is SingularMatrixError
 
 
