@@ -284,12 +284,6 @@ def load_vector_csv(path) -> np.ndarray:
     raise ParseError(f"expected a single-column vector, got shape {m.shape}", line=1)
 
 
-def _estimate_record(est: ProbabilityEstimate) -> dict:
-    return {"value": est.value, "method": est.method,
-            "error_bound": est.error_bound, "evaluations": est.evaluations,
-            "seed": est.seed}
-
-
 def _triangular_from(matrix):
     """Matrices straight from a file may be rectangular models; reduce to
     the square triangular factor when they are not already triangular.
@@ -347,8 +341,8 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
         "r_reduced": full.r_bar,
         "size_reduction_applied": applied,
         "stats": asdict(full.stats),
-        "estimates": [_estimate_record(p) for p in computed],
-        "diagonal_estimate": _estimate_record(p_diagonal),
+        "estimates": list(computed),
+        "diagonal_estimate": p_diagonal,
         "expected": list(REFERENCE_1_EXPECTED),
     })
     for tag, est, want in zip(("original", "size-reduced", "reduced"),
@@ -405,7 +399,7 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
         "r_reduced": red3.r_bar,
         "z": red3.z,
         "stats": asdict(red3.stats),
-        "estimates": [_estimate_record(p3_before), _estimate_record(p3_after)],
+        "estimates": [p3_before, p3_after],
         "expected": list(REFERENCE_3_EXPECTED),
     })
     verdicts.append(_match_verdict("reference-3-original", p3_before.value,
@@ -523,7 +517,7 @@ def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
         "matrix_digest": matrix_digest(r),
         "r": r,
         "sigma": sigma,
-        "estimate": _estimate_record(est),
+        "estimate": est,
     })
     return report
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatchError,
@@ -303,14 +304,14 @@ def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
     for k in range(1, n):
         for i in range(k):
             bound = 0.5 * abs(r[i, i])
-            if abs(r[i, k]) > bound + LLL_CHECK_SLACK * max(abs(r[i, i]), 1.0):
+            if abs(r[i, k]) > bound + LLL_CHECK_SLACK * abs(r[i, i]):
                 size_ok = False
                 if first is None:
                     first = (i, k)
     for k in range(1, n):
         lhs = delta * r[k - 1, k - 1] ** 2
         rhs = r[k - 1, k] ** 2 + r[k, k] ** 2
-        if lhs > rhs + LLL_CHECK_SLACK * max(lhs, 1.0):
+        if lhs > rhs + LLL_CHECK_SLACK * lhs:
             lovasz_ok = False
             if first is None:
                 first = (k - 1, k)
@@ -337,6 +338,35 @@ def _perm_result(r, perm) -> ReductionResult:
     return ReductionResult(r_bar=f.r, z=z, q_bar=f.q1, stats=stats)
 
 
+def _sorted_order(w, floor: float) -> list[int]:
+    """Sorted QR on the columns of w: pick the remaining column with the
+    smallest residual norm (the first index within a relative tie window),
+    then project it out of the rest.  Returns the picks in order; a picked
+    residual below floor means the columns became dependent."""
+    work = np.array(w, dtype=float)
+    remaining = list(range(work.shape[1]))
+    order: list[int] = []
+    while remaining:
+        best, best_norm = None, None
+        for c in remaining:
+            # hypot, not a sum of squares: a dual column's squares can leave
+            # the float range while the column itself does not
+            norm = math.hypot(*work[:, c])
+            if best is None or norm < best_norm * (1.0 - ORDERING_TIE_TOL):
+                best, best_norm = c, norm
+        if best_norm < floor:
+            raise RankDeficientError("columns became dependent during ordering")
+        order.append(best)
+        remaining.remove(best)
+        v = work[:, best] / best_norm
+        for c in remaining:
+            # project twice: after one pass an ill-conditioned basis keeps
+            # enough of v to misorder the later picks
+            work[:, c] -= v * (v @ work[:, c])
+            work[:, c] -= v * (v @ work[:, c])
+    return order
+
+
 def sqrd(a) -> ReductionResult:
     """Column reordering chosen first to last, each pick minimizing the
     next pivot magnitude; z is the corresponding permutation.
@@ -348,58 +378,22 @@ def sqrd(a) -> ReductionResult:
     if a.ndim != 2:
         raise DimensionMismatchError(f"need a 2-d matrix, got shape {a.shape}")
     r = qr_factorize(a).r
-    n = r.shape[0]
-    work = r.copy()
-    remaining = list(range(n))
-    perm: list[int] = []
-    for _ in range(n):
-        best = None
-        best_norm = None
-        for c in remaining:
-            v = work[:, c]
-            norm = float(np.linalg.norm(v))
-            if best is None or norm < best_norm - ORDERING_TIE_TOL * max(best_norm, 1.0):
-                best, best_norm = c, norm
-        perm.append(best)
-        v = work[:, best].copy()
-        nv = np.linalg.norm(v)
-        if nv < SOLVE_DIAG_MIN:
-            raise RankDeficientError("columns became dependent during ordering")
-        v /= nv
-        remaining.remove(best)
-        for c in remaining:
-            work[:, c] -= v * (v @ work[:, c])
-    return _perm_result(r, perm)
+    return _perm_result(r, _sorted_order(r, floor=SOLVE_DIAG_MIN))
 
 
 def vblast(r) -> ReductionResult:
     """Column reordering chosen last to first, each pick maximizing the
-    pivot that position would get; z is the corresponding permutation."""
+    pivot that position would get; z is the corresponding permutation.
+
+    The column placed last gets pivot 1 / ||row c of R^-1||, so the picks
+    are the sorted-QR picks on the dual basis R^-T, in reverse."""
     # row sign flips leave every residual norm, and so the order, unchanged
     r, signs = positive_triangular(r)
-    n = r.shape[0]
-    remaining = list(range(n))
-    tail: list[int] = []
-    for _ in range(n):
-        best = None
-        best_norm = None
-        for c in remaining:
-            others = [o for o in remaining if o != c]
-            if others:
-                basis, _ = np.linalg.qr(r[:, others])
-                v = r[:, c]
-                resid = v - basis @ (basis.T @ v)
-                norm = float(np.linalg.norm(resid))
-            else:
-                norm = float(np.linalg.norm(r[:, c]))
-            if best is None or norm > best_norm + ORDERING_TIE_TOL * max(best_norm, 1.0):
-                best, best_norm = c, norm
-        if best_norm < SOLVE_DIAG_MIN:
-            raise RankDeficientError("columns became dependent during ordering")
-        tail.append(best)
-        remaining.remove(best)
-    perm = list(reversed(tail))
-    result = _perm_result(r, perm)
+    dual = solve_triangular(r, np.eye(r.shape[0]), lower=False).T
+    if not np.all(np.isfinite(dual)):
+        raise SingularMatrixError("R^-1 is out of floating-point range")
+    tail = _sorted_order(dual, floor=np.finfo(float).tiny)
+    result = _perm_result(r, tail[::-1])
     # fold the row flips into q_bar so Qbar^T R Z = Rbar holds against the input
     return replace(result, q_bar=signs[:, None] * result.q_bar)
 

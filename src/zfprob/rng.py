@@ -8,7 +8,7 @@ Box-Muller transform.  Identical (seed, index) always yields bit-identical
 output, which is what makes experiment reports replayable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,7 +17,8 @@ UPPER_TRIANGULAR_TOL = 1e-10     # allowed below-diagonal magnitude, relative
 REDUCTION_RECONSTRUCTION_TOL = 1e-9  # ||Qbar^T R Z - Rbar|| / ||R||, Frobenius
 DET_PRESERVATION_TOL = 1e-9          # relative |det| drift through a reduction
 LLL_CHECK_SLACK = 1e-12              # boundary slack in reduced-form checks
-ORDERING_TIE_TOL = 1e-12             # equal-pivot tie window in sqrd / vblast
+ORDERING_TIE_TOL = 1e-12             # relative tie window in sqrd / vblast: a norm must
+                                     # fall below best * (1 - tol) to win
 DEFECT_INVARIANCE_TOL = 1e-9         # orthogonality-defect drift under permutations
 
 # --- Probability estimators --------------------------------------------------

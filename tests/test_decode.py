@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from zfprob.decode import (
-    DecodeResult,
     ILSInstance,
     ils_brute_force,
     lift_estimate,

@@ -37,6 +37,21 @@ def assert_is_permutation(z):
     assert np.all(z.sum(axis=0) == 1) and np.all(z.sum(axis=1) == 1)
 
 
+def column_order(result):
+    """Original column index at each position of an ordering's output."""
+    return tuple(int(c) for c in np.argmax(result.z, axis=0))
+
+
+def ill_conditioned(index):
+    """Triangular factor with pivots spread over 1e-10 .. 1e4; condition
+    numbers reach 1e18 and beyond."""
+    rng = np.random.default_rng([77, index])
+    n = 4 + index % 5
+    r = np.triu(rng.standard_normal((n, n)))
+    np.fill_diagonal(r, 10.0 ** rng.uniform(-10, 4, size=n))
+    return r
+
+
 class TestSizeReduceEntry:
     def test_large_multiplier(self):
         r, z, applied = size_reduce_entry(R_4_9, EYE2, 0, 1)
@@ -267,6 +282,61 @@ class TestOrderings:
         result = sqrd(a)
         assert_is_permutation(result.z)
         result.check(qr_factorize(a).r)
+
+    def test_vblast_pivots_match_distance_oracle(self):
+        # filled last to first, each pivot is the largest distance of one
+        # unplaced column to the span of the other unplaced ones
+        for i in range(30):
+            n = 2 + i % 5
+            r = random_triangular(case_spec(96, i), n)
+            result = vblast(r)
+            order = column_order(result)
+            for p in range(n - 1, -1, -1):
+                unplaced = order[: p + 1]
+                distances = []
+                for c in unplaced:
+                    others = r[:, [o for o in unplaced if o != c]]
+                    coef = np.linalg.lstsq(others, r[:, c], rcond=None)[0]
+                    distances.append(np.linalg.norm(r[:, c] - others @ coef))
+                assert result.r_bar[p, p] == pytest.approx(max(distances), rel=1e-10)
+
+    @pytest.mark.parametrize("strategy, index, exact", [
+        # orders from 400-bit arithmetic; a single projection per pick gets
+        # each of these wrong, and sqrd used to refuse factor 194
+        (vblast, 63, (2, 1, 0, 3, 4, 6, 5)),
+        (sqrd, 52, (3, 1, 0, 2, 4, 5)),
+        (sqrd, 194, (0, 2, 1, 3, 4, 5, 6, 7)),
+    ])
+    def test_ill_conditioned_orders_match_exact_arithmetic(self, strategy, index, exact):
+        assert column_order(strategy(ill_conditioned(index))) == exact
+
+    @pytest.mark.filterwarnings("error")
+    def test_vblast_on_dual_basis_of_wide_range(self):
+        # bidiagonal with pivots 1e-8, whose exact order is the identity;
+        # R^-1 has entries up to 1e8**n: their squares leave the float range
+        # at n=30, and the entries themselves do at n=41
+        def bidiagonal(n):
+            return np.diag(np.full(n, 1e-8)) + np.diag(np.ones(n - 1), 1)
+
+        assert column_order(vblast(bidiagonal(30))) == tuple(range(30))
+        with pytest.raises(SingularMatrixError):
+            vblast(bidiagonal(41))
+
+
+SCALE_FREE_FACTORS = [np.diag([1.0005, 1.0]), np.diag([1.0, 1.0005]), R_4_9, R_3X3] + [
+    random_triangular(case_spec(97, i), 2 + i % 5) for i in range(12)]
+
+
+@pytest.mark.parametrize("c", [2.0 ** -30, 2.0 ** 30, 1e15])
+def test_orderings_and_reduced_check_are_scale_free(c):
+    for r in SCALE_FREE_FACTORS:
+        for strategy in (sqrd, vblast):
+            np.testing.assert_array_equal(strategy(c * r).z, strategy(r).z)
+    # a relative gap of 5e-4 is no tie at any scale
+    np.testing.assert_array_equal(sqrd(c * np.diag([1.0005, 1.0])).z, [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(vblast(c * np.diag([1.0, 1.0005])).z, EYE2)
+    assert not is_lll_reduced(c * np.array([[1.0, 0.5001], [0.0, 1.0]])).size_ok
+    assert not is_lll_reduced(c * np.diag([1.0, 0.5]), 0.75).lovasz_ok
 
 
 class TestOrthogonalityDefect:

@@ -15,7 +15,7 @@ def load_tool():
 
 def test_replay_digests_repeat_in_process(tmp_path, monkeypatch):
     tool = load_tool()
-    assert len(tool.INVOCATIONS) == 31
+    assert len(tool.INVOCATIONS) == 32
     tool.write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     picked = [tool.INVOCATIONS[0],

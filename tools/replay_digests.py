@@ -65,6 +65,7 @@ INVOCATIONS = (
     ("invariance", "--trials", "20", "--seed", "5", "--parallel", "2"),
     ("invariance", "--trials", "10", "--n", "3"),
     ("invariance", "--trials", "10", "--format", "csv"),
+    ("invariance", "--n", "4", "--trials", "20", "--seed", "11"),
     ("ensemble", "--n", "2", "--sigma", "0.5", "--trials", "10"),
     ("ensemble", "--n", "6", "--m", "7", "--sigma", "0.5", "--trials", "2"),
     ("ensemble", "--n", "3", "--method", "empirical", "--sigma", "0.5", "--trials", "4",
