@@ -7,7 +7,9 @@ The library is organized around one pipeline: factorize a model matrix
 `ils_brute_force`), and measure how likely the rounding decoder is to
 recover the truth (`pzf_diagonal`, `pzf_quadrature`, `pzf_monte_carlo`,
 `pzf_empirical`).  All randomness flows through counter-based seeded
-streams so every number is replayable.
+streams so every number is replayable.  The layer primitives (rounding,
+back-substitution, the RNG blocks, the reduction steps) are imported from
+their own modules.
 """
 
 from .errors import (
@@ -24,37 +26,19 @@ from .errors import (
     SingularDiagonalError,
     SingularMatrixError,
 )
-from .linalg import (
-    QRFactorization,
-    back_substitute,
-    det_upper_triangular,
-    int_determinant,
-    qr_factorize,
-    round_nearest,
-)
-from .rng import (
-    ALGORITHM_ID,
-    RngSpec,
-    derive_seed,
-    gaussian_block,
-    uniform_block,
-)
+from .linalg import int_determinant, qr_factorize
+from .rng import RngSpec
 from .reduction import (
-    LLLCheckReport,
     LLLParams,
     ReductionResult,
-    ReductionStats,
     is_lll_reduced,
     lll_reduce,
-    lovasz_holds,
     orthogonality_defect,
     size_reduce_entry,
     sqrd,
-    swap_and_retriangularize,
     vblast,
 )
 from .decode import (
-    DecodeResult,
     ILSInstance,
     ils_brute_force,
     lift_estimate,
@@ -72,14 +56,11 @@ from .probability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHM_ID",
-    "DecodeResult",
     "DimensionMismatchError",
     "DimensionTooLargeError",
     "ILSInstance",
     "InvalidGridError",
     "IterationLimitExceededError",
-    "LLLCheckReport",
     "LLLParams",
     "LatticeError",
     "NoConvergenceError",
@@ -87,36 +68,26 @@ __all__ = [
     "NotUnimodularError",
     "ParseError",
     "ProbabilityEstimate",
-    "QRFactorization",
     "RankDeficientError",
     "ReductionResult",
-    "ReductionStats",
     "RngSpec",
     "SingularDiagonalError",
     "SingularMatrixError",
-    "back_substitute",
-    "derive_seed",
-    "det_upper_triangular",
     "erf",
-    "gaussian_block",
     "ils_brute_force",
     "int_determinant",
     "is_lll_reduced",
     "lift_estimate",
     "lll_reduce",
-    "lovasz_holds",
     "orthogonality_defect",
     "pzf_diagonal",
     "pzf_empirical",
     "pzf_monte_carlo",
     "pzf_quadrature",
     "qr_factorize",
-    "round_nearest",
     "sic_decode",
     "size_reduce_entry",
     "sqrd",
-    "swap_and_retriangularize",
-    "uniform_block",
     "vblast",
     "zf_decode",
 ]

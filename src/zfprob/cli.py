@@ -38,7 +38,7 @@ from .errors import (
     LatticeError,
     ParseError,
 )
-from .linalg import qr_factorize
+from .linalg import check_sigma, qr_factorize
 from .probability import (
     ProbabilityEstimate,
     pzf_diagonal,
@@ -123,8 +123,8 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.out_format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.out_format!r}")
-        if self.sigma is not None and not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if self.sigma is not None:
+            check_sigma(self.sigma)
         if self.trials is not None and self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if self.delta_grid is not None:

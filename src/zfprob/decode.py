@@ -17,7 +17,14 @@ from .errors import (
     NotUnimodularError,
     SingularDiagonalError,
 )
-from .linalg import back_substitute, int_determinant, positive_triangular, round_nearest
+from .linalg import (
+    back_substitute,
+    check_sigma,
+    int_determinant,
+    integer_entries,
+    positive_triangular,
+    round_nearest,
+)
 
 __all__ = [
     "ILSInstance",
@@ -27,24 +34,20 @@ __all__ = [
     "lift_estimate",
     "ils_brute_force",
     "BRUTE_FORCE_MAX_DIM",
-    "DEFAULT_BOX_RADIUS",
+    "BOX_RADIUS",
 ]
 
 BRUTE_FORCE_MAX_DIM = 6
-DEFAULT_BOX_RADIUS = 3
+BOX_RADIUS = 3
 
 
 @dataclass(frozen=True)
 class ILSInstance:
-    """One decoding problem: triangular matrix, observation, noise level.
-
-    x_true is optional ground truth for success counting.
-    """
+    """One decoding problem: triangular matrix, observation, noise level."""
 
     r: np.ndarray
     y_tilde: np.ndarray
     sigma: float
-    x_true: np.ndarray | None = None
 
     def __post_init__(self):
         r, signs = positive_triangular(self.r)
@@ -59,18 +62,9 @@ class ILSInstance:
         if np.any(signs < 0.0):
             raise SingularDiagonalError(
                 "R must have a positive diagonal; renormalize signs first")
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        x = self.x_true
-        if x is not None:
-            x = np.asarray(x)
-            if x.shape != (n,):
-                raise DimensionMismatchError(
-                    f"x_true has shape {x.shape}, expected ({n},)")
-            x = np.asarray(np.round(np.asarray(x, dtype=float)), dtype=np.int64)
+        check_sigma(self.sigma)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "y_tilde", y)
-        object.__setattr__(self, "x_true", x)
 
     @property
     def n(self) -> int:
@@ -81,19 +75,18 @@ class ILSInstance:
 class DecodeResult:
     estimate: np.ndarray
     residual: float
-    decoder: str
 
 
-def _result(inst: ILSInstance, estimate: np.ndarray, decoder: str) -> DecodeResult:
+def _result(inst: ILSInstance, estimate: np.ndarray) -> DecodeResult:
     estimate = np.asarray(estimate, dtype=np.int64)
     residual = float(np.linalg.norm(inst.y_tilde - inst.r @ estimate))
-    return DecodeResult(estimate=estimate, residual=residual, decoder=decoder)
+    return DecodeResult(estimate=estimate, residual=residual)
 
 
 def zf_decode(inst: ILSInstance) -> DecodeResult:
     """Round each coordinate of the unconstrained solution R^{-1} y_tilde."""
     real_solution = back_substitute(inst.r, inst.y_tilde)
-    return _result(inst, round_nearest(real_solution), "ZF")
+    return _result(inst, round_nearest(real_solution))
 
 
 def sic_decode(inst: ILSInstance) -> DecodeResult:
@@ -108,13 +101,14 @@ def sic_decode(inst: ILSInstance) -> DecodeResult:
     for k in range(n - 1, -1, -1):
         cancelled = inst.y_tilde[k] - r[k, k + 1:] @ x[k + 1:]
         x[k] = round_nearest(cancelled / r[k, k])
-    return _result(inst, x, "SIC")
+    return _result(inst, x)
 
 
 def lift_estimate(z, estimate_in_reduced) -> np.ndarray:
     """Map an estimate through the reduction transform: returns Z times it.
 
-    Exact integer arithmetic; Z must be unimodular.
+    Exact integer arithmetic; Z must be unimodular and the estimate must
+    hold whole numbers.
     """
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
@@ -127,12 +121,11 @@ def lift_estimate(z, estimate_in_reduced) -> np.ndarray:
     if est.shape != (z.shape[0],):
         raise DimensionMismatchError(
             f"estimate has shape {est.shape}, expected ({z.shape[0]},)")
-    est = np.asarray(np.round(np.asarray(est, dtype=float)), dtype=np.int64)
-    return zi @ est
+    return zi @ integer_entries(est).astype(np.int64)
 
 
-def ils_brute_force(inst: ILSInstance, box_radius: int = DEFAULT_BOX_RADIUS) -> DecodeResult:
-    """Enumerate the integer box of half-width box_radius around the ZF
+def ils_brute_force(inst: ILSInstance) -> DecodeResult:
+    """Enumerate the integer box of half-width BOX_RADIUS around the ZF
     estimate and return the residual minimizer; ties go to the
     lexicographically smallest vector.
 
@@ -142,14 +135,12 @@ def ils_brute_force(inst: ILSInstance, box_radius: int = DEFAULT_BOX_RADIUS) -> 
     if n > BRUTE_FORCE_MAX_DIM:
         raise DimensionTooLargeError(
             f"brute force supports n <= {BRUTE_FORCE_MAX_DIM}, got {n}")
-    if box_radius < 1:
-        raise ValueError("box_radius must be a positive integer")
     center = zf_decode(inst).estimate
-    offsets = range(-box_radius, box_radius + 1)
+    offsets = range(-BOX_RADIUS, BOX_RADIUS + 1)
     # product() yields ascending lexicographic order, so keeping the first
     # strict minimum also settles ties toward the smallest vector
     grids = np.array(list(product(offsets, repeat=n)), dtype=np.int64)
     candidates = grids + center[None, :]
     residuals = np.linalg.norm(inst.y_tilde[None, :] - candidates @ inst.r.T, axis=1)
     best = int(np.argmin(residuals))
-    return _result(inst, candidates[best], "BruteForce")
+    return _result(inst, candidates[best])

@@ -26,6 +26,9 @@ _ROLE_NOISE = 1
 _ROLE_PARAMS = 2
 _ROLE_TRUTH = 3
 
+INSTANCE_SIGMA_RANGE = (0.3, 1.0)     # random_instance draws sigma from here
+UNREDUCED_SIGMA_RANGE = (0.25, 0.9)   # random_unreduced_2x2 draws sigma from here
+
 
 def case_spec(master_seed: int, index: int) -> RngSpec:
     """Independent stream for case number `index` of a master-seeded run."""
@@ -50,24 +53,23 @@ def _uniform_in(spec: RngSpec, role: int, count: int, lo: float, hi: float) -> n
     return lo + (hi - lo) * uniform_block(role_spec(spec, role), 0, count)
 
 
-def random_instance(spec: RngSpec, n: int, sigma_lo: float = 0.3,
-                    sigma_hi: float = 1.0) -> ILSInstance:
+def random_instance(spec: RngSpec, n: int) -> ILSInstance:
     """Full decoding problem: random triangular R, integer truth in
-    [-4, 4], Gaussian noise at a sigma drawn from [sigma_lo, sigma_hi]."""
+    [-4, 4], Gaussian noise at a sigma drawn from INSTANCE_SIGMA_RANGE."""
     r = random_triangular(spec, n)
-    sigma = float(_uniform_in(spec, _ROLE_PARAMS, 1, sigma_lo, sigma_hi)[0])
+    sigma = float(_uniform_in(spec, _ROLE_PARAMS, 1, *INSTANCE_SIGMA_RANGE)[0])
     truth = np.floor(
         _uniform_in(spec, _ROLE_TRUTH, n, 0.0, 9.0)).astype(np.int64) - 4
     noise = gaussian_block(role_spec(spec, _ROLE_NOISE), 0, n)
     y = r @ truth + sigma * noise
-    return ILSInstance(r=r, y_tilde=y, sigma=sigma, x_true=truth)
+    return ILSInstance(r=r, y_tilde=y, sigma=sigma)
 
 
-def random_unreduced_2x2(spec: RngSpec, sigma_lo: float = 0.25,
-                         sigma_hi: float = 0.9):
+def random_unreduced_2x2(spec: RngSpec):
     """2x2 upper triangular with |r_01| comfortably above half the first
-    pivot, plus a noise level; the staple instance for the strict
-    improvement suites.  Returns (r, sigma)."""
+    pivot, plus a noise level drawn from UNREDUCED_SIGMA_RANGE; the staple
+    instance for the strict improvement suites.  Returns (r, sigma)."""
+    sigma_lo, sigma_hi = UNREDUCED_SIGMA_RANGE
     u = uniform_block(role_spec(spec, _ROLE_PARAMS), 0, 5)
     r00 = 0.6 + 1.4 * u[0]
     ratio = 0.6 + 1.9 * u[1]

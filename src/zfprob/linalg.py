@@ -1,9 +1,11 @@
-"""Dense linear-algebra primitives shared by the reduction and decoding code.
+"""Dense linear-algebra primitives shared by the reduction and decoding code,
+and the input checks every entry point applies.
 
 All routines work on float64 numpy arrays.  Triangular matrices are upper
 triangular and square unless stated otherwise.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +25,10 @@ __all__ = [
     "positive_triangular",
     "round_nearest",
     "back_substitute",
-    "det_upper_triangular",
+    "integer_entries",
     "int_determinant",
     "check_upper_triangular",
+    "check_sigma",
 ]
 
 
@@ -49,25 +52,31 @@ def _as_vector(v, n=None, name="vector") -> np.ndarray:
     return v
 
 
-def check_upper_triangular(r, name="matrix") -> np.ndarray:
+def check_upper_triangular(r) -> np.ndarray:
     """Validate a square upper-triangular matrix and return it as float64.
 
     Below-diagonal entries may carry roundoff up to UPPER_TRIANGULAR_TOL
     relative to the largest entry; anything bigger is an error.
     """
-    r = _as_matrix(r, name)
+    r = _as_matrix(r, "R")
     n, m = r.shape
     if n != m:
-        raise DimensionMismatchError(f"{name} must be square, got shape {r.shape}")
+        raise DimensionMismatchError(f"R must be square, got shape {r.shape}")
     if n == 0:
         return r
     scale = np.max(np.abs(r))
     below = np.abs(np.tril(r, -1))
-    if below.size and np.max(below) > UPPER_TRIANGULAR_TOL * max(scale, 1.0):
+    if below.size and np.max(below) > UPPER_TRIANGULAR_TOL * scale:
         i, j = np.unravel_index(np.argmax(below), below.shape)
         raise DimensionMismatchError(
-            f"{name} is not upper triangular: entry ({i}, {j}) = {r[i, j]!r}")
+            f"R is not upper triangular: entry ({i}, {j}) = {r[i, j]!r}")
     return np.triu(r)
+
+
+def check_sigma(sigma) -> None:
+    """The noise-level rule: sigma must be a positive finite real."""
+    if not (sigma > 0) or not math.isfinite(sigma):
+        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
 def pivot_signs(r) -> np.ndarray:
@@ -76,7 +85,7 @@ def pivot_signs(r) -> np.ndarray:
     return np.where(r.diagonal() < 0.0, -1.0, 1.0)
 
 
-def positive_triangular(r, name="R"):
+def positive_triangular(r):
     """The input gate for a triangular factor: returns (signs[:, None] * r, signs).
 
     Validates r as square upper triangular, raises SingularDiagonalError
@@ -85,12 +94,12 @@ def positive_triangular(r, name="R"):
     Row flips leave ||R xi|| unchanged; a caller that keeps an observation
     or an orthogonal factor must flip it with the same signs.
     """
-    r = check_upper_triangular(r, name)
+    r = check_upper_triangular(r)
     diag = np.abs(r.diagonal())
     if diag.size and diag.min() < SOLVE_DIAG_MIN:
         i = int(diag.argmin())
         raise SingularDiagonalError(
-            f"{name} pivot {i} has magnitude {float(diag[i])!r}, below {SOLVE_DIAG_MIN}")
+            f"R pivot {i} has magnitude {float(diag[i])!r}, below {SOLVE_DIAG_MIN}")
     signs = pivot_signs(r)
     return signs[:, None] * r, signs
 
@@ -127,11 +136,14 @@ def qr_factorize(a) -> QRFactorization:
     r = signs[:, None] * r
     q = q.copy()
     q[:, :n] *= signs[None, :]
-    col_norms = np.linalg.norm(a, axis=0)
-    threshold = RANK_TOL * (np.max(col_norms) if n else 0.0)
-    if n and np.min(np.abs(np.diag(r))) <= threshold:
-        raise RankDeficientError(
-            f"matrix is rank deficient: smallest pivot {np.min(np.abs(np.diag(r)))!r}")
+    if n:
+        # compare in units of the power of two of the largest entry, an
+        # exact scaling under which no squared entry overflows
+        e = int(np.frexp(np.max(np.abs(a)))[1])
+        col_norms = np.linalg.norm(np.ldexp(a, -e), axis=0)
+        pivot = np.min(np.abs(np.diag(r)))
+        if np.ldexp(pivot, -e) <= RANK_TOL * np.max(col_norms):
+            raise RankDeficientError(f"matrix is rank deficient: smallest pivot {pivot!r}")
     # adding 0.0 turns any -0.0 produced by the sign flips into plain 0.0
     return QRFactorization(q1=q[:, :n], r=np.triu(r) + 0.0, q2=q[:, n:])
 
@@ -164,10 +176,22 @@ def back_substitute(r, y) -> np.ndarray:
     return solve_triangular(r, signs * y, lower=False)
 
 
-def det_upper_triangular(r) -> float:
-    """Determinant of an upper-triangular matrix: product of the diagonal."""
-    r = check_upper_triangular(r, "R")
-    return float(np.prod(np.diag(r)))
+def _whole(v) -> int:
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if float(v).is_integer():
+        return int(float(v))
+    raise DimensionMismatchError(f"entries must be integers, found {v!r}")
+
+
+def integer_entries(a) -> np.ndarray:
+    """The entries of a as Python ints, in an object array of a's shape.
+
+    The one integer test: an entry that is not a whole number, NaN and
+    infinities included, raises DimensionMismatchError.
+    """
+    a = np.asarray(a, dtype=object)
+    return np.array([_whole(v) for v in a.flat], dtype=object).reshape(a.shape)
 
 
 def int_determinant(z) -> int:
@@ -182,19 +206,7 @@ def int_determinant(z) -> int:
     n = z.shape[0]
     if n == 0:
         return 1
-    a = []
-    for row in z:
-        converted = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                converted.append(int(v))
-            else:
-                fv = float(v)
-                if fv != round(fv):
-                    raise DimensionMismatchError(
-                        f"matrix entries must be integers, found {v!r}")
-                converted.append(int(round(fv)))
-        a.append(converted)
+    a = integer_entries(z).tolist()
     sign = 1
     prev = 1
     for k in range(n - 1):

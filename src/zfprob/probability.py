@@ -24,16 +24,15 @@ from .errors import (
     NoConvergenceError,
     NotDiagonalError,
 )
-from .linalg import positive_triangular, round_nearest
+from .linalg import check_sigma, positive_triangular, round_nearest
 from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
     DIAGONAL_OFFDIAG_TOL,
     ERF_ABS_ERROR,
-    QUADRATURE_DEFAULT_TARGET,
     QUADRATURE_EVAL_CAP,
     QUADRATURE_MAX_DIM,
-    QUADRATURE_MIN_TARGET,
     QUADRATURE_NODES_PER_PANEL,
+    QUADRATURE_TARGET,
 )
 
 __all__ = [
@@ -77,19 +76,14 @@ def erf(x: float) -> float:
     return math.erf(x)
 
 
-def _validate_sigma(sigma):
-    if not (sigma > 0) or not math.isfinite(sigma):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
-
-
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
     """Closed form for diagonal R: product over i of erf(r_ii / (2 sqrt2 sigma))."""
-    _validate_sigma(sigma)
+    check_sigma(sigma)
     r = np.asarray(r, dtype=float)
     # lower entries count too, so look before the triangular gate does
     if r.ndim == 2 and r.shape[0] == r.shape[1] and r.size:
         off = np.abs(r - np.diag(np.diag(r)))
-        if np.max(off) > DIAGONAL_OFFDIAG_TOL:
+        if np.max(off) > DIAGONAL_OFFDIAG_TOL * np.max(np.abs(r)):
             i, j = np.unravel_index(int(np.argmax(off)), off.shape)
             raise NotDiagonalError(f"entry ({i}, {j}) = {r[i, j]!r} is non-negligible")
     d = np.diag(positive_triangular(r)[0])
@@ -133,19 +127,16 @@ def _outer_value(r, sigma, panels):
     return pref * float(weights @ vals), xi.shape[0]
 
 
-def pzf_quadrature(r, sigma: float,
-                   target_abs_error: float = QUADRATURE_DEFAULT_TARGET) -> ProbabilityEstimate:
+def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     """Deterministic estimate for upper-triangular R, n <= 4.
 
     The innermost coordinate integrates exactly to an erf difference; the
     remaining coordinates use panel-subdivided Gauss-Legendre, doubling
-    panel counts until two refinements agree to half the target.  Raises
-    NoConvergence rather than return a value it cannot vouch for.
+    panel counts until two refinements agree to half of
+    QUADRATURE_TARGET, the absolute error claimed.  Raises NoConvergence
+    rather than return a value it cannot vouch for.
     """
-    _validate_sigma(sigma)
-    if target_abs_error < QUADRATURE_MIN_TARGET:
-        raise ValueError(
-            f"target_abs_error below {QUADRATURE_MIN_TARGET} is not supported")
+    check_sigma(sigma)
     r, _ = positive_triangular(r)
     n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
@@ -153,11 +144,11 @@ def pzf_quadrature(r, sigma: float,
             f"deterministic quadrature supports n <= {QUADRATURE_MAX_DIM}, got {n}")
     if n == 0:
         return ProbabilityEstimate(value=1.0, method="Quadrature",
-                                   error_bound=target_abs_error, evaluations=0)
+                                   error_bound=QUADRATURE_TARGET, evaluations=0)
     if n == 1:
         value = erf(r[0, 0] / (2.0 * math.sqrt(2.0) * sigma))
         return ProbabilityEstimate(value=min(max(value, 0.0), 1.0), method="Quadrature",
-                                   error_bound=target_abs_error, evaluations=1)
+                                   error_bound=QUADRATURE_TARGET, evaluations=1)
     # start fine enough that a panel cannot straddle the Gaussian ridge
     # unnoticed: panel width about sigma per column-norm unit
     col_scale = float(np.max(np.linalg.norm(r[:, 1:], axis=0)))
@@ -171,13 +162,13 @@ def pzf_quadrature(r, sigma: float,
         if total + cost > QUADRATURE_EVAL_CAP:
             raise NoConvergenceError(
                 f"evaluation cap {QUADRATURE_EVAL_CAP} reached at {panels} panels "
-                f"without meeting target {target_abs_error}")
+                f"without meeting target {QUADRATURE_TARGET}")
         est, points = _outer_value(r, sigma, panels)
         total += points
-        if prev is not None and abs(est - prev) < 0.5 * target_abs_error:
+        if prev is not None and abs(est - prev) < 0.5 * QUADRATURE_TARGET:
             value = min(max(est, 0.0), 1.0)
             return ProbabilityEstimate(value=value, method="Quadrature",
-                                       error_bound=target_abs_error, evaluations=total)
+                                       error_bound=QUADRATURE_TARGET, evaluations=total)
         prev = est
         panels *= 2
 
@@ -188,7 +179,7 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     error_bound is one standard error of the mean, scaled by the
     prefactor.  Bit-reproducible for a fixed RngSpec.
     """
-    _validate_sigma(sigma)
+    check_sigma(sigma)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     r, _ = positive_triangular(r)
@@ -213,7 +204,7 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
     coordinate of R^{-1} noise is zero.  error_bound is the binomial
     standard error.
     """
-    _validate_sigma(sigma)
+    check_sigma(sigma)
     if trials < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
     r, _ = positive_triangular(r)

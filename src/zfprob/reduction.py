@@ -50,8 +50,6 @@ __all__ = [
     "ReductionResult",
     "LLLCheckReport",
     "size_reduce_entry",
-    "lovasz_holds",
-    "swap_and_retriangularize",
     "lll_reduce",
     "is_lll_reduced",
     "sqrd",
@@ -62,21 +60,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LLLParams:
-    """Reduction-loop knobs.
+    """Reduction-loop knob.
 
     delta: quality parameter in (0.25, 1.0]; larger demands a more
-    reduced output.  max_iterations: hard cap on loop passes; None means
-    10000 * n**2 for an n-column input.
+    reduced output.  The loop is capped at MAX_ITERATIONS_PER_N2 * n**2
+    passes for an n-column input.
     """
 
     delta: float = DEFAULT_DELTA
-    max_iterations: int | None = None
 
     def __post_init__(self):
         if not (0.25 < self.delta <= 1.0):
             raise ValueError(f"delta must lie in (0.25, 1.0], got {self.delta!r}")
-        if self.max_iterations is not None and self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ class ReductionResult:
 
     def det_drift(self, r_input) -> float:
         """Relative |det| change through the reduction."""
-        r_input = check_upper_triangular(r_input, "R")
+        r_input = check_upper_triangular(r_input)
         d_in, e_in = _frexp_product(r_input.diagonal())
         d_out, e_out = _frexp_product(self.r_bar.diagonal())
         if d_in == 0.0:
@@ -179,7 +174,7 @@ def size_reduce_entry(r, z, i: int, k: int):
     entry already satisfied |r_ik| <= 0.5 |r_ii| closely enough that the
     nearest multiple was zero.  The same column operation is applied to z.
     """
-    r = check_upper_triangular(r, "R")
+    r = check_upper_triangular(r)
     n = r.shape[0]
     if not (0 <= i < k < n):
         raise DimensionMismatchError(f"need 0 <= i < k < {n}, got i={i}, k={k}")
@@ -190,19 +185,17 @@ def size_reduce_entry(r, z, i: int, k: int):
     return r, z, applied
 
 
-def lovasz_holds(r, k: int, delta: float) -> bool:
+def _lovasz_holds(r, k: int, delta: float) -> bool:
     """Adjacent-pair condition at column k (1 <= k < n):
     delta * r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_{k,k}^2."""
-    r = np.asarray(r, dtype=float)
-    n = r.shape[0]
-    if not (1 <= k < n):
-        raise DimensionMismatchError(f"need 1 <= k < {n}, got k={k}")
     lhs = delta * r[k - 1, k - 1] ** 2
     rhs = r[k - 1, k] ** 2 + r[k, k] ** 2
     return lhs <= rhs
 
 
 def _swap_inplace(r, z, q, k):
+    """Exchange columns k-1 and k of r and z, then restore triangular form
+    with one 2x2 rotation accumulated into q; pivots stay positive."""
     r[:, [k - 1, k]] = r[:, [k, k - 1]]
     z[:, [k - 1, k]] = z[:, [k, k - 1]]
     # the swap leaves one entry below the diagonal; rotate it away
@@ -223,26 +216,6 @@ def _swap_inplace(r, z, q, k):
     r[k, k - 1] = 0.0
 
 
-def swap_and_retriangularize(r, z, q, k: int):
-    """Exchange columns k-1 and k, then restore triangular form.
-
-    A single 2x2 rotation (accumulated into q) re-zeroes the subdiagonal
-    entry the swap created; pivot signs are renormalized positive.
-    Applying the operation twice with the same k is the identity up to
-    roundoff.
-    """
-    r = check_upper_triangular(r, "R")
-    n = r.shape[0]
-    if not (1 <= k < n):
-        raise DimensionMismatchError(f"need 1 <= k < {n}, got k={k}")
-    z = np.array(z, dtype=np.int64, copy=True)
-    q = np.array(q, dtype=float, copy=True)
-    if z.shape != (n, n) or q.shape != (n, n):
-        raise DimensionMismatchError("Z and Q must match R's shape")
-    _swap_inplace(r, z, q, k)
-    return r, z, q
-
-
 def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     """Run the delta-parameterized reduction loop on upper-triangular r.
 
@@ -258,9 +231,7 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     n = r.shape[0]
     z = np.eye(n, dtype=np.int64)
     q = np.diag(signs)
-    limit = params.max_iterations
-    if limit is None:
-        limit = MAX_ITERATIONS_PER_N2 * max(n, 1) ** 2
+    limit = MAX_ITERATIONS_PER_N2 * max(n, 1) ** 2
     size_reductions = 0
     swaps = 0
     iterations = 0
@@ -275,7 +246,7 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
         if _size_reduce_inplace(r, z, k - 1, k):
             size_reductions += 1
             changed = True
-        if not lovasz_holds(r, k, params.delta):
+        if not _lovasz_holds(r, k, params.delta):
             _swap_inplace(r, z, q, k)
             swaps += 1
             changed = True
@@ -296,7 +267,7 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
     """Check the size-reduced and adjacent-pair conditions with a small
     boundary slack; reports the first violating index pair if any."""
-    r = check_upper_triangular(r, "R")
+    r = check_upper_triangular(r)
     n = r.shape[0]
     size_ok = True
     lovasz_ok = True

@@ -22,17 +22,17 @@ ORDERING_TIE_TOL = 1e-12             # relative tie window in sqrd / vblast: a n
 DEFECT_INVARIANCE_TOL = 1e-9         # orthogonality-defect drift under permutations
 
 # --- Probability estimators --------------------------------------------------
-DIAGONAL_OFFDIAG_TOL = 1e-14     # off-diagonal magnitude tolerated by pzf_diagonal
+DIAGONAL_OFFDIAG_TOL = 1e-14     # off-diagonal magnitude tolerated by pzf_diagonal,
+                                 # relative to the largest |r_ij|
 ERF_ABS_ERROR = 1e-12            # absolute accuracy claimed for erf
-QUADRATURE_MIN_TARGET = 1e-8     # smallest accepted target_abs_error
-QUADRATURE_DEFAULT_TARGET = 1e-8
+QUADRATURE_TARGET = 1e-8         # absolute error pzf_quadrature converges to
 QUADRATURE_NODES_PER_PANEL = 32  # Gauss-Legendre nodes per panel and direction
 QUADRATURE_EVAL_CAP = 10_000_000  # hard cap on integrand evaluations
 QUADRATURE_MAX_DIM = 4           # deterministic quadrature supports n <= 4
 
 # --- Reduction loop defaults -------------------------------------------------
 DEFAULT_DELTA = 0.75
-MAX_ITERATIONS_PER_N2 = 10_000   # default iteration cap is this times n**2
+MAX_ITERATIONS_PER_N2 = 10_000   # reduction-loop pass cap is this times n**2
 
 # --- Reference worked examples ----------------------------------------------
 REFERENCE_VALUE_TOL = 5e-4       # match window for 4-decimal reference values

@@ -163,6 +163,13 @@ class TestDecodeCommand:
         assert main(["decode", "--matrix", path, "--y", y_path]) == 2
         assert "observation length 2" in capsys.readouterr().err
 
+    def test_infinite_sigma_exits_2(self, tmp_path, capsys):
+        # inf would be echoed as "sigma": Infinity, which is not strict JSON
+        path = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        y_path = write(tmp_path, "y.csv", "0.4\n-0.7\n")
+        assert main(["decode", "--matrix", path, "--y", y_path, "--sigma", "inf"]) == 2
+        assert "sigma" in capsys.readouterr().err
+
 
 class TestPzfCommand:
     def test_quad_reference_value(self, tmp_path, capsys):

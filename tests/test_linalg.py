@@ -15,14 +15,13 @@ from zfprob.errors import (
 from zfprob.linalg import (
     back_substitute,
     check_upper_triangular,
-    det_upper_triangular,
     int_determinant,
     positive_triangular,
     qr_factorize,
     round_nearest,
 )
 from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
-from zfprob.reduction import lll_reduce, orthogonality_defect, vblast
+from zfprob.reduction import lll_reduce, orthogonality_defect, sqrd, vblast
 from zfprob.rng import RngSpec
 from zfprob.tolerances import ORTHONORMALITY_TOL, QR_RECONSTRUCTION_TOL
 
@@ -71,6 +70,15 @@ class TestQRFactorize:
     def test_wide_matrix_raises(self):
         with pytest.raises(DimensionMismatchError):
             qr_factorize(np.ones((2, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_scale_rank_test_does_not_overflow(self):
+        # the squared column norms of 2^520 I leave the float range
+        big = 2.0**520
+        np.testing.assert_array_equal(qr_factorize(big * np.eye(3)).r, big * np.eye(3))
+        np.testing.assert_array_equal(sqrd(big * np.eye(3)).z, np.eye(3))
+        with pytest.raises(RankDeficientError):
+            qr_factorize(big * np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
 
 
 class TestRoundNearest:
@@ -135,26 +143,6 @@ class TestBackSubstitute:
             back_substitute(np.array([[1.0, 1.0], [0.0, 0.0]]), [1.0, 1.0])
 
 
-class TestDetUpperTriangular:
-    def test_examples(self):
-        assert det_upper_triangular(np.array([[4.0, 9.0], [0.0, 1.0]])) == 4.0
-        r = np.array([[math.sqrt(2), 0.0], [0.0, 2 * math.sqrt(2)]])
-        assert abs(det_upper_triangular(r) - 4.0) < 1e-12
-        assert det_upper_triangular(np.eye(5)) == 1.0
-
-    def test_sign_normalization_invariance(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            r = np.triu(rng.standard_normal((3, 3)))
-            flipped = np.diag([1.0, -1.0, 1.0]) @ r
-            assert abs(abs(det_upper_triangular(np.triu(flipped)))
-                       - abs(det_upper_triangular(r))) < 1e-12
-
-    def test_rejects_non_triangular(self):
-        with pytest.raises(DimensionMismatchError):
-            det_upper_triangular(np.array([[1.0, 0.0], [1.0, 1.0]]))
-
-
 class TestIntDeterminant:
     def test_small_known_values(self):
         assert int_determinant(np.eye(3, dtype=np.int64)) == 1
@@ -187,6 +175,17 @@ def test_check_upper_triangular_flags_entry():
         check_upper_triangular(np.array([[1.0, 0.0], [0.5, 1.0]]))
     out = check_upper_triangular(np.array([[1.0, 2.0], [1e-14, 1.0]]))
     assert out[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("c", [2.0**-40, 1.0, 2.0**40], ids=["2^-40", "1", "2^40"])
+def test_structure_tests_do_not_depend_on_scale(c):
+    with pytest.raises(DimensionMismatchError):
+        pzf_quadrature(c * np.array([[1.0, 0.0], [0.5, 1.0]]), 0.5 * c)
+    with pytest.raises(NotDiagonalError):
+        pzf_diagonal(c * np.array([[1.0, 0.005], [0.0, 1.0]]), 0.5 * c)
+    # diagonal to a relative 1e-19; c is a power of two, so the value is exact
+    got = pzf_diagonal(c * np.array([[1.0, 1e-19], [0.0, 1.0]]), 0.5 * c)
+    assert got.value == pzf_diagonal(np.eye(2), 0.5).value
 
 
 def _reduced(reduce):

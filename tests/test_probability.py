@@ -145,10 +145,6 @@ class TestQuadrature:
         with pytest.raises(DimensionTooLargeError):
             pzf_quadrature(np.eye(5), 1.0)
 
-    def test_target_floor(self):
-        with pytest.raises(ValueError):
-            pzf_quadrature(R1, 0.5, target_abs_error=1e-12)
-
     def test_unreachable_budget_raises(self):
         with pytest.raises(NoConvergenceError):
             pzf_quadrature(np.eye(4), 1e-5)

@@ -15,13 +15,13 @@ from zfprob.reduction import (
     LLLParams,
     ReductionResult,
     ReductionStats,
+    _lovasz_holds,
+    _swap_inplace,
     is_lll_reduced,
     lll_reduce,
-    lovasz_holds,
     orthogonality_defect,
     size_reduce_entry,
     sqrd,
-    swap_and_retriangularize,
     vblast,
 )
 
@@ -96,26 +96,31 @@ class TestSizeReduceEntry:
 
 class TestLovaszHolds:
     def test_fails_on_size_reduced_spiky_matrix(self):
-        assert not lovasz_holds(np.array([[4.0, 1.0], [0.0, 1.0]]), 1, 0.75)
+        assert not _lovasz_holds(np.array([[4.0, 1.0], [0.0, 1.0]]), 1, 0.75)
 
     def test_holds_on_balanced_matrix(self):
         r = np.array([[SQRT2, 0.0], [0.0, 2 * SQRT2]])
-        assert lovasz_holds(r, 1, 1.0)
+        assert _lovasz_holds(r, 1, 1.0)
 
     def test_identity_boundary_equality(self):
-        assert lovasz_holds(np.eye(3), 1, 1.0)
-        assert lovasz_holds(np.eye(3), 2, 1.0)
+        assert _lovasz_holds(np.eye(3), 1, 1.0)
+        assert _lovasz_holds(np.eye(3), 2, 1.0)
 
-    def test_index_range(self):
-        with pytest.raises(DimensionMismatchError):
-            lovasz_holds(np.eye(2), 0, 0.75)
+
+def swapped(r, z, q, k):
+    """_swap_inplace on copies, returning (r, z, q)."""
+    r = np.array(r, dtype=float)
+    z = np.array(z, dtype=np.int64)
+    q = np.array(q, dtype=float)
+    _swap_inplace(r, z, q, k)
+    return r, z, q
 
 
 class TestSwapAndRetriangularize:
     def test_balances_the_spiky_pair(self):
         r0 = np.array([[4.0, 1.0], [0.0, 1.0]])
         z0 = np.array([[1, -2], [0, 1]], dtype=np.int64)
-        r, z, q = swap_and_retriangularize(r0, z0, np.eye(2), 1)
+        r, z, q = swapped(r0, z0, np.eye(2), 1)
         assert r[0, 0] == pytest.approx(SQRT2, rel=1e-15)
         assert r[1, 1] == pytest.approx(2 * SQRT2, rel=1e-15)
         assert r[1, 0] == 0.0
@@ -125,7 +130,7 @@ class TestSwapAndRetriangularize:
         np.testing.assert_array_equal(z, [[-2, 1], [1, 0]])
 
     def test_diagonal_swap(self):
-        r, z, q = swap_and_retriangularize(np.diag([1.0, 3.0]), EYE2, np.eye(2), 1)
+        r, z, q = swapped(np.diag([1.0, 3.0]), EYE2, np.eye(2), 1)
         np.testing.assert_allclose(np.diag(r), [3.0, 1.0], atol=1e-14)
         np.testing.assert_array_equal(z, [[0, 1], [1, 0]])
 
@@ -136,9 +141,9 @@ class TestSwapAndRetriangularize:
             r0 = np.triu(rng.standard_normal((n, n)))
             r0[np.diag_indices(n)] = 0.5 + np.abs(r0[np.diag_indices(n)])
             k = int(rng.integers(1, n))
-            r1, z1, q1 = swap_and_retriangularize(r0, np.eye(n, dtype=np.int64),
+            r1, z1, q1 = swapped(r0, np.eye(n, dtype=np.int64),
                                                   np.eye(n), k)
-            r2, z2, q2 = swap_and_retriangularize(r1, z1, q1, k)
+            r2, z2, q2 = swapped(r1, z1, q1, k)
             np.testing.assert_allclose(r2, r0, atol=1e-10)
             np.testing.assert_array_equal(z2, np.eye(n, dtype=np.int64))
             np.testing.assert_allclose(q2, np.eye(n), atol=1e-10)
@@ -197,9 +202,11 @@ class TestLLLReduce:
             assert report.is_reduced, (i, delta, report)
             result.check(r)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        # a cap of 0.25 * n**2 = 1 pass at n = 2
+        monkeypatch.setattr("zfprob.reduction.MAX_ITERATIONS_PER_N2", 0.25)
         with pytest.raises(IterationLimitExceededError):
-            lll_reduce(R_4_9, LLLParams(delta=0.75, max_iterations=1))
+            lll_reduce(R_4_9, LLLParams(delta=0.75))
 
     def test_negative_diagonal_input_normalized(self):
         r = np.array([[2.0, 0.3], [0.0, -1.0]])
