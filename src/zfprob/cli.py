@@ -203,6 +203,9 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        # tolist() already yields plain bools, ints and floats for these kinds
+        if obj.dtype.kind in "biuf":
+            return obj.tolist()
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)

@@ -18,6 +18,8 @@ from .errors import (
 )
 from .tolerances import RANK_TOL, SOLVE_DIAG_MIN, UPPER_TRIANGULAR_TOL
 
+_INT64_LIMIT = 2.0 ** 63  # the first magnitude an int64 cannot hold
+
 __all__ = [
     "QRFactorization",
     "qr_factorize",
@@ -153,16 +155,32 @@ def round_nearest(x):
 
     Halfway points go to the integer of smaller magnitude: 0.5 -> 0,
     1.5 -> 1, -0.5 -> 0, -1.5 -> -1.  Accepts scalars or arrays; returns
-    a Python int for scalar input, an int64 array otherwise.
+    a Python int for scalar input, an int64 array otherwise.  A value
+    that is not finite, or of magnitude 2**63 or more, has no int64
+    rounding and raises ValueError.
     """
+    # both routes round |x| down and step up when the fraction, which is
+    # exact in float64, passes one half; |x| - 0.5 is not exact in
+    # [2**52, 2**53), where it would take odd integers one step down
+    if isinstance(x, (float, int, np.floating, np.integer)):
+        # the reduction loop rounds one entry at a time: skip numpy here
+        v = float(x)
+        a = abs(v)
+        if not a < _INT64_LIMIT:
+            raise ValueError(f"cannot round {v!r}: not finite or of magnitude 2**63 or more")
+        m = math.floor(a)
+        if a - m > 0.5:
+            m += 1
+        return -m if v < 0 else m
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot round non-finite values")
-    rounded = np.sign(arr) * np.ceil(np.abs(arr) - 0.5)
-    out = rounded.astype(np.int64)
-    if np.isscalar(x) or arr.ndim == 0:
-        return int(out)
-    return out
+    a = np.abs(arr)
+    if not a.max(initial=0.0) < _INT64_LIMIT:  # a NaN makes the max NaN
+        raise ValueError("cannot round values that are not finite or of magnitude 2**63 or more")
+    m = np.floor(a)
+    a -= m
+    m += a > 0.5
+    out = np.copysign(m, arr).astype(np.int64)
+    return int(out) if arr.ndim == 0 else out
 
 
 def back_substitute(r, y) -> np.ndarray:

@@ -109,8 +109,11 @@ class ReductionResult:
         """Relative Frobenius error of Qbar^T R Z against Rbar."""
         r_input = np.asarray(r_input, dtype=float)
         lhs = self.q_bar.T @ r_input @ self.z
-        scale = max(np.linalg.norm(r_input), 1e-300)
-        return float(np.linalg.norm(lhs - self.r_bar) / scale)
+        # both norms in units of the power of two of R's largest entry, an
+        # exact scaling under which no squared entry overflows
+        e = _max_exponent(r_input)
+        scale = max(np.linalg.norm(np.ldexp(r_input, -e)), 1e-300)
+        return float(np.linalg.norm(np.ldexp(lhs - self.r_bar, -e)) / scale)
 
     def det_drift(self, r_input) -> float:
         """Relative |det| change through the reduction."""
@@ -149,6 +152,11 @@ def _frexp_product(v) -> tuple[float, int]:
     return abs(float(np.prod(m))), int(e.sum())
 
 
+def _max_exponent(a) -> int:
+    """The e with every |entry| of a below 2**e; dividing by 2**e is exact."""
+    return int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+
+
 def _in_range(x: float, what: str) -> float:
     if not math.isfinite(x):
         raise SingularMatrixError(f"{what} is {x!r}, out of floating-point range")
@@ -185,12 +193,23 @@ def size_reduce_entry(r, z, i: int, k: int):
     return r, z, applied
 
 
+def _pair_squares(r, k: int) -> tuple[float, float]:
+    """(r_{k-1,k-1}^2, r_{k-1,k}^2 + r_{k,k}^2), the two sides of the
+    adjacent-pair condition at column k, in units of the power of two of
+    the pair's largest entry: an exact scaling under which no square
+    overflows.  x * x is one correctly rounded product, so the scaling
+    leaves every comparison of the two sides as it is unscaled."""
+    a, b, c = r[k - 1, k - 1], r[k - 1, k], r[k, k]
+    e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+    return a * a, b * b + c * c
+
+
 def _lovasz_holds(r, k: int, delta: float) -> bool:
     """Adjacent-pair condition at column k (1 <= k < n):
     delta * r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_{k,k}^2."""
-    lhs = delta * r[k - 1, k - 1] ** 2
-    rhs = r[k - 1, k] ** 2 + r[k, k] ** 2
-    return lhs <= rhs
+    top, rest = _pair_squares(r, k)
+    return delta * top <= rest
 
 
 def _swap_inplace(r, z, q, k):
@@ -280,8 +299,8 @@ def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
                 if first is None:
                     first = (i, k)
     for k in range(1, n):
-        lhs = delta * r[k - 1, k - 1] ** 2
-        rhs = r[k - 1, k] ** 2 + r[k, k] ** 2
+        top, rhs = _pair_squares(r, k)
+        lhs = delta * top
         if lhs > rhs + LLL_CHECK_SLACK * lhs:
             lovasz_ok = False
             if first is None:
@@ -373,7 +392,10 @@ def orthogonality_defect(r) -> float:
     """Product of column norms over |det|; 1 exactly when columns are
     orthogonal, larger otherwise."""
     r, _ = positive_triangular(r)
-    norms, e_norms = _frexp_product(np.linalg.norm(r, axis=0))
+    # column norms in units of 2**e, so that no squared entry overflows
+    e = _max_exponent(r)
+    norms, e_norms = _frexp_product(np.linalg.norm(np.ldexp(r, -e), axis=0))
+    e_norms += e * r.shape[0]
     det, e_det = _frexp_product(r.diagonal())
     with np.errstate(over="ignore"):
         defect = float(np.ldexp(norms / det, e_norms - e_det))

@@ -301,6 +301,41 @@ class TestReportSerialization:
         err = capsys.readouterr().err
         assert "first failing verdict: stub-check" in err
 
+    def test_numeric_arrays_serialise_as_the_element_walk_does(self):
+        def walk(obj):
+            # the reference: convert every numpy scalar one element at a time
+            if isinstance(obj, dict):
+                return {str(k): walk(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [walk(v) for v in obj]
+            if isinstance(obj, np.ndarray):
+                return walk(obj.tolist())
+            if isinstance(obj, np.generic):
+                return obj.item()
+            return obj
+
+        def plain(obj):
+            if isinstance(obj, dict):
+                return all(isinstance(k, str) and plain(v) for k, v in obj.items())
+            if isinstance(obj, list):
+                return all(plain(v) for v in obj)
+            return type(obj) in (str, int, float, bool, type(None))
+
+        cases = [{
+            "float": np.array([[1.5, -0.0], [2.0 ** -1074, 1e300]]),
+            "int": np.array([3, -2 ** 62, 0], dtype=np.int64),
+            "bool": np.array([True, False]),
+            "object": np.array([np.float64(0.25), np.int64(7), np.bool_(True), "x"],
+                               dtype=object),
+            "scalars": [np.float64(0.1), np.int64(-4), np.bool_(False)],
+        }]
+        report = ExperimentReport(command="reduce", config={"delta": np.float64(0.75)},
+                                  cases=cases, duration_seconds=0.5)
+        expected = dict(report.to_dict(), config=walk(report.config), cases=walk(cases))
+        text = report.to_json()
+        assert text == json.dumps(expected, indent=2, sort_keys=True)
+        assert plain(report.to_dict()) and plain(json.loads(text))
+
     def test_digest_depends_on_entries(self):
         a = matrix_digest(np.array([[1.0, 2.0], [0.0, 1.0]]))
         b = matrix_digest(np.array([[1.0, 2.0], [0.0, 1.0000001]]))

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zfprob.decode import ILSInstance, zf_decode
@@ -99,6 +100,47 @@ class TestRoundNearest:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             round_nearest(float("nan"))
+
+    def test_refuses_magnitudes_beyond_int64(self):
+        # a plain int64 cast turns these into -2**63 with only a RuntimeWarning
+        for x in (1e19, -1e19, 2.0 ** 63, -(2.0 ** 63)):
+            with pytest.raises(ValueError):
+                round_nearest(x)
+            with pytest.raises(ValueError):
+                round_nearest([x])
+        with pytest.raises(ValueError):
+            lll_reduce([[1e-3, 1e17], [0.0, 1.0]])
+
+    def test_return_types(self):
+        for x in (2.4, np.float64(-2.6), 3, np.int64(-3), np.float32(0.5)):
+            assert type(round_nearest(x)) is int
+        for x in ([2.4, -2.6], np.array([[0.5]]), (3,)):
+            out = round_nearest(x)
+            assert isinstance(out, np.ndarray) and out.dtype == np.int64
+
+    @given(st.floats(min_value=-(2.0 ** 63 - 1024), max_value=2.0 ** 63 - 1024,
+                     allow_nan=False))
+    @example(0.5)
+    @example(-0.5)
+    @example(1.5)
+    @example(-1.5)
+    @example(-0.0)
+    @example(2.0 ** 52 - 0.5)
+    @example(2.0 ** 52 + 0.5)
+    @example(-(2.0 ** 52 - 0.5))
+    @example(2.0 ** 52 + 1)  # |x| - 0.5 is inexact here: ceil(|x| - 0.5) gives 2**52
+    @example(2.0 ** 63 - 1024)
+    @example(-(2.0 ** 63 - 1024))
+    @settings(max_examples=300)
+    def test_scalar_route_equals_array_route(self, x):
+        # exact reference: floor of |x| plus one when the fraction passes 1/2
+        a = Fraction(abs(x))
+        exact = math.floor(a) + (a - math.floor(a) > Fraction(1, 2))
+        exact = -exact if x < 0 else exact
+        for v in (x, np.float64(x)):
+            assert round_nearest(v) == int(round_nearest(np.array([v]))[0]) == exact
+        whole = int(x)
+        assert round_nearest(whole) == int(round_nearest(np.array([whole]))[0]) == whole
 
     @given(st.floats(min_value=-1e6, max_value=1e6),
            st.integers(min_value=-1000, max_value=1000))

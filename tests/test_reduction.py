@@ -24,6 +24,7 @@ from zfprob.reduction import (
     sqrd,
     vblast,
 )
+from zfprob.tolerances import REDUCTION_RECONSTRUCTION_TOL
 
 SQRT2 = math.sqrt(2.0)
 R_4_9 = np.array([[4.0, 9.0], [0.0, 1.0]])
@@ -334,7 +335,7 @@ SCALE_FREE_FACTORS = [np.diag([1.0005, 1.0]), np.diag([1.0, 1.0005]), R_4_9, R_3
     random_triangular(case_spec(97, i), 2 + i % 5) for i in range(12)]
 
 
-@pytest.mark.parametrize("c", [2.0 ** -30, 2.0 ** 30, 1e15])
+@pytest.mark.parametrize("c", [2.0 ** -30, 2.0 ** 30, 1e15, 2.0 ** 520])
 def test_orderings_and_reduced_check_are_scale_free(c):
     for r in SCALE_FREE_FACTORS:
         for strategy in (sqrd, vblast):
@@ -371,7 +372,7 @@ class TestOrthogonalityDefect:
         r = random_triangular(case_spec(95, 0), 48)
         base = orthogonality_defect(r)
         assert math.isfinite(base)
-        for scale in (2.0 ** -40, 2.0 ** 40):
+        for scale in (2.0 ** -40, 2.0 ** 40, 2.0 ** 520):
             assert orthogonality_defect(scale * r) == base
 
     def test_orthogonal_factor_with_underflowing_pivot_product(self):
@@ -403,3 +404,22 @@ def test_det_drift_on_scaled_factor():
     result = ReductionResult(r_bar=bumped, z=np.eye(48, dtype=np.int64), q_bar=np.eye(48),
                              stats=ReductionStats())
     assert result.det_drift(r) == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduction_loop_and_checks_at_large_scale():
+    # squared entries of 2**520 * R overflow; the pair test and the error
+    # norms compare them in units of a power of two, so nothing changes
+    c = 2.0 ** 520
+    for r in [np.array([[4.0, 1.0], [0.0, 1.0]]), R_4_9, R_3X3] + [
+            random_triangular(case_spec(98, i), 2 + i % 5) for i in range(8)]:
+        at_one, at_c = lll_reduce(r), lll_reduce(c * r)
+        assert at_c.stats == at_one.stats
+        np.testing.assert_array_equal(at_c.z, at_one.z)
+        assert is_lll_reduced(c * r) == is_lll_reduced(r)
+        assert is_lll_reduced(at_c.r_bar) == is_lll_reduced(at_one.r_bar)
+        err = at_c.reconstruction_error(c * r)
+        assert err == at_one.reconstruction_error(r)
+        assert math.isfinite(err) and err <= REDUCTION_RECONSTRUCTION_TOL
+        at_c.check(c * r)
+    assert lll_reduce(c * np.array([[4.0, 1.0], [0.0, 1.0]])).stats.swaps == 1
