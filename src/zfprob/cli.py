@@ -38,7 +38,7 @@ from .errors import (
     LatticeError,
     ParseError,
 )
-from .linalg import check_sigma, qr_factorize
+from .linalg import check_sigma, positive_triangular, qr_factorize
 from .probability import (
     ProbabilityEstimate,
     pzf_diagonal,
@@ -292,16 +292,14 @@ def _triangular_from(matrix):
     the square triangular factor when they are not already triangular.
 
     Returns (r, q1) where q1 is the orthonormal factor that maps an
-    observation onto r's rows, or None when the matrix is used as is."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise DimensionMismatchError(f"need a matrix, got shape {matrix.shape}")
-    if matrix.shape[0] == matrix.shape[1] and np.allclose(
-            matrix, np.triu(matrix), atol=1e-300, rtol=0.0):
-        if np.all(np.diag(matrix) > 0):
-            return np.triu(matrix), None
-    f = qr_factorize(matrix)
-    return f.r, f.q1
+    observation onto r's rows: the gate's row signs as a diagonal matrix,
+    or the QR factor's orthonormal columns."""
+    try:
+        r, signs = positive_triangular(matrix)
+    except DimensionMismatchError:  # not square upper triangular
+        f = qr_factorize(matrix)
+        return f.r, f.q1
+    return r, np.diag(signs)
 
 
 def _dispatch_estimator(r, sigma, method, trials, spec: RngSpec):
@@ -474,12 +472,10 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
     y = load_vector_csv(config.y_path)
     sigma = config.sigma if config.sigma is not None else 1.0
     r, q1 = _triangular_from(matrix)
-    y_tilde = y
-    if q1 is not None:
-        if y.shape[0] != matrix.shape[0]:
-            raise DimensionMismatchError(
-                f"observation length {y.shape[0]} does not match {matrix.shape[0]} rows")
-        y_tilde = q1.T @ y
+    if y.shape[0] != matrix.shape[0]:
+        raise DimensionMismatchError(
+            f"observation length {y.shape[0]} does not match {matrix.shape[0]} rows")
+    y_tilde = q1.T @ y
     inst = ILSInstance(r=r, y_tilde=y_tilde, sigma=sigma)
     zf = zf_decode(inst)
     sic = sic_decode(inst)

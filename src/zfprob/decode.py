@@ -18,6 +18,7 @@ from .errors import (
     SingularDiagonalError,
 )
 from .linalg import (
+    _as_vector,
     back_substitute,
     check_sigma,
     int_determinant,
@@ -51,13 +52,7 @@ class ILSInstance:
 
     def __post_init__(self):
         r, signs = positive_triangular(self.r)
-        n = r.shape[0]
-        y = np.asarray(self.y_tilde, dtype=float)
-        if y.shape != (n,):
-            raise DimensionMismatchError(
-                f"observation has shape {y.shape}, expected ({n},)")
-        if not np.all(np.isfinite(y)):
-            raise DimensionMismatchError("observation contains non-finite entries")
+        y = _as_vector(self.y_tilde, r.shape[0], "observation")
         # flipping a row of R would flip the matching entry of y_tilde too
         if np.any(signs < 0.0):
             raise SingularDiagonalError(
@@ -111,8 +106,6 @@ def lift_estimate(z, estimate_in_reduced) -> np.ndarray:
     hold whole numbers.
     """
     z = np.asarray(z)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise DimensionMismatchError(f"Z must be square, got shape {z.shape}")
     det = int_determinant(z)
     if det not in (-1, 1):
         raise NotUnimodularError(f"det Z = {det}, expected +-1")

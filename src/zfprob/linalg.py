@@ -25,6 +25,7 @@ __all__ = [
     "qr_factorize",
     "pivot_signs",
     "positive_triangular",
+    "unit_scale",
     "round_nearest",
     "back_substitute",
     "integer_entries",
@@ -91,19 +92,31 @@ def positive_triangular(r):
     """The input gate for a triangular factor: returns (signs[:, None] * r, signs).
 
     Validates r as square upper triangular, raises SingularDiagonalError
-    naming the smallest pivot when any |r_ii| < SOLVE_DIAG_MIN, and flips
-    each negative-pivot row so the returned factor has a positive diagonal.
-    Row flips leave ||R xi|| unchanged; a caller that keeps an observation
-    or an orthogonal factor must flip it with the same signs.
+    naming the smallest pivot when a pivot of unit_scale(r) is below
+    SOLVE_DIAG_MIN, and flips each negative-pivot row so the returned factor
+    has a positive diagonal.  Row flips leave ||R xi|| unchanged; a caller
+    that keeps an observation or an orthogonal factor must flip it too.
     """
     r = check_upper_triangular(r)
-    diag = np.abs(r.diagonal())
+    u, e = unit_scale(r)
+    diag = np.abs(u.diagonal())
     if diag.size and diag.min() < SOLVE_DIAG_MIN:
         i = int(diag.argmin())
         raise SingularDiagonalError(
-            f"R pivot {i} has magnitude {float(diag[i])!r}, below {SOLVE_DIAG_MIN}")
+            f"R pivot {i} has magnitude {float(abs(r[i, i]))!r}, below {SOLVE_DIAG_MIN} * 2**{e}")
     signs = pivot_signs(r)
     return signs[:, None] * r, signs
+
+
+def unit_scale(a):
+    """The one normalization: (a / 2**e, e), with e the binary exponent of
+    the largest |entry|, so that entry lands in [0.5, 1); e = 0 for an
+    all-zero a.  A power of two changes exponents, not mantissas: ratios and
+    comparisons of entries survive exactly (short of entries that turn
+    subnormal), and no square of a scaled entry overflows."""
+    a = np.asarray(a, dtype=float)
+    e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    return np.ldexp(a, -e), e
 
 
 @dataclass(frozen=True)
@@ -126,7 +139,7 @@ def qr_factorize(a) -> QRFactorization:
     Requires m >= n and full column rank; rank deficiency (smallest pivot
     below RANK_TOL times the largest column norm) raises RankDeficientError.
     """
-    a = _as_matrix(a)
+    a, e = unit_scale(_as_matrix(a))
     m, n = a.shape
     if m < n:
         raise DimensionMismatchError(
@@ -139,15 +152,12 @@ def qr_factorize(a) -> QRFactorization:
     q = q.copy()
     q[:, :n] *= signs[None, :]
     if n:
-        # compare in units of the power of two of the largest entry, an
-        # exact scaling under which no squared entry overflows
-        e = int(np.frexp(np.max(np.abs(a)))[1])
-        col_norms = np.linalg.norm(np.ldexp(a, -e), axis=0)
         pivot = np.min(np.abs(np.diag(r)))
-        if np.ldexp(pivot, -e) <= RANK_TOL * np.max(col_norms):
-            raise RankDeficientError(f"matrix is rank deficient: smallest pivot {pivot!r}")
+        if pivot <= RANK_TOL * np.max(np.linalg.norm(a, axis=0)):
+            raise RankDeficientError(
+                f"matrix is rank deficient: smallest pivot {math.ldexp(pivot, e)!r}")
     # adding 0.0 turns any -0.0 produced by the sign flips into plain 0.0
-    return QRFactorization(q1=q[:, :n], r=np.triu(r) + 0.0, q2=q[:, n:])
+    return QRFactorization(q1=q[:, :n], r=np.ldexp(np.triu(r) + 0.0, e), q2=q[:, n:])
 
 
 def round_nearest(x):

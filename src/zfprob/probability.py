@@ -24,7 +24,7 @@ from .errors import (
     NoConvergenceError,
     NotDiagonalError,
 )
-from .linalg import check_sigma, positive_triangular, round_nearest
+from .linalg import check_sigma, positive_triangular, round_nearest, unit_scale
 from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
     DIAGONAL_OFFDIAG_TOL,
@@ -76,9 +76,21 @@ def erf(x: float) -> float:
     return math.erf(x)
 
 
+def _unit_model(r, sigma):
+    """The gated factor and sigma, both divided by the power of two of the
+    factor's largest entry: P_ZF depends on R / sigma alone, and the
+    division is exact."""
+    check_sigma(sigma)
+    r, e = unit_scale(positive_triangular(r)[0])
+    with np.errstate(over="ignore"):
+        unit_sigma = float(np.ldexp(sigma, -e))
+    if not 0.0 < unit_sigma < math.inf:
+        raise ValueError(f"sigma {sigma!r} is out of floating-point range next to R")
+    return r, unit_sigma
+
+
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
     """Closed form for diagonal R: product over i of erf(r_ii / (2 sqrt2 sigma))."""
-    check_sigma(sigma)
     r = np.asarray(r, dtype=float)
     # lower entries count too, so look before the triangular gate does
     if r.ndim == 2 and r.shape[0] == r.shape[1] and r.size:
@@ -86,7 +98,8 @@ def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
         if np.max(off) > DIAGONAL_OFFDIAG_TOL * np.max(np.abs(r)):
             i, j = np.unravel_index(int(np.argmax(off)), off.shape)
             raise NotDiagonalError(f"entry ({i}, {j}) = {r[i, j]!r} is non-negligible")
-    d = np.diag(positive_triangular(r)[0])
+    r, sigma = _unit_model(r, sigma)
+    d = np.diag(r)
     n = d.size
     value = float(np.prod(_erf_array(d / (2.0 * math.sqrt(2.0) * sigma))))
     return ProbabilityEstimate(value=min(max(value, 0.0), 1.0), method="Diagonal",
@@ -136,8 +149,7 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     QUADRATURE_TARGET, the absolute error claimed.  Raises NoConvergence
     rather than return a value it cannot vouch for.
     """
-    check_sigma(sigma)
-    r, _ = positive_triangular(r)
+    r, sigma = _unit_model(r, sigma)
     n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise DimensionTooLargeError(
@@ -179,10 +191,9 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     error_bound is one standard error of the mean, scaled by the
     prefactor.  Bit-reproducible for a fixed RngSpec.
     """
-    check_sigma(sigma)
+    r, sigma = _unit_model(r, sigma)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    r, _ = positive_triangular(r)
     n = r.shape[0]
     xi = uniform_block(rng, 0, samples * n).reshape(samples, n) - 0.5
     t = xi @ r.T
@@ -204,10 +215,9 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
     coordinate of R^{-1} noise is zero.  error_bound is the binomial
     standard error.
     """
-    check_sigma(sigma)
+    r, sigma = _unit_model(r, sigma)
     if trials < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
-    r, _ = positive_triangular(r)
     n = r.shape[0]
     noise = sigma * gaussian_block(rng, 0, trials * n).reshape(trials, n)
     coords = solve_triangular(r, noise.T, lower=False)

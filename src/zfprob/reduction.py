@@ -27,12 +27,14 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
+    _INT64_LIMIT,
     check_upper_triangular,
     int_determinant,
     pivot_signs,
     positive_triangular,
     qr_factorize,
     round_nearest,
+    unit_scale,
 )
 from .tolerances import (
     DEFAULT_DELTA,
@@ -107,13 +109,11 @@ class ReductionResult:
 
     def reconstruction_error(self, r_input) -> float:
         """Relative Frobenius error of Qbar^T R Z against Rbar."""
-        r_input = np.asarray(r_input, dtype=float)
-        lhs = self.q_bar.T @ r_input @ self.z
-        # both norms in units of the power of two of R's largest entry, an
-        # exact scaling under which no squared entry overflows
-        e = _max_exponent(r_input)
-        scale = max(np.linalg.norm(np.ldexp(r_input, -e)), 1e-300)
-        return float(np.linalg.norm(np.ldexp(lhs - self.r_bar, -e)) / scale)
+        u, e = unit_scale(r_input)
+        lhs = self.q_bar.T @ u @ self.z
+        # an empty or all-zero R has no norm to be relative to: 1 at unit scale
+        scale = np.linalg.norm(u) or 1.0
+        return float(np.linalg.norm(lhs - np.ldexp(self.r_bar, -e)) / scale)
 
     def det_drift(self, r_input) -> float:
         """Relative |det| change through the reduction."""
@@ -152,24 +152,32 @@ def _frexp_product(v) -> tuple[float, int]:
     return abs(float(np.prod(m))), int(e.sum())
 
 
-def _max_exponent(a) -> int:
-    """The e with every |entry| of a below 2**e; dividing by 2**e is exact."""
-    return int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
-
-
 def _in_range(x: float, what: str) -> float:
     if not math.isfinite(x):
         raise SingularMatrixError(f"{what} is {x!r}, out of floating-point range")
     return x
 
 
-def _size_reduce_inplace(r, z, i, k) -> bool:
+def _size_reduce_inplace(r, z, zmax, i, k) -> bool:
+    """Column k minus the nearest integer multiple of column i in unit-scaled
+    r and in z.  zmax[j] bounds max|z[:, j]| from above and is kept so; an
+    update that would take an entry of z out of the int64 range, where
+    int64 arithmetic wraps silently, raises instead."""
     if abs(r[i, i]) < SOLVE_DIAG_MIN:
-        raise SingularDiagonalError(f"pivot {i} has magnitude {abs(r[i, i])!r}")
+        raise SingularDiagonalError(f"pivot {i} has relative magnitude {float(abs(r[i, i]))!r}")
     mu = round_nearest(r[i, k] / r[i, i])
     if mu == 0:
         return False
-    # column k minus mu times column i; rows above i only, r is triangular
+    bound = zmax[k] + abs(mu) * zmax[i]
+    if bound >= _INT64_LIMIT:
+        # the bound is loose: recount in Python ints, which cannot wrap
+        zmax[i] = max(map(abs, z[:, i].tolist()))
+        bound = max(abs(a - mu * b) for a, b in zip(z[:, k].tolist(), z[:, i].tolist()))
+        if bound >= _INT64_LIMIT:
+            raise SingularMatrixError(
+                f"transform entry of magnitude {bound:.3e} is out of the int64 range")
+    zmax[k] = bound
+    # rows above i only, r is triangular
     r[: i + 1, k] -= mu * r[: i + 1, i]
     z[:, k] -= mu * z[:, i]
     return True
@@ -182,26 +190,24 @@ def size_reduce_entry(r, z, i: int, k: int):
     entry already satisfied |r_ik| <= 0.5 |r_ii| closely enough that the
     nearest multiple was zero.  The same column operation is applied to z.
     """
-    r = check_upper_triangular(r)
+    r, e = unit_scale(check_upper_triangular(r))
     n = r.shape[0]
     if not (0 <= i < k < n):
         raise DimensionMismatchError(f"need 0 <= i < k < {n}, got i={i}, k={k}")
     z = np.array(z, dtype=np.int64, copy=True)
     if z.shape != (n, n):
         raise DimensionMismatchError(f"Z must be {n}x{n}, got {z.shape}")
-    applied = _size_reduce_inplace(r, z, i, k)
-    return r, z, applied
+    # no bound is known yet, so an update recounts its columns
+    applied = _size_reduce_inplace(r, z, [math.inf] * n, i, k)
+    return np.ldexp(r, e), z, applied
 
 
 def _pair_squares(r, k: int) -> tuple[float, float]:
     """(r_{k-1,k-1}^2, r_{k-1,k}^2 + r_{k,k}^2), the two sides of the
-    adjacent-pair condition at column k, in units of the power of two of
-    the pair's largest entry: an exact scaling under which no square
-    overflows.  x * x is one correctly rounded product, so the scaling
-    leaves every comparison of the two sides as it is unscaled."""
-    a, b, c = r[k - 1, k - 1], r[k - 1, k], r[k, k]
-    e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
-    a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+    adjacent-pair condition at column k.  r is unit-scaled, so no square
+    overflows, and its pivots clear the relative floor, so no pivot's
+    square underflows."""
+    a, b, c = r.item(k - 1, k - 1), r.item(k - 1, k), r.item(k, k)
     return a * a, b * b + c * c
 
 
@@ -247,8 +253,11 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     if params is None:
         params = LLLParams()
     r, signs = positive_triangular(r)
+    # unit scale: the pair test squares entries, the pivot floors compare them
+    r, e = unit_scale(r)
     n = r.shape[0]
     z = np.eye(n, dtype=np.int64)
+    zmax = [1] * n
     q = np.diag(signs)
     limit = MAX_ITERATIONS_PER_N2 * max(n, 1) ** 2
     size_reductions = 0
@@ -262,17 +271,18 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
             raise IterationLimitExceededError(
                 f"no convergence after {limit} passes (delta={params.delta})")
         changed = False
-        if _size_reduce_inplace(r, z, k - 1, k):
+        if _size_reduce_inplace(r, z, zmax, k - 1, k):
             size_reductions += 1
             changed = True
         if not _lovasz_holds(r, k, params.delta):
             _swap_inplace(r, z, q, k)
+            zmax[k - 1], zmax[k] = zmax[k], zmax[k - 1]
             swaps += 1
             changed = True
             k = max(k - 1, 1)
         else:
             for i in range(k - 2, -1, -1):
-                if _size_reduce_inplace(r, z, i, k):
+                if _size_reduce_inplace(r, z, zmax, i, k):
                     size_reductions += 1
                     changed = True
             k += 1
@@ -280,13 +290,14 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
             iterations += 1
     stats = ReductionStats(size_reductions=size_reductions, swaps=swaps,
                            iterations=iterations)
-    return ReductionResult(r_bar=r + 0.0, z=z, q_bar=q, stats=stats)
+    return ReductionResult(r_bar=np.ldexp(r + 0.0, e), z=z, q_bar=q, stats=stats)
 
 
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
     """Check the size-reduced and adjacent-pair conditions with a small
-    boundary slack; reports the first violating index pair if any."""
-    r = check_upper_triangular(r)
+    boundary slack; reports the first violating index pair if any.  r goes
+    through the input gate, so a pivot below the floor is refused."""
+    r, _ = unit_scale(positive_triangular(r)[0])
     n = r.shape[0]
     size_ok = True
     lovasz_ok = True
@@ -364,11 +375,8 @@ def sqrd(a) -> ReductionResult:
     Accepts a rectangular full-column-rank matrix; the reconstruction
     invariant is stated against its triangular factor.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"need a 2-d matrix, got shape {a.shape}")
     r = qr_factorize(a).r
-    return _perm_result(r, _sorted_order(r, floor=SOLVE_DIAG_MIN))
+    return _perm_result(r, _sorted_order(unit_scale(r)[0], floor=SOLVE_DIAG_MIN))
 
 
 def vblast(r) -> ReductionResult:
@@ -391,11 +399,9 @@ def vblast(r) -> ReductionResult:
 def orthogonality_defect(r) -> float:
     """Product of column norms over |det|; 1 exactly when columns are
     orthogonal, larger otherwise."""
-    r, _ = positive_triangular(r)
-    # column norms in units of 2**e, so that no squared entry overflows
-    e = _max_exponent(r)
-    norms, e_norms = _frexp_product(np.linalg.norm(np.ldexp(r, -e), axis=0))
-    e_norms += e * r.shape[0]
+    # unit-scaled, so no squared entry overflows; the scale cancels in the ratio
+    r, _ = unit_scale(positive_triangular(r)[0])
+    norms, e_norms = _frexp_product(np.linalg.norm(r, axis=0))
     det, e_det = _frexp_product(r.diagonal())
     with np.errstate(over="ignore"):
         defect = float(np.ldexp(norms / det, e_norms - e_det))

@@ -10,7 +10,7 @@ QR_RECONSTRUCTION_TOL = 1e-10    # ||Q1 R - A||_F / ||A||_F
 RANK_TOL = 1e-12                 # pivot threshold, relative to largest column norm
 
 # --- Triangular solves and diagonals ----------------------------------------
-SOLVE_DIAG_MIN = 1e-14           # |r_ii| below this counts as singular (absolute)
+SOLVE_DIAG_MIN = 1e-14           # pivot floor, relative: applied to unit_scale(R)
 UPPER_TRIANGULAR_TOL = 1e-10     # allowed below-diagonal magnitude, relative
 
 # --- Reduction contracts -----------------------------------------------------

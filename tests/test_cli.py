@@ -143,6 +143,12 @@ class TestReduceCommand:
         assert main(["reduce", "--matrix", "/no/such/file.csv"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_transform_out_of_int64_range_exits_2(self, tmp_path, capsys):
+        # z[0, 2] would be about 3.7e12 * 7.1e12; int64 arithmetic used to wrap it
+        path = write(tmp_path, "m.csv", "1e-13,0.37,0\n0,1e-13,0.71\n0,0,1\n")
+        assert main(["reduce", "--matrix", path]) == 2
+        assert "int64" in capsys.readouterr().err
+
 
 class TestDecodeCommand:
     def test_rectangular_model_is_factorized(self, tmp_path, capsys):
@@ -156,6 +162,22 @@ class TestDecodeCommand:
         np.testing.assert_array_equal(case["r"], f.r)
         np.testing.assert_array_equal(case["y_tilde"], f.q1.T @ y)
         assert case["optimal_residual"] <= case["zf_residual"] + 1e-12
+
+    def test_triangular_model_goes_through_the_gate(self, tmp_path, capsys):
+        # the gate flips the negative-pivot row, as QR would, and clears
+        # roundoff below the diagonal rather than factoring it
+        path = write(tmp_path, "a.csv", "-2,1\n1e-12,3\n")
+        y_path = write(tmp_path, "y.csv", "0.4\n-0.7\n")
+        assert main(["decode", "--matrix", path, "--y", y_path]) == 0
+        case = json.loads(capsys.readouterr().out)["cases"][0]
+        np.testing.assert_array_equal(case["r"], [[2.0, -1.0], [0.0, 3.0]])
+        np.testing.assert_array_equal(case["y_tilde"], [-0.4, -0.7])
+
+    def test_triangular_model_with_tiny_pivot_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "a.csv", "-2,1\n0,1e-15\n")
+        y_path = write(tmp_path, "y.csv", "0.4\n-0.7\n")
+        assert main(["decode", "--matrix", path, "--y", y_path]) == 2
+        assert "pivot 1" in capsys.readouterr().err
 
     def test_rectangular_model_checks_observation_length(self, tmp_path, capsys):
         path = write(tmp_path, "a.csv", "1,0.5\n0.3,2\n-1,1\n")

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zfprob.decode import ILSInstance, zf_decode
+from zfprob.ensembles import case_spec, random_triangular
 from zfprob.errors import (
     DimensionMismatchError,
     NotDiagonalError,
@@ -22,7 +23,7 @@ from zfprob.linalg import (
     round_nearest,
 )
 from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
-from zfprob.reduction import lll_reduce, orthogonality_defect, sqrd, vblast
+from zfprob.reduction import is_lll_reduced, lll_reduce, orthogonality_defect, sqrd, vblast
 from zfprob.rng import RngSpec
 from zfprob.tolerances import ORTHONORMALITY_TOL, QR_RECONSTRUCTION_TOL
 
@@ -108,7 +109,7 @@ class TestRoundNearest:
                 round_nearest(x)
             with pytest.raises(ValueError):
                 round_nearest([x])
-        with pytest.raises(ValueError):
+        with pytest.raises(SingularDiagonalError):
             lll_reduce([[1e-3, 1e17], [0.0, 1.0]])
 
     def test_return_types(self):
@@ -228,6 +229,19 @@ def test_structure_tests_do_not_depend_on_scale(c):
     # diagonal to a relative 1e-19; c is a power of two, so the value is exact
     got = pzf_diagonal(c * np.array([[1.0, 1e-19], [0.0, 1.0]]), 0.5 * c)
     assert got.value == pzf_diagonal(np.eye(2), 0.5).value
+
+
+def test_pivot_floor_is_relative():
+    # a perfectly conditioned factor passes at any scale
+    np.testing.assert_array_equal(positive_triangular(1e-15 * np.eye(2))[0], 1e-15 * np.eye(2))
+    big = random_triangular(case_spec(95, 0), 48)
+    assert orthogonality_defect(2.0 ** -50 * big) == orthogonality_defect(big)
+    # a pivot 1e-16 of the largest entry is refused at every scale, also by
+    # the checker of reduced form
+    for c in (1e-20, 1.0, 1e20):
+        for call in (positive_triangular, is_lll_reduced, lll_reduce, orthogonality_defect):
+            with pytest.raises(SingularDiagonalError):
+                call(c * np.array([[1e-13, 1e3], [0.0, 1.0]]))
 
 
 def _reduced(reduce):

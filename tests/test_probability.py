@@ -88,6 +88,11 @@ class TestDiagonal:
     def test_huge_noise_limit(self):
         assert pzf_diagonal(np.eye(2), 1e6).value == pytest.approx(0.0, abs=1e-5)
 
+    def test_sigma_out_of_range_next_to_r_rejected(self):
+        # the estimators work on (R, sigma) / 2**e; here sigma / 2**e overflows
+        with pytest.raises(ValueError, match="sigma"):
+            pzf_diagonal(2.0 ** -600 * np.eye(2), 1e300)
+
     def test_off_diagonal_rejected(self):
         with pytest.raises(NotDiagonalError):
             pzf_diagonal(np.array([[1.0, 0.1], [0.0, 1.0]]), 1.0)

@@ -11,6 +11,7 @@ from zfprob.errors import (
     SingularMatrixError,
 )
 from zfprob.linalg import int_determinant, qr_factorize
+from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
 from zfprob.reduction import (
     LLLParams,
     ReductionResult,
@@ -24,7 +25,8 @@ from zfprob.reduction import (
     sqrd,
     vblast,
 )
-from zfprob.tolerances import REDUCTION_RECONSTRUCTION_TOL
+from zfprob.rng import RngSpec
+from zfprob.tolerances import QUADRATURE_MAX_DIM, REDUCTION_RECONSTRUCTION_TOL
 
 SQRT2 = math.sqrt(2.0)
 R_4_9 = np.array([[4.0, 9.0], [0.0, 1.0]])
@@ -423,3 +425,56 @@ def test_reduction_loop_and_checks_at_large_scale():
         assert math.isfinite(err) and err <= REDUCTION_RECONSTRUCTION_TOL
         at_c.check(c * r)
     assert lll_reduce(c * np.array([[4.0, 1.0], [0.0, 1.0]])).stats.swaps == 1
+
+
+SCALE_FACTORS = [np.array([[4.0, 1.0], [0.0, 1.0]]), R_4_9, R_3X3] + [
+    random_triangular(case_spec(98, i), 2 + i % 5) for i in range(8)]
+
+
+def estimates(r, sigma):
+    found = [pzf_diagonal(np.diag(np.diag(r)), sigma),
+             pzf_monte_carlo(r, sigma, 1000, RngSpec(seed=3)),
+             pzf_empirical(r, sigma, 1000, RngSpec(seed=3))]
+    if r.shape[0] <= QUADRATURE_MAX_DIM:
+        found.append(pzf_quadrature(r, sigma))
+    return found
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [2.0 ** -600, 2.0 ** -40, 2.0 ** 40, 2.0 ** 520])
+def test_every_entry_point_is_scale_equivariant(c):
+    # c is a power of two, so c * R has R's mantissas; every entry point
+    # normalizes by the power of two of the largest entry, and so sees
+    # the same numbers at every scale
+    for r in SCALE_FACTORS:
+        for reduce in (lll_reduce, sqrd, vblast):
+            at_one, at_c = reduce(r), reduce(c * r)
+            assert at_c.stats == at_one.stats
+            np.testing.assert_array_equal(at_c.z, at_one.z)
+            np.testing.assert_array_equal(at_c.q_bar, at_one.q_bar)
+            np.testing.assert_array_equal(at_c.r_bar, c * at_one.r_bar)
+            assert at_c.reconstruction_error(c * r) == at_one.reconstruction_error(r)
+            assert is_lll_reduced(at_c.r_bar) == is_lll_reduced(at_one.r_bar)
+        assert is_lll_reduced(c * r) == is_lll_reduced(r)
+        assert orthogonality_defect(c * r) == orthogonality_defect(r)
+        assert estimates(c * r, c * 0.5) == estimates(r, 0.5)
+    assert lll_reduce(c * np.array([[4.0, 1.0], [0.0, 1.0]])).stats.swaps == 1
+
+
+def test_transform_refuses_to_leave_int64():
+    # pivots 1e-13 clear the floor, but z[0, 2] would be about 2.6e25
+    r = np.array([[1e-13, 0.37, 0.0], [0.0, 1e-13, 0.71], [0.0, 0.0, 1.0]])
+    with pytest.raises(SingularMatrixError, match="int64"):
+        lll_reduce(r)
+    # mu = 2: -2 * 2**62 leaves the range, while 2**62 - 2 * 2**61 does not
+    with pytest.raises(SingularMatrixError, match="int64"):
+        size_reduce_entry(R_4_9, [[2 ** 62, 0], [0, 1]], 0, 1)
+    _, z, applied = size_reduce_entry(R_4_9, [[2 ** 61, 2 ** 62], [0, 1]], 0, 1)
+    assert applied
+    np.testing.assert_array_equal(z, [[2 ** 61, 0], [0, 1]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_factor_has_zero_reconstruction_error():
+    empty = np.zeros((0, 0))
+    assert lll_reduce(empty).reconstruction_error(empty) == 0.0

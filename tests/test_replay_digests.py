@@ -25,3 +25,12 @@ def test_replay_digests_repeat_in_process(tmp_path, monkeypatch):
         first = tool.replay_digest(zfprob.cli, argv)
         assert first[0] == 0 and first[1] is not None, argv
         assert tool.replay_digest(zfprob.cli, argv) == first
+
+
+def test_replay_digests_match_the_committed_file(capsys):
+    # a change that alters a line by design updates tools/replay_digests.txt
+    # and names the line in CHANGES.md
+    golden = TOOL.with_suffix(".txt").read_text(encoding="utf-8").splitlines()
+    assert len(golden) == 32
+    assert load_tool().main([]) == 0
+    assert capsys.readouterr().out.splitlines() == golden
