@@ -26,6 +26,7 @@ from .decode import (
     zf_decode,
 )
 from .ensembles import (
+    _ROLE_MEASUREMENT,
     case_spec,
     random_instance,
     random_model_matrix,
@@ -85,7 +86,6 @@ DEFAULT_DELTA_GRID = (0.3, 0.5, 0.75, 0.99, 1.0)
 DEFAULT_SIGMA_GRID = (0.1, 0.5, 1.0)
 METHODS = ("quad", "mc", "empirical", "diagonal")
 ENSEMBLE_METHODS = ("quad", "empirical")
-_MEASUREMENT_ROLE = 4  # ensembles.py uses roles 0-3 for its own sub-streams
 
 # Bundled reference cases with pinned four-decimal expected values.
 REFERENCE_1_R = ((4.0, 9.0), (0.0, 1.0))
@@ -127,6 +127,9 @@ class ExperimentConfig:
             check_sigma(self.sigma)
         if self.trials is not None and self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        for name in ("n", "m", "parallel"):
+            if getattr(self, name) < 0:
+                raise InvalidGridError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.delta_grid is not None:
             object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
 
@@ -307,7 +310,7 @@ def _dispatch_estimator(r, sigma, method, trials, spec: RngSpec):
         return pzf_quadrature(r, sigma)
     if method == "diagonal":
         return pzf_diagonal(r, sigma)
-    count = trials if trials else 100_000
+    count = trials if trials is not None else 100_000
     if method == "mc":
         return pzf_monte_carlo(r, sigma, count, spec)
     return pzf_empirical(r, sigma, count, spec)
@@ -507,6 +510,8 @@ def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
     """Estimate the success probability of one matrix with one method."""
     if not config.matrix_path:
         raise ParseError("pzf requires --matrix")
+    if config.trials is not None and config.method in ("quad", "diagonal"):
+        raise ValueError(f"--trials sets a sample count; --method {config.method} draws none")
     report = ExperimentReport(command="pzf", config=config.to_dict())
     r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     sigma = config.sigma if config.sigma is not None else 1.0
@@ -555,6 +560,8 @@ def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
         raise InvalidGridError(f"grid must be strictly increasing, got {list(grid)}")
     report = ExperimentReport(command="sweep-delta", config=config.to_dict())
     if config.matrix_path:
+        if config.trials is not None:
+            raise ValueError("--trials counts random instances; --matrix sweeps that one")
         matrix, _ = _triangular_from(load_matrix_csv(config.matrix_path))
         if matrix.shape[0] != 2:
             raise DimensionMismatchError(
@@ -563,6 +570,8 @@ def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
         sigma = config.sigma if config.sigma is not None else 1.0
         jobs = [(config.seed, 0, tuple(grid), matrix, sigma)]
     else:
+        if config.sigma is not None:
+            raise ValueError("--sigma needs --matrix: each random instance draws its own")
         count = config.trials if config.trials is not None else 200
         jobs = [(config.seed, i, tuple(grid), None, None) for i in range(count)]
     cases = _run_jobs(_sweep_case, jobs, config.parallel)
@@ -634,7 +643,7 @@ def _ensemble_case(args) -> dict:
     spec = case_spec(seed, index)
     a = random_model_matrix(spec, m, n)
     r = qr_factorize(a).r
-    measure_spec = role_spec(spec, _MEASUREMENT_ROLE)
+    measure_spec = role_spec(spec, _ROLE_MEASUREMENT)
     before = _dispatch_estimator(r, sigma, method, trials, measure_spec)
     red = lll_reduce(r, LLLParams(delta=delta))
     after = _dispatch_estimator(red.r_bar, sigma, method, trials, measure_spec)

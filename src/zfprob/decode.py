@@ -16,6 +16,7 @@ from .errors import (
     DimensionTooLargeError,
     NotUnimodularError,
     SingularDiagonalError,
+    SingularMatrixError,
 )
 from .linalg import (
     _as_vector,
@@ -102,19 +103,25 @@ def sic_decode(inst: ILSInstance) -> DecodeResult:
 def lift_estimate(z, estimate_in_reduced) -> np.ndarray:
     """Map an estimate through the reduction transform: returns Z times it.
 
-    Exact integer arithmetic; Z must be unimodular and the estimate must
-    hold whole numbers.
+    Exact: the product is formed in Python ints, and an entry outside the
+    int64 range raises.  Z must be unimodular and the estimate must hold
+    whole numbers.
     """
     z = np.asarray(z)
     det = int_determinant(z)
     if det not in (-1, 1):
         raise NotUnimodularError(f"det Z = {det}, expected +-1")
-    zi = np.asarray(np.round(np.asarray(z, dtype=float)), dtype=np.int64)
     est = np.asarray(estimate_in_reduced)
     if est.shape != (z.shape[0],):
         raise DimensionMismatchError(
             f"estimate has shape {est.shape}, expected ({z.shape[0]},)")
-    return zi @ integer_entries(est).astype(np.int64)
+    x = integer_entries(est).tolist()
+    lifted = [sum(a * b for a, b in zip(row, x)) for row in integer_entries(z).tolist()]
+    try:
+        return np.array(lifted, dtype=np.int64)
+    except OverflowError:
+        raise SingularMatrixError(
+            f"lifted entry {max(lifted, key=abs)} is out of the int64 range") from None
 
 
 def ils_brute_force(inst: ILSInstance) -> DecodeResult:

@@ -25,6 +25,7 @@ _ROLE_MATRIX = 0
 _ROLE_NOISE = 1
 _ROLE_PARAMS = 2
 _ROLE_TRUTH = 3
+_ROLE_MEASUREMENT = 4  # the stream the CLI's estimators sample from
 
 INSTANCE_SIGMA_RANGE = (0.3, 1.0)     # random_instance draws sigma from here
 UNREDUCED_SIGMA_RANGE = (0.25, 0.9)   # random_unreduced_2x2 draws sigma from here

@@ -42,7 +42,8 @@ class NoConvergenceError(LatticeError):
 
 
 class InvalidGridError(LatticeError):
-    """A parameter grid is empty, unsorted, or out of range."""
+    """A parameter grid is empty, unsorted, or out of range, or a run
+    parameter (delta, a dimension, a worker count) is out of range."""
 
 
 class ParseError(LatticeError):

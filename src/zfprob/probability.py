@@ -6,14 +6,14 @@ The target quantity is the Gaussian integral
     P = |det R| / (2 pi sigma^2)^{n/2} * integral over [-1/2, 1/2]^n
         of exp(-||R xi||^2 / (2 sigma^2)) d xi.
 
-Four routes, deliberately independent so they can cross-check each other:
-a closed form for diagonal R, deterministic panel quadrature for n <= 4
-(with the innermost coordinate integrated exactly), plain Monte Carlo on
-the same integral, and an empirical decoder simulation.
+Four routes: a closed form for diagonal R, deterministic panel quadrature
+for n <= 4 (with the innermost coordinate integrated exactly), plain Monte
+Carlo on the same integral, all three built on one slab mass and one
+density, and an empirical decoder simulation that checks them from outside.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -89,6 +89,21 @@ def _unit_model(r, sigma):
     return r, unit_sigma
 
 
+def _slab_mass(shift, pivot, sigma):
+    """erf((s + p/2) / (sqrt2 sigma)) - erf((s - p/2) / (sqrt2 sigma)): twice the
+    mass of the slab |x| <= 1/2 for pivot p and the later coordinates' shift s."""
+    half, root2sig = 0.5 * pivot, math.sqrt(2.0) * sigma
+    return _erf_array((shift + half) / root2sig) - _erf_array((shift - half) / root2sig)
+
+
+def _density(r, sigma, t):
+    """The prefactor |det R| / (2 pi sigma^2)^{n/2}, and the Gaussian factor
+    exp(-||t||^2 / (2 sigma^2)) for each row t of the points R xi."""
+    pref = (abs(float(np.prod(np.diag(r))))
+            / (2.0 * math.pi * sigma * sigma) ** (r.shape[0] / 2.0))
+    return pref, np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
+
+
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
     """Closed form for diagonal R: product over i of erf(r_ii / (2 sqrt2 sigma))."""
     r = np.asarray(r, dtype=float)
@@ -99,9 +114,8 @@ def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
             i, j = np.unravel_index(int(np.argmax(off)), off.shape)
             raise NotDiagonalError(f"entry ({i}, {j}) = {r[i, j]!r} is non-negligible")
     r, sigma = _unit_model(r, sigma)
-    d = np.diag(r)
-    n = d.size
-    value = float(np.prod(_erf_array(d / (2.0 * math.sqrt(2.0) * sigma))))
+    n = r.shape[0]
+    value = float(np.prod(0.5 * _slab_mass(0.0, np.diag(r), sigma)))
     return ProbabilityEstimate(value=min(max(value, 0.0), 1.0), method="Diagonal",
                                error_bound=n * ERF_ABS_ERROR, evaluations=n)
 
@@ -119,10 +133,8 @@ def _panel_axis(panels: int):
 def _outer_value(r, sigma, panels):
     """Integral over the outer n-1 coordinates of the exact inner-coordinate
     mass times the outer Gaussian factor, times the probability prefactor."""
-    n = r.shape[0]
-    d = n - 1
+    d = r.shape[0] - 1
     r11 = r[0, 0]
-    root2sig = math.sqrt(2.0) * sigma
     x, w = _panel_axis(panels)
     axes = np.meshgrid(*([x] * d), indexing="ij")
     xi = np.stack([a.ravel() for a in axes], axis=1)
@@ -130,13 +142,8 @@ def _outer_value(r, sigma, panels):
     for a in np.meshgrid(*([w] * d), indexing="ij"):
         weights *= a.ravel()
     shift = xi @ r[0, 1:]
-    tail = xi @ r[1:, 1:].T
-    tail_sq = np.sum(tail * tail, axis=1)
-    inner = (sigma / r11) * math.sqrt(math.pi / 2.0) * (
-        _erf_array((shift + 0.5 * r11) / root2sig)
-        - _erf_array((shift - 0.5 * r11) / root2sig))
-    vals = inner * np.exp(-tail_sq / (2.0 * sigma * sigma))
-    pref = abs(float(np.prod(np.diag(r)))) / (2.0 * math.pi * sigma * sigma) ** (n / 2.0)
+    pref, outer = _density(r, sigma, xi @ r[1:, 1:].T)
+    vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer
     return pref * float(weights @ vals), xi.shape[0]
 
 
@@ -154,13 +161,9 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     if n > QUADRATURE_MAX_DIM:
         raise DimensionTooLargeError(
             f"deterministic quadrature supports n <= {QUADRATURE_MAX_DIM}, got {n}")
-    if n == 0:
-        return ProbabilityEstimate(value=1.0, method="Quadrature",
-                                   error_bound=QUADRATURE_TARGET, evaluations=0)
-    if n == 1:
-        value = erf(r[0, 0] / (2.0 * math.sqrt(2.0) * sigma))
-        return ProbabilityEstimate(value=min(max(value, 0.0), 1.0), method="Quadrature",
-                                   error_bound=QUADRATURE_TARGET, evaluations=1)
+    if n < 2:  # a diagonal factor: the closed form is exact
+        return replace(pzf_diagonal(r, sigma), method="Quadrature",
+                       error_bound=QUADRATURE_TARGET)
     # start fine enough that a panel cannot straddle the Gaussian ridge
     # unnoticed: panel width about sigma per column-norm unit
     col_scale = float(np.max(np.linalg.norm(r[:, 1:], axis=0)))
@@ -196,12 +199,9 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     n = r.shape[0]
     xi = uniform_block(rng, 0, samples * n).reshape(samples, n) - 0.5
-    t = xi @ r.T
-    vals = np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
-    pref = abs(float(np.prod(np.diag(r)))) / (2.0 * math.pi * sigma * sigma) ** (n / 2.0)
-    mean = float(np.mean(vals))
+    pref, vals = _density(r, sigma, xi @ r.T)
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(samples)
-    value = min(max(pref * mean, 0.0), 1.0)
+    value = min(max(pref * float(np.mean(vals)), 0.0), 1.0)
     return ProbabilityEstimate(value=value, method="MonteCarlo",
                                error_bound=pref * stderr, evaluations=samples,
                                seed=rng.seed)

@@ -384,9 +384,16 @@ class TestOptionSets:
         ["decode", "--parallel", "2"],
         ["ensemble", "--method", "mc"],
         ["ensemble", "--method", "diagonal"],
+        # flags the chosen mode would echo but not use; M is a 2x2 matrix file
+        ["pzf", "--matrix", "M", "--method", "mc", "--trials", "0"],
+        ["pzf", "--matrix", "M", "--method", "quad", "--trials", "5"],
+        ["pzf", "--matrix", "M", "--method", "diagonal", "--trials", "5"],
+        ["sweep-delta", "--trials", "3", "--sigma", "0.3"],
+        ["sweep-delta", "--matrix", "M", "--trials", "7"],
     ])
-    def test_mismatched_flag_exits_2(self, argv):
-        assert exit_code(argv) == 2
+    def test_mismatched_flag_exits_2(self, argv, tmp_path):
+        matrix = write(tmp_path, "m.csv", "4,0\n0,1\n")
+        assert exit_code([matrix if a == "M" else a for a in argv]) == 2
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_echoed_config_keeps_every_field(self, command, tmp_path, capsys):
@@ -420,3 +427,18 @@ class TestConfigValidation:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(command="pzf", trials=-1)
+
+    @pytest.mark.parametrize("name", ["n", "m", "parallel"])
+    def test_negative_counts_rejected(self, name):
+        with pytest.raises(InvalidGridError, match=f"{name} must be nonnegative"):
+            ExperimentConfig(command="ensemble", **{name: -1})
+
+    @pytest.mark.parametrize("argv,name", [
+        (["invariance", "--n", "-1"], "n"),
+        (["ensemble", "--n", "-2"], "n"),
+        (["ensemble", "--m", "-1"], "m"),
+        (["invariance", "--trials", "2", "--parallel", "-3"], "parallel"),
+    ])
+    def test_negative_count_flag_exits_2_by_name(self, argv, name, capsys):
+        assert main(argv) == 2
+        assert f"error: {name} must be nonnegative" in capsys.readouterr().err

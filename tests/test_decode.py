@@ -14,6 +14,7 @@ from zfprob.errors import (
     DimensionTooLargeError,
     NotUnimodularError,
     SingularDiagonalError,
+    SingularMatrixError,
 )
 from zfprob.reduction import lll_reduce, sqrd, vblast
 
@@ -124,6 +125,13 @@ class TestLiftEstimate:
                 lift_estimate(eye, estimate)
         # whole numbers held as floats are accepted
         np.testing.assert_array_equal(lift_estimate(eye, [1.0, -2.0]), [1, -2])
+
+    def test_exact_past_float_precision_and_refuses_int64_overflow(self):
+        # 2^53 + 1 has no float64, and 4 * 2^62 has no int64
+        lifted = lift_estimate(np.array([[1, 2**53 + 1], [0, 1]]), [0, 1])
+        assert lifted.dtype == np.int64 and lifted.tolist() == [2**53 + 1, 1]
+        with pytest.raises(SingularMatrixError, match="int64"):
+            lift_estimate(np.array([[1, 2**62], [0, 1]]), [0, 4])
 
     def test_round_trips_through_reorderings(self):
         for i in range(50):

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import nquad
@@ -97,6 +98,16 @@ class TestDiagonal:
         with pytest.raises(NotDiagonalError):
             pzf_diagonal(np.array([[1.0, 0.1], [0.0, 1.0]]), 1.0)
 
+    def test_bit_identical_to_the_erf_product(self):
+        # the closed form is half the unshifted slab mass; scipy's erf is odd
+        # and 0.5 * d / (sqrt2 sigma) is d / (2 sqrt2 sigma) bit for bit
+        rng = np.random.default_rng(73)
+        for n in range(1, 7):
+            for sigma in (0.05, 0.3, 0.8, 2.5, 40.0):
+                d = rng.uniform(0.1, 5.0, size=n)
+                want = float(np.prod(scipy.special.erf(d / (2.0 * math.sqrt(2.0) * sigma))))
+                assert pzf_diagonal(np.diag(d), sigma).value == want, (n, sigma)
+
     def test_agrees_with_quadrature(self):
         for i in range(10):
             d = np.diag(0.5 + np.abs(random_triangular(case_spec(70, i), 3).diagonal()))
@@ -137,6 +148,14 @@ class TestQuadrature:
         r = np.array([[1.7]])
         est = pzf_quadrature(r, 0.4)
         assert est.value == pytest.approx(math.erf(1.7 / (2 * SQRT2 * 0.4)), abs=1e-14)
+
+    def test_below_two_dimensions_is_the_closed_form(self):
+        empty = pzf_quadrature(np.zeros((0, 0)), 0.5)
+        assert (empty.value, empty.evaluations, empty.method) == (1.0, 0, "Quadrature")
+        for pivot, sigma in ((1.7, 0.4), (-0.3, 0.9), (5.0, 0.05)):
+            est = pzf_quadrature(np.array([[pivot]]), sigma)
+            assert est.value == pzf_diagonal(np.array([[pivot]]), sigma).value
+            assert (est.evaluations, est.error_bound) == (1, 1e-8)
 
     def test_row_sign_flips_do_not_matter(self):
         for i in range(10):
