@@ -8,7 +8,7 @@ The library is organized around one pipeline: factorize a model matrix
 recover the truth (`pzf_diagonal`, `pzf_quadrature`, `pzf_monte_carlo`,
 `pzf_empirical`).  All randomness flows through counter-based seeded
 streams so every number is replayable.  The layer primitives (rounding,
-back-substitution, the RNG blocks, the reduction steps) are imported from
+the int64 boundary, the RNG blocks, the reduction steps) are imported from
 their own modules.
 """
 

@@ -210,12 +210,8 @@ def _jsonable(obj):
         if obj.dtype.kind in "biuf":
             return obj.tolist()
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, (Verdict, ProbabilityEstimate)):
         return _jsonable(asdict(obj))
     return obj
@@ -710,17 +706,6 @@ def _run_jobs(worker, jobs, parallel):
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 
-COMMANDS = {
-    "reproduce": cmd_reproduce,
-    "reduce": cmd_reduce,
-    "decode": cmd_decode,
-    "pzf": cmd_pzf,
-    "sweep-delta": cmd_sweep_delta,
-    "invariance": cmd_invariance,
-    "ensemble": cmd_ensemble,
-}
-
-
 # ExperimentConfig field -> (flag, add_argument keywords).  Every flag's
 # default is the field's dataclass default, so a subcommand that lacks a
 # flag still echoes the full configuration.
@@ -741,22 +726,22 @@ _FLAGS = {
     "out_format": ("--format", dict(choices=("json", "csv"))),
 }
 
-# subcommand -> (description, the ExperimentConfig fields it reads); every
-# subcommand also takes --out and --format
+# subcommand -> (command function, description, the ExperimentConfig fields
+# it reads); every subcommand also takes --out and --format
 SUBCOMMANDS = {
-    "reproduce": ("run the bundled reference cases against their pinned values",
+    "reproduce": (cmd_reproduce, "run the bundled reference cases against their pinned values",
                   ("delta",)),
-    "reduce": ("reduce a matrix and report the transform and checks",
+    "reduce": (cmd_reduce, "reduce a matrix and report the transform and checks",
                ("matrix_path", "delta")),
-    "decode": ("decode an observation with the ZF, SIC, and brute-force decoders",
+    "decode": (cmd_decode, "decode an observation with the ZF, SIC, and brute-force decoders",
                ("matrix_path", "y_path", "sigma")),
-    "pzf": ("estimate the success probability of one matrix",
+    "pzf": (cmd_pzf, "estimate the success probability of one matrix",
             ("matrix_path", "sigma", "method", "trials", "seed")),
-    "sweep-delta": ("success probability across a delta grid",
+    "sweep-delta": (cmd_sweep_delta, "success probability across a delta grid",
                     ("matrix_path", "sigma", "delta_grid", "trials", "seed", "parallel")),
-    "invariance": ("permutation-reduction invariance suite on random instances",
+    "invariance": (cmd_invariance, "permutation-reduction invariance suite on random instances",
                    ("trials", "seed", "n", "parallel")),
-    "ensemble": ("survey how the reduction moves the success probability",
+    "ensemble": (cmd_ensemble, "survey how the reduction moves the success probability",
                  ("sigma", "delta", "method", "trials", "seed", "n", "m", "parallel")),
 }
 
@@ -767,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lattice reductions, integer least-squares decoders, and "
                     "success-probability estimators with replayable reports.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (desc, fields) in SUBCOMMANDS.items():
+    for name, (_, desc, fields) in SUBCOMMANDS.items():
         command = sub.add_parser(name, help=desc, description=desc,
                                  argument_default=argparse.SUPPRESS)
         for dest in (*fields, "out_path", "out_format"):
@@ -779,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> ExperimentConfig:
     fields = dict(vars(args))
     grid = fields.pop("delta_grid", None)
-    if grid:
+    if grid is not None:
         try:
             fields["delta_grid"] = tuple(float(tok) for tok in grid.split(",") if tok.strip())
         except ValueError:
@@ -789,7 +774,7 @@ def config_from_args(args) -> ExperimentConfig:
 
 def run(config: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
-    report = COMMANDS[config.command](config)
+    report = SUBCOMMANDS[config.command][0](config)
     report.duration_seconds = time.perf_counter() - start
     return report
 

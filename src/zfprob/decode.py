@@ -10,18 +10,18 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     NotUnimodularError,
     SingularDiagonalError,
-    SingularMatrixError,
 )
 from .linalg import (
     _as_vector,
-    back_substitute,
     check_sigma,
+    int64_entries,
     int_determinant,
     integer_entries,
     positive_triangular,
@@ -81,7 +81,8 @@ def _result(inst: ILSInstance, estimate: np.ndarray) -> DecodeResult:
 
 def zf_decode(inst: ILSInstance) -> DecodeResult:
     """Round each coordinate of the unconstrained solution R^{-1} y_tilde."""
-    real_solution = back_substitute(inst.r, inst.y_tilde)
+    # the instance's r already passed the input gate with no row flipped
+    real_solution = solve_triangular(inst.r, inst.y_tilde, lower=False)
     return _result(inst, round_nearest(real_solution))
 
 
@@ -103,9 +104,9 @@ def sic_decode(inst: ILSInstance) -> DecodeResult:
 def lift_estimate(z, estimate_in_reduced) -> np.ndarray:
     """Map an estimate through the reduction transform: returns Z times it.
 
-    Exact: the product is formed in Python ints, and an entry outside the
-    int64 range raises.  Z must be unimodular and the estimate must hold
-    whole numbers.
+    Exact: the product is formed in Python ints and leaves through
+    int64_entries, so an entry of magnitude 2**63 or more raises.  Z must
+    be unimodular and the estimate must hold whole numbers.
     """
     z = np.asarray(z)
     det = int_determinant(z)
@@ -117,11 +118,7 @@ def lift_estimate(z, estimate_in_reduced) -> np.ndarray:
             f"estimate has shape {est.shape}, expected ({z.shape[0]},)")
     x = integer_entries(est).tolist()
     lifted = [sum(a * b for a, b in zip(row, x)) for row in integer_entries(z).tolist()]
-    try:
-        return np.array(lifted, dtype=np.int64)
-    except OverflowError:
-        raise SingularMatrixError(
-            f"lifted entry {max(lifted, key=abs)} is out of the int64 range") from None
+    return int64_entries(lifted, "lifted entry")
 
 
 def ils_brute_force(inst: ILSInstance) -> DecodeResult:

@@ -9,12 +9,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatchError,
     RankDeficientError,
     SingularDiagonalError,
+    SingularMatrixError,
 )
 from .tolerances import RANK_TOL, SOLVE_DIAG_MIN, UPPER_TRIANGULAR_TOL
 
@@ -27,8 +27,8 @@ __all__ = [
     "positive_triangular",
     "unit_scale",
     "round_nearest",
-    "back_substitute",
     "integer_entries",
+    "int64_entries",
     "int_determinant",
     "check_upper_triangular",
     "check_sigma",
@@ -193,17 +193,6 @@ def round_nearest(x):
     return int(out) if arr.ndim == 0 else out
 
 
-def back_substitute(r, y) -> np.ndarray:
-    """Solve R x = y for upper-triangular R.
-
-    R passes through positive_triangular; a flipped row of R flips the
-    matching entry of y, so the solution is that of the input system.
-    """
-    r, signs = positive_triangular(r)
-    y = _as_vector(y, r.shape[0], "y")
-    return solve_triangular(r, signs * y, lower=False)
-
-
 def _whole(v) -> int:
     if isinstance(v, (int, np.integer)):
         return int(v)
@@ -220,6 +209,21 @@ def integer_entries(a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=object)
     return np.array([_whole(v) for v in a.flat], dtype=object).reshape(a.shape)
+
+
+def int64_entries(a, what: str) -> np.ndarray:
+    """The one way out to int64: a, Python ints or nested lists of them, as an
+    int64 array of its shape.
+
+    Integer results are formed exactly in Python ints and leave only here:
+    an entry of magnitude 2**63 or more raises SingularMatrixError naming
+    it.  The test is on |v| because a plain int64 cast takes -2**63.
+    """
+    a = np.array(a, dtype=object)
+    big = max(a.flat, key=abs, default=0)
+    if abs(big) >= _INT64_LIMIT:
+        raise SingularMatrixError(f"{what} {big} is out of the int64 range (|v| < 2**63)")
+    return a.astype(np.int64)
 
 
 def int_determinant(z) -> int:

@@ -27,9 +27,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
-    _INT64_LIMIT,
     check_upper_triangular,
+    int64_entries,
     int_determinant,
+    integer_entries,
     pivot_signs,
     positive_triangular,
     qr_factorize,
@@ -158,29 +159,24 @@ def _in_range(x: float, what: str) -> float:
     return x
 
 
-def _size_reduce_inplace(r, z, zmax, i, k) -> bool:
+def _size_reduce_inplace(r, z, i, k) -> bool:
     """Column k minus the nearest integer multiple of column i in unit-scaled
-    r and in z.  zmax[j] bounds max|z[:, j]| from above and is kept so; an
-    update that would take an entry of z out of the int64 range, where
-    int64 arithmetic wraps silently, raises instead."""
+    r and in z, a list of columns of Python ints, which cannot wrap."""
     if abs(r[i, i]) < SOLVE_DIAG_MIN:
         raise SingularDiagonalError(f"pivot {i} has relative magnitude {float(abs(r[i, i]))!r}")
     mu = round_nearest(r[i, k] / r[i, i])
     if mu == 0:
         return False
-    bound = zmax[k] + abs(mu) * zmax[i]
-    if bound >= _INT64_LIMIT:
-        # the bound is loose: recount in Python ints, which cannot wrap
-        zmax[i] = max(map(abs, z[:, i].tolist()))
-        bound = max(abs(a - mu * b) for a, b in zip(z[:, k].tolist(), z[:, i].tolist()))
-        if bound >= _INT64_LIMIT:
-            raise SingularMatrixError(
-                f"transform entry of magnitude {bound:.3e} is out of the int64 range")
-    zmax[k] = bound
     # rows above i only, r is triangular
     r[: i + 1, k] -= mu * r[: i + 1, i]
-    z[:, k] -= mu * z[:, i]
+    z[k] = [a - mu * b for a, b in zip(z[k], z[i])]
     return True
+
+
+def _transform(z) -> np.ndarray:
+    """The int64 matrix whose columns are z, through the one int64 boundary."""
+    n = len(z)
+    return int64_entries(z, "transform entry").reshape(n, n).T.copy()
 
 
 def size_reduce_entry(r, z, i: int, k: int):
@@ -188,18 +184,19 @@ def size_reduce_entry(r, z, i: int, k: int):
 
     Returns (r, z, applied) with fresh arrays; applied is False when the
     entry already satisfied |r_ik| <= 0.5 |r_ii| closely enough that the
-    nearest multiple was zero.  The same column operation is applied to z.
+    nearest multiple was zero.  The same column operation is applied to z,
+    whose entries must be whole numbers.
     """
     r, e = unit_scale(check_upper_triangular(r))
     n = r.shape[0]
     if not (0 <= i < k < n):
         raise DimensionMismatchError(f"need 0 <= i < k < {n}, got i={i}, k={k}")
-    z = np.array(z, dtype=np.int64, copy=True)
+    z = integer_entries(z)
     if z.shape != (n, n):
         raise DimensionMismatchError(f"Z must be {n}x{n}, got {z.shape}")
-    # no bound is known yet, so an update recounts its columns
-    applied = _size_reduce_inplace(r, z, [math.inf] * n, i, k)
-    return np.ldexp(r, e), z, applied
+    z = z.T.tolist()
+    applied = _size_reduce_inplace(r, z, i, k)
+    return np.ldexp(r, e), _transform(z), applied
 
 
 def _pair_squares(r, k: int) -> tuple[float, float]:
@@ -219,10 +216,11 @@ def _lovasz_holds(r, k: int, delta: float) -> bool:
 
 
 def _swap_inplace(r, z, q, k):
-    """Exchange columns k-1 and k of r and z, then restore triangular form
-    with one 2x2 rotation accumulated into q; pivots stay positive."""
+    """Exchange columns k-1 and k of r and of z, a list of columns, then
+    restore triangular form with one 2x2 rotation accumulated into q;
+    pivots stay positive."""
     r[:, [k - 1, k]] = r[:, [k, k - 1]]
-    z[:, [k - 1, k]] = z[:, [k, k - 1]]
+    z[k - 1], z[k] = z[k], z[k - 1]
     # the swap leaves one entry below the diagonal; rotate it away
     a = r[k - 1, k - 1]
     b = r[k, k - 1]
@@ -256,8 +254,8 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     # unit scale: the pair test squares entries, the pivot floors compare them
     r, e = unit_scale(r)
     n = r.shape[0]
-    z = np.eye(n, dtype=np.int64)
-    zmax = [1] * n
+    # z is kept as columns of Python ints and leaves through _transform
+    z = [[int(i == j) for i in range(n)] for j in range(n)]
     q = np.diag(signs)
     limit = MAX_ITERATIONS_PER_N2 * max(n, 1) ** 2
     size_reductions = 0
@@ -271,18 +269,17 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
             raise IterationLimitExceededError(
                 f"no convergence after {limit} passes (delta={params.delta})")
         changed = False
-        if _size_reduce_inplace(r, z, zmax, k - 1, k):
+        if _size_reduce_inplace(r, z, k - 1, k):
             size_reductions += 1
             changed = True
         if not _lovasz_holds(r, k, params.delta):
             _swap_inplace(r, z, q, k)
-            zmax[k - 1], zmax[k] = zmax[k], zmax[k - 1]
             swaps += 1
             changed = True
             k = max(k - 1, 1)
         else:
             for i in range(k - 2, -1, -1):
-                if _size_reduce_inplace(r, z, zmax, i, k):
+                if _size_reduce_inplace(r, z, i, k):
                     size_reductions += 1
                     changed = True
             k += 1
@@ -290,7 +287,8 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
             iterations += 1
     stats = ReductionStats(size_reductions=size_reductions, swaps=swaps,
                            iterations=iterations)
-    return ReductionResult(r_bar=np.ldexp(r + 0.0, e), z=z, q_bar=q, stats=stats)
+    return ReductionResult(r_bar=np.ldexp(r + 0.0, e), z=_transform(z), q_bar=q,
+                           stats=stats)
 
 
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:

@@ -255,6 +255,7 @@ class TestSweepCommand:
     def test_bad_grids_rejected(self):
         assert main(["sweep-delta", "--delta-grid", "0.9,0.5", "--trials", "1"]) == 2
         assert main(["sweep-delta", "--delta-grid", "0.1,0.5", "--trials", "1"]) == 2
+        assert main(["sweep-delta", "--delta-grid", "", "--trials", "1"]) == 2
         with pytest.raises(InvalidGridError):
             ExperimentConfig(command="sweep-delta", delta=0.2)
 
@@ -318,7 +319,8 @@ class TestReportSerialization:
                                     verdicts=[Verdict(name="stub-check", passed=False,
                                                       detail="forced")])
 
-        monkeypatch.setitem(cli_module.COMMANDS, "reduce", stub)
+        _, desc, fields = cli_module.SUBCOMMANDS["reduce"]
+        monkeypatch.setitem(cli_module.SUBCOMMANDS, "reduce", (stub, desc, fields))
         assert main(["reduce", "--matrix", "ignored"]) == 1
         err = capsys.readouterr().err
         assert "first failing verdict: stub-check" in err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -6,16 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zfprob.decode import ILSInstance, zf_decode
+from zfprob.decode import ILSInstance, lift_estimate, zf_decode
 from zfprob.ensembles import case_spec, random_triangular
 from zfprob.errors import (
     DimensionMismatchError,
     NotDiagonalError,
     RankDeficientError,
     SingularDiagonalError,
+    SingularMatrixError,
 )
 from zfprob.linalg import (
-    back_substitute,
     check_upper_triangular,
     int_determinant,
     positive_triangular,
@@ -23,13 +24,16 @@ from zfprob.linalg import (
     round_nearest,
 )
 from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
-from zfprob.reduction import is_lll_reduced, lll_reduce, orthogonality_defect, sqrd, vblast
+from zfprob.reduction import (
+    is_lll_reduced,
+    lll_reduce,
+    orthogonality_defect,
+    size_reduce_entry,
+    sqrd,
+    vblast,
+)
 from zfprob.rng import RngSpec
 from zfprob.tolerances import ORTHONORMALITY_TOL, QR_RECONSTRUCTION_TOL
-
-# hand back-substitution on [[1,0.44],[0,0.28]] x = [-0.7,-0.24]:
-# x2 = -0.24/0.28, x1 = -0.7 - 0.44*x2
-BACKSUB_ORACLE = (-0.3228571428571429, -0.857142857142857)
 
 
 class TestQRFactorize:
@@ -155,37 +159,6 @@ class TestRoundNearest:
         assert round_nearest(x + k) == round_nearest(x) + k
 
 
-class TestBackSubstitute:
-    def test_identity(self):
-        np.testing.assert_allclose(back_substitute(np.eye(2), [3.0, -2.0]), [3.0, -2.0])
-
-    def test_decode_example_data(self):
-        r = np.array([[1.0, 0.44], [0.0, 0.28]])
-        x = back_substitute(r, [-0.7, -0.24])
-        np.testing.assert_allclose(x, BACKSUB_ORACLE, atol=1e-12)
-        assert abs(x[0] - (-0.3229)) < 5e-4 and abs(x[1] - (-0.8571)) < 5e-4
-
-    def test_constructed_round_trip(self):
-        r = np.array([[2.0, 1.0], [0.0, 4.0]])
-        np.testing.assert_allclose(back_substitute(r, r @ [1.0, 1.0]), [1.0, 1.0])
-
-    def test_random_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = rng.integers(1, 7)
-            r = np.triu(rng.standard_normal((n, n)))
-            r[np.diag_indices(n)] = np.sign(np.diag(r)) * (0.5 + np.abs(np.diag(r)))
-            if np.linalg.cond(r) > 1e6:
-                continue
-            x = rng.standard_normal(n)
-            np.testing.assert_allclose(back_substitute(r, r @ x), x,
-                                       atol=1e-9 * (1 + np.abs(x).max()))
-
-    def test_singular_diagonal_raises(self):
-        with pytest.raises(SingularDiagonalError):
-            back_substitute(np.array([[1.0, 1.0], [0.0, 0.0]]), [1.0, 1.0])
-
-
 class TestIntDeterminant:
     def test_small_known_values(self):
         assert int_determinant(np.eye(3, dtype=np.int64)) == 1
@@ -211,6 +184,41 @@ class TestIntDeterminant:
         for col, row in enumerate(perm):
             p[row, col] = 1
         assert int_determinant(p) == 1  # 3-cycle, even parity
+
+
+def _lll_edge(v):
+    # no swaps; exact size reductions mu_01 = 2**31, mu_12 = +-2**32 and
+    # mu_02 = s * 2**63 - v leave z[0, 2] = mu_12 * mu_01 - mu_02 = v
+    s = 1 if v > 0 else -1
+    r = [[1.0, 2.0 ** 31, float(s * 2 ** 63 - v)], [0.0, 1.0, s * 2.0 ** 32], [0.0, 0.0, 1.0]]
+    return lll_reduce(r).z
+
+
+def _size_reduce_edge(v):
+    # mu = 2 on [[4, 9], [0, 1]]: z[0, 1] = b - 2 a, from int64 inputs a and b
+    s = 1 if v > 0 else -1
+    return size_reduce_entry([[4.0, 9.0], [0.0, 1.0]], [[-s, v - 2 * s], [0, 1]], 0, 1)[1]
+
+
+def _lift_edge(v):
+    s = 1 if v > 0 else -1
+    return lift_estimate([[1, s * 2 ** 62], [0, 1]], [v - s * 2 ** 62, 1])
+
+
+# integer result -> how to make one whose largest entry is exactly v
+INT64_EDGES = {"lll_reduce": _lll_edge, "size_reduce_entry": _size_reduce_edge,
+               "lift_estimate": _lift_edge}
+
+
+@pytest.mark.parametrize("v", [2 ** 63 - 1, 2 ** 63, -2 ** 63], ids=["2^63-1", "2^63", "-2^63"])
+@pytest.mark.parametrize("entry", sorted(INT64_EDGES))
+def test_integer_results_share_one_symmetric_int64_boundary(entry, v):
+    if abs(v) < 2 ** 63:
+        got = INT64_EDGES[entry](v)
+        assert got.dtype == np.int64 and v in got.ravel().tolist()
+    else:
+        with pytest.raises(SingularMatrixError, match="int64"):
+            INT64_EDGES[entry](v)
 
 
 def test_check_upper_triangular_flags_entry():
@@ -264,8 +272,7 @@ DIAGONAL = np.diag([2.0, 0.5])
 # factor's rows are sign-flipped)
 GATED = {
     "positive_triangular": (FACTOR, lambda r: positive_triangular(r)[:1]),
-    # y = R x, so flipping a row of R flips y with it
-    "back_substitute": (FACTOR, lambda r: (back_substitute(r, r @ np.arange(r.shape[1])),)),
+    "is_lll_reduced": (FACTOR, lambda r: astuple(is_lll_reduced(r))),
     "lll_reduce": (FACTOR, _reduced(lll_reduce)),
     "vblast": (FACTOR, _reduced(vblast)),
     "orthogonality_defect": (FACTOR, lambda r: (orthogonality_defect(r),)),

@@ -96,6 +96,13 @@ class TestSizeReduceEntry:
         with pytest.raises(DimensionMismatchError):
             size_reduce_entry(R_4_9, EYE2, 1, 1)
 
+    def test_non_integer_transform_refused(self):
+        # an int64 cast would truncate 0.5 to 0 and return a singular z
+        with pytest.raises(DimensionMismatchError):
+            size_reduce_entry(R_4_9, [[0.5, 0.0], [0.0, 1.0]], 0, 1)
+        _, z, _ = size_reduce_entry(R_4_9, [[1.0, 0.0], [0.0, 1.0]], 0, 1)
+        np.testing.assert_array_equal(z, [[1, -2], [0, 1]])
+
 
 class TestLovaszHolds:
     def test_fails_on_size_reduced_spiky_matrix(self):
@@ -111,12 +118,13 @@ class TestLovaszHolds:
 
 
 def swapped(r, z, q, k):
-    """_swap_inplace on copies, returning (r, z, q)."""
+    """_swap_inplace on copies, returning (r, z, q); z goes in as its list
+    of columns and comes back as an int64 array."""
     r = np.array(r, dtype=float)
-    z = np.array(z, dtype=np.int64)
+    z = np.array(z, dtype=np.int64).T.tolist()
     q = np.array(q, dtype=float)
     _swap_inplace(r, z, q, k)
-    return r, z, q
+    return r, np.array(z, dtype=np.int64).T, q
 
 
 class TestSwapAndRetriangularize:
