@@ -766,10 +766,14 @@ def config_from_args(args) -> ExperimentConfig:
     grid = fields.pop("delta_grid", None)
     if grid is not None:
         try:
-            fields["delta_grid"] = tuple(float(tok) for tok in grid.split(",") if tok.strip())
+            fields["delta_grid"] = tuple(float(tok) for tok in grid.split(","))
         except ValueError:
             raise InvalidGridError(f"could not parse delta grid {grid!r}") from None
-    return ExperimentConfig(**fields)
+    config = ExperimentConfig(**fields)
+    # only the parsed flags tell an explicit --seed from the field's default
+    if config.command == "pzf" and "seed" in fields and config.method in ("quad", "diagonal"):
+        raise ValueError(f"--seed seeds the samples; --method {config.method} draws none")
+    return config
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:

@@ -213,7 +213,8 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
     The success event is translation invariant in the true vector, so the
     zero vector stands in for it; a trial succeeds when every rounded
     coordinate of R^{-1} noise is zero.  error_bound is the binomial
-    standard error.
+    standard error, or 1 / (trials + 1) at no or every success, the reach
+    of the z = 1 Wilson interval.
     """
     r, sigma = _unit_model(r, sigma)
     if trials < MIN_SAMPLES:
@@ -223,7 +224,7 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
     coords = solve_triangular(r, noise.T, lower=False)
     successes = int(np.sum(np.all(round_nearest(coords) == 0, axis=0)))
     value = successes / trials
-    stderr = math.sqrt(value * (1.0 - value) / trials)
+    stderr = math.sqrt(value * (1.0 - value) / trials) or 1.0 / (trials + 1)
     return ProbabilityEstimate(value=value, method="Empirical",
                                error_bound=stderr, evaluations=trials,
                                seed=rng.seed)

@@ -13,7 +13,7 @@ Indices are 0-based throughout.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -317,11 +317,10 @@ def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
     return LLLCheckReport(size_ok=size_ok, lovasz_ok=lovasz_ok, first_violation=first)
 
 
-def _perm_result(r, perm) -> ReductionResult:
+def _perm_result(r, signs, perm) -> ReductionResult:
+    """Permutation perm of gated r, the gate's row flips folded into q_bar."""
     n = r.shape[0]
-    z = np.zeros((n, n), dtype=np.int64)
-    for pos, orig in enumerate(perm):
-        z[orig, pos] = 1
+    z = np.eye(n, dtype=np.int64)[:, perm]
     f = qr_factorize(r[:, perm])
     # swap count of the permutation: transpositions of its cycle decomposition
     seen = [False] * n
@@ -334,7 +333,7 @@ def _perm_result(r, perm) -> ReductionResult:
                 seen[j] = True
                 j = perm[j]
     stats = ReductionStats(size_reductions=0, swaps=n - cycles, iterations=0)
-    return ReductionResult(r_bar=f.r, z=z, q_bar=f.q1, stats=stats)
+    return ReductionResult(r_bar=f.r, z=z, q_bar=signs[:, None] * f.q1, stats=stats)
 
 
 def _sorted_order(w, floor: float) -> list[int]:
@@ -366,15 +365,12 @@ def _sorted_order(w, floor: float) -> list[int]:
     return order
 
 
-def sqrd(a) -> ReductionResult:
+def sqrd(r) -> ReductionResult:
     """Column reordering chosen first to last, each pick minimizing the
-    next pivot magnitude; z is the corresponding permutation.
-
-    Accepts a rectangular full-column-rank matrix; the reconstruction
-    invariant is stated against its triangular factor.
-    """
-    r = qr_factorize(a).r
-    return _perm_result(r, _sorted_order(unit_scale(r)[0], floor=SOLVE_DIAG_MIN))
+    next pivot magnitude; z is the corresponding permutation."""
+    # row sign flips leave every residual norm, and so the order, unchanged
+    r, signs = positive_triangular(r)
+    return _perm_result(r, signs, _sorted_order(unit_scale(r)[0], floor=SOLVE_DIAG_MIN))
 
 
 def vblast(r) -> ReductionResult:
@@ -383,15 +379,12 @@ def vblast(r) -> ReductionResult:
 
     The column placed last gets pivot 1 / ||row c of R^-1||, so the picks
     are the sorted-QR picks on the dual basis R^-T, in reverse."""
-    # row sign flips leave every residual norm, and so the order, unchanged
     r, signs = positive_triangular(r)
     dual = solve_triangular(r, np.eye(r.shape[0]), lower=False).T
     if not np.all(np.isfinite(dual)):
         raise SingularMatrixError("R^-1 is out of floating-point range")
     tail = _sorted_order(dual, floor=np.finfo(float).tiny)
-    result = _perm_result(r, tail[::-1])
-    # fold the row flips into q_bar so Qbar^T R Z = Rbar holds against the input
-    return replace(result, q_bar=signs[:, None] * result.q_bar)
+    return _perm_result(r, signs, tail[::-1])
 
 
 def orthogonality_defect(r) -> float:

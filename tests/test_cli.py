@@ -256,6 +256,8 @@ class TestSweepCommand:
         assert main(["sweep-delta", "--delta-grid", "0.9,0.5", "--trials", "1"]) == 2
         assert main(["sweep-delta", "--delta-grid", "0.1,0.5", "--trials", "1"]) == 2
         assert main(["sweep-delta", "--delta-grid", "", "--trials", "1"]) == 2
+        assert main(["sweep-delta", "--delta-grid", "0.5,,0.75", "--trials", "1"]) == 2
+        assert main(["sweep-delta", "--delta-grid", "0.5,", "--trials", "1"]) == 2
         with pytest.raises(InvalidGridError):
             ExperimentConfig(command="sweep-delta", delta=0.2)
 
@@ -392,6 +394,10 @@ class TestOptionSets:
         ["pzf", "--matrix", "M", "--method", "diagonal", "--trials", "5"],
         ["sweep-delta", "--trials", "3", "--sigma", "0.3"],
         ["sweep-delta", "--matrix", "M", "--trials", "7"],
+        # --seed 1 is the field's default, yet given explicitly it is still refused
+        ["pzf", "--matrix", "M", "--seed", "2"],
+        ["pzf", "--matrix", "M", "--method", "quad", "--seed", "1"],
+        ["pzf", "--matrix", "M", "--method", "diagonal", "--seed", "1"],
     ])
     def test_mismatched_flag_exits_2(self, argv, tmp_path):
         matrix = write(tmp_path, "m.csv", "4,0\n0,1\n")

@@ -137,14 +137,18 @@ class TestLiftEstimate:
         for i in range(50):
             inst = random_instance(case_spec(62, i), 2 + i % 3)
             base = zf_decode(inst)
+            # the same model with sign-flipped rows: q_bar must carry the flips
+            s = (-1.0) ** (np.arange(inst.r.shape[0]) + i)
+            models = ((inst.r, inst.y_tilde), (s[:, None] * inst.r, s * inst.y_tilde))
             for strategy in (sqrd, vblast):
-                red = strategy(inst.r)
-                y_bar = red.q_bar.T @ inst.y_tilde
-                reduced = zf_decode(ILSInstance(r=red.r_bar, y_tilde=y_bar,
-                                                sigma=inst.sigma))
-                lifted = lift_estimate(red.z, reduced.estimate)
-                np.testing.assert_array_equal(lifted, base.estimate)
-                assert abs(reduced.residual - base.residual) <= 1e-9
+                for r, y in models:
+                    red = strategy(r)
+                    y_bar = red.q_bar.T @ y
+                    reduced = zf_decode(ILSInstance(r=red.r_bar, y_tilde=y_bar,
+                                                    sigma=inst.sigma))
+                    lifted = lift_estimate(red.z, reduced.estimate)
+                    np.testing.assert_array_equal(lifted, base.estimate)
+                    assert abs(reduced.residual - base.residual) <= 1e-9
 
 
 class TestBruteForce:

@@ -274,6 +274,7 @@ GATED = {
     "positive_triangular": (FACTOR, lambda r: positive_triangular(r)[:1]),
     "is_lll_reduced": (FACTOR, lambda r: astuple(is_lll_reduced(r))),
     "lll_reduce": (FACTOR, _reduced(lll_reduce)),
+    "sqrd": (FACTOR, _reduced(sqrd)),
     "vblast": (FACTOR, _reduced(vblast)),
     "orthogonality_defect": (FACTOR, lambda r: (orthogonality_defect(r),)),
     "pzf_quadrature": (FACTOR, _estimate(pzf_quadrature)),
