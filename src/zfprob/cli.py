@@ -466,23 +466,24 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
     brute-force optimality bound where feasible."""
     if not config.matrix_path or not config.y_path:
         raise ParseError("decode requires --matrix and --y")
+    if config.sigma is not None:
+        raise ValueError("--sigma sets a noise level; no decoder reads it")
     report = ExperimentReport(command="decode", config=config.to_dict())
     matrix = load_matrix_csv(config.matrix_path)
     y = load_vector_csv(config.y_path)
-    sigma = config.sigma if config.sigma is not None else 1.0
     r, q1 = _triangular_from(matrix)
     if y.shape[0] != matrix.shape[0]:
         raise DimensionMismatchError(
             f"observation length {y.shape[0]} does not match {matrix.shape[0]} rows")
     y_tilde = q1.T @ y
-    inst = ILSInstance(r=r, y_tilde=y_tilde, sigma=sigma)
+    inst = ILSInstance(r=r, y_tilde=y_tilde, sigma=1.0)
     zf = zf_decode(inst)
     sic = sic_decode(inst)
     case = {
         "matrix_digest": matrix_digest(matrix),
         "r": r,
         "y_tilde": y_tilde,
-        "sigma": sigma,
+        "sigma": inst.sigma,
         "zf_estimate": zf.estimate,
         "zf_residual": zf.residual,
         "sic_estimate": sic.estimate,

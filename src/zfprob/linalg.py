@@ -27,6 +27,7 @@ __all__ = [
     "positive_triangular",
     "unit_scale",
     "round_nearest",
+    "roundable_abs",
     "integer_entries",
     "int64_entries",
     "int_determinant",
@@ -183,14 +184,22 @@ def round_nearest(x):
             m += 1
         return -m if v < 0 else m
     arr = np.asarray(x, dtype=float)
-    a = np.abs(arr)
-    if not a.max(initial=0.0) < _INT64_LIMIT:  # a NaN makes the max NaN
-        raise ValueError("cannot round values that are not finite or of magnitude 2**63 or more")
+    a = roundable_abs(arr)
     m = np.floor(a)
     a -= m
     m += a > 0.5
     out = np.copysign(m, arr).astype(np.int64)
     return int(out) if arr.ndim == 0 else out
+
+
+def roundable_abs(x) -> np.ndarray:
+    """|x| as a new float64 array, refused as round_nearest refuses an
+    array: an entry that is not finite, or of magnitude 2**63 or more,
+    raises ValueError."""
+    a = np.abs(np.asarray(x, dtype=float))
+    if not a.max(initial=0.0) < _INT64_LIMIT:  # a NaN makes the max NaN
+        raise ValueError("cannot round values that are not finite or of magnitude 2**63 or more")
+    return a
 
 
 def _whole(v) -> int:

@@ -24,7 +24,7 @@ from .errors import (
     NoConvergenceError,
     NotDiagonalError,
 )
-from .linalg import check_sigma, positive_triangular, round_nearest, unit_scale
+from .linalg import check_sigma, positive_triangular, roundable_abs, unit_scale
 from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
     DIAGONAL_OFFDIAG_TOL,
@@ -212,17 +212,20 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
 
     The success event is translation invariant in the true vector, so the
     zero vector stands in for it; a trial succeeds when every rounded
-    coordinate of R^{-1} noise is zero.  error_bound is the binomial
-    standard error, or 1 / (trials + 1) at no or every success, the reach
-    of the z = 1 Wilson interval.
+    coordinate of R^{-1} noise is zero.  round_nearest takes ties toward
+    zero, so that is when every coordinate has magnitude at most 1/2; a
+    coordinate it would refuse raises its ValueError.  error_bound is the
+    binomial standard error, or 1 / (trials + 1) at no or every success,
+    the reach of the z = 1 Wilson interval.
     """
     r, sigma = _unit_model(r, sigma)
     if trials < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
     n = r.shape[0]
     noise = sigma * gaussian_block(rng, 0, trials * n).reshape(trials, n)
-    coords = solve_triangular(r, noise.T, lower=False)
-    successes = int(np.sum(np.all(round_nearest(coords) == 0, axis=0)))
+    # roundable_abs refuses a non-finite coordinate, so the solve need not look
+    coords = solve_triangular(r, noise.T, lower=False, check_finite=False)
+    successes = int(np.count_nonzero(np.all(roundable_abs(coords) <= 0.5, axis=0)))
     value = successes / trials
     stderr = math.sqrt(value * (1.0 - value) / trials) or 1.0 / (trials + 1)
     return ProbabilityEstimate(value=value, method="Empirical",

@@ -162,9 +162,13 @@ def _in_range(x: float, what: str) -> float:
 def _size_reduce_inplace(r, z, i, k) -> bool:
     """Column k minus the nearest integer multiple of column i in unit-scaled
     r and in z, a list of columns of Python ints, which cannot wrap."""
-    if abs(r[i, i]) < SOLVE_DIAG_MIN:
-        raise SingularDiagonalError(f"pivot {i} has relative magnitude {float(abs(r[i, i]))!r}")
-    mu = round_nearest(r[i, k] / r[i, i])
+    pivot, entry = r.item(i, i), r.item(i, k)
+    if abs(pivot) < SOLVE_DIAG_MIN:
+        raise SingularDiagonalError(f"pivot {i} has relative magnitude {abs(pivot)!r}")
+    # then |r_ik / r_ii| <= 1/2 too, division being monotone, and that rounds to 0
+    if abs(entry) <= 0.5 * abs(pivot):
+        return False
+    mu = round_nearest(entry / pivot)
     if mu == 0:
         return False
     # rows above i only, r is triangular

@@ -4,8 +4,9 @@ Draw i is a pure function of (seed, i), so any block of a stream can be
 regenerated independently and in parallel without carrying generator state.
 The uniform stage finalizes ``seed + (counter + 1) * GOLDEN`` with the
 splitmix64 mixer; gaussians pair consecutive uniform counters through the
-Box-Muller transform.  Identical (seed, index) always yields bit-identical
-output, which is what makes experiment reports replayable.
+Box-Muller transform, which runs once per pair and yields both of its
+normals.  Identical (seed, index) always yields bit-identical output, which
+is what makes experiment reports replayable.
 """
 
 from dataclasses import dataclass
@@ -61,6 +62,11 @@ def _bits(seed: int, counters: np.ndarray) -> np.ndarray:
         return _finalize(np.uint64(seed) + (counters + np.uint64(1)) * _GOLDEN)
 
 
+def _unit(bits: np.ndarray) -> np.ndarray:
+    # top 53 bits, shifted into (0, 1]; never returns exactly 0
+    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Derive an independent child seed for sub-stream ``index``.
 
@@ -80,10 +86,7 @@ def uniform_block(spec: RngSpec, start: int, count: int) -> np.ndarray:
     _check_spec(spec)
     if start < 0 or count < 0:
         raise ValueError("start and count must be non-negative")
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    bits = _bits(spec.seed, counters)
-    # top 53 bits, shifted into (0, 1]; never returns exactly 0
-    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    return _unit(_bits(spec.seed, np.arange(start, start + count, dtype=np.uint64)))
 
 
 def gaussian_block(spec: RngSpec, start: int, count: int) -> np.ndarray:
@@ -92,17 +95,17 @@ def gaussian_block(spec: RngSpec, start: int, count: int) -> np.ndarray:
     Gaussian index i consumes uniform counters 2*(i//2) and 2*(i//2)+1;
     even indices take the cosine branch of Box-Muller, odd the sine.  Any
     block therefore reproduces exactly regardless of how the stream was
-    chunked when first drawn.
+    chunked when first drawn.  Each pair touched is transformed once, into
+    an even and an odd slot of one buffer, which is then cut to the block.
     """
     _check_spec(spec)
     if start < 0 or count < 0:
         raise ValueError("start and count must be non-negative")
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    pair = (idx >> np.uint64(1)) << np.uint64(1)
-    u1 = ((_bits(spec.seed, pair) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    u2 = ((_bits(spec.seed, pair + np.uint64(1)) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    even = (idx & np.uint64(1)) == 0
-    return np.where(even, radius * np.cos(angle), radius * np.sin(angle))
-
+    first = start // 2
+    counters = np.arange(first, (start + count + 1) // 2, dtype=np.uint64) << np.uint64(1)
+    radius = np.sqrt(-2.0 * np.log(_unit(_bits(spec.seed, counters))))
+    angle = 2.0 * np.pi * _unit(_bits(spec.seed, counters + np.uint64(1)))
+    out = np.empty(2 * counters.size)
+    np.multiply(radius, np.cos(angle), out=out[0::2])
+    np.multiply(radius, np.sin(angle), out=out[1::2])
+    return out[start - 2 * first:][:count]

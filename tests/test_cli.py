@@ -173,6 +173,13 @@ class TestDecodeCommand:
         np.testing.assert_array_equal(case["r"], [[2.0, -1.0], [0.0, 3.0]])
         np.testing.assert_array_equal(case["y_tilde"], [-0.4, -0.7])
 
+    def test_sigma_is_refused(self, tmp_path, capsys):
+        # no decoder reads a noise level, so the flag would only be echoed
+        path = write(tmp_path, "a.csv", "4,9\n0,1\n")
+        y_path = write(tmp_path, "y.csv", "0.4\n-0.7\n")
+        assert main(["decode", "--matrix", path, "--y", y_path, "--sigma", "0.5"]) == 2
+        assert "--sigma" in capsys.readouterr().err
+
     def test_triangular_model_with_tiny_pivot_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "a.csv", "-2,1\n0,1e-15\n")
         y_path = write(tmp_path, "y.csv", "0.4\n-0.7\n")

@@ -240,6 +240,25 @@ class TestEmpirical:
         b = pzf_empirical(R3, 1.0, 20_000, RngSpec(seed=13))
         assert a.value == b.value
 
+    def test_success_is_every_coordinate_within_one_half(self, monkeypatch):
+        # through R = I and sigma = 1 the coordinates are the noise itself;
+        # round_nearest takes a tie of exactly 1/2 to zero, so it succeeds
+        above = np.nextafter(0.5, 1.0)
+        noise = np.zeros((1000, 2))
+        noise[:4] = [[0.5, -0.5], [-0.5, 0.25], [above, 0.0], [0.0, -above]]
+        monkeypatch.setattr("zfprob.probability.gaussian_block",
+                            lambda spec, start, count: noise.ravel()[start:start + count])
+        assert pzf_empirical(np.eye(2), 1.0, 1000, RngSpec(seed=1)).value == 998 / 1000
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 63])
+    def test_coordinates_beyond_rounding_are_refused(self, bad, monkeypatch):
+        noise = np.zeros((1000, 2))
+        noise[7, 1] = bad
+        monkeypatch.setattr("zfprob.probability.gaussian_block",
+                            lambda spec, start, count: noise.ravel()[start:start + count])
+        with pytest.raises(ValueError, match="cannot round"):
+            pzf_empirical(np.eye(2), 1.0, 1000, RngSpec(seed=1))
+
     def test_minimum_trial_count(self):
         with pytest.raises(ValueError):
             pzf_empirical(R1, 0.5, 10, RngSpec(seed=1))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zfprob.rng import (
     ALGORITHM_ID,
     RngSpec,
+    _bits,
     derive_seed,
     gaussian_block,
     uniform_block,
@@ -44,6 +47,40 @@ def test_gaussian_block_addressing_across_pair_boundaries():
         parts = np.concatenate([gaussian_block(SPEC, 0, split),
                                 gaussian_block(SPEC, split, 101 - split)])
         np.testing.assert_array_equal(whole, parts)
+
+
+def per_index_gaussians(spec, start, count):
+    """Reference: the Box-Muller transform evaluated at every index, each
+    index picking its cosine or sine branch by its parity."""
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    pair = (idx >> np.uint64(1)) << np.uint64(1)
+    u1 = ((_bits(spec.seed, pair) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = ((_bits(spec.seed, pair + np.uint64(1)) >> np.uint64(11)).astype(np.float64)
+          + 1.0) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    even = (idx & np.uint64(1)) == 0
+    return np.where(even, radius * np.cos(angle), radius * np.sin(angle))
+
+
+@given(seed=st.integers(0, 2 ** 64 - 1), start=st.integers(0, 2 ** 50),
+       count=st.integers(0, 300), cuts=st.lists(st.integers(0, 300), max_size=4))
+@example(seed=0, start=0, count=0, cuts=[])
+@example(seed=0, start=1, count=0, cuts=[])
+@example(seed=2 ** 64 - 1, start=0, count=1, cuts=[])
+@example(seed=2 ** 64 - 1, start=1, count=1, cuts=[])
+@example(seed=1, start=2 ** 40, count=7, cuts=[1, 2])
+@example(seed=1, start=2 ** 40 + 1, count=8, cuts=[3])
+@settings(max_examples=200, deadline=None)
+def test_gaussian_block_matches_the_per_index_transform(seed, start, count, cuts):
+    spec = RngSpec(seed=seed)
+    whole = gaussian_block(spec, start, count)
+    assert whole.dtype == np.float64 and whole.shape == (count,)
+    assert whole.tobytes() == per_index_gaussians(spec, start, count).tobytes()
+    # any chunking of the block concatenates to the whole block
+    bounds = [0, *sorted(c % (count + 1) for c in cuts), count]
+    parts = [gaussian_block(spec, start + a, b - a) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def test_same_seed_identical_first_1000():
