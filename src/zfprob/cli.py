@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -85,7 +85,6 @@ __all__ = [
 DEFAULT_DELTA_GRID = (0.3, 0.5, 0.75, 0.99, 1.0)
 DEFAULT_SIGMA_GRID = (0.1, 0.5, 1.0)
 METHODS = ("quad", "mc", "empirical", "diagonal")
-ENSEMBLE_METHODS = ("quad", "empirical")
 
 # Bundled reference cases with pinned four-decimal expected values.
 REFERENCE_1_R = ((4.0, 9.0), (0.0, 1.0))
@@ -134,10 +133,7 @@ class ExperimentConfig:
             object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["delta_grid"] is not None:
-            d["delta_grid"] = list(d["delta_grid"])
-        return d
+        return asdict(self)  # the report's JSON encoding turns delta_grid into a list
 
 
 @dataclass(frozen=True)
@@ -466,8 +462,6 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
     brute-force optimality bound where feasible."""
     if not config.matrix_path or not config.y_path:
         raise ParseError("decode requires --matrix and --y")
-    if config.sigma is not None:
-        raise ValueError("--sigma sets a noise level; no decoder reads it")
     report = ExperimentReport(command="decode", config=config.to_dict())
     matrix = load_matrix_csv(config.matrix_path)
     y = load_vector_csv(config.y_path)
@@ -507,8 +501,6 @@ def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
     """Estimate the success probability of one matrix with one method."""
     if not config.matrix_path:
         raise ParseError("pzf requires --matrix")
-    if config.trials is not None and config.method in ("quad", "diagonal"):
-        raise ValueError(f"--trials sets a sample count; --method {config.method} draws none")
     report = ExperimentReport(command="pzf", config=config.to_dict())
     r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     sigma = config.sigma if config.sigma is not None else 1.0
@@ -557,8 +549,6 @@ def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
         raise InvalidGridError(f"grid must be strictly increasing, got {list(grid)}")
     report = ExperimentReport(command="sweep-delta", config=config.to_dict())
     if config.matrix_path:
-        if config.trials is not None:
-            raise ValueError("--trials counts random instances; --matrix sweeps that one")
         matrix, _ = _triangular_from(load_matrix_csv(config.matrix_path))
         if matrix.shape[0] != 2:
             raise DimensionMismatchError(
@@ -567,8 +557,6 @@ def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
         sigma = config.sigma if config.sigma is not None else 1.0
         jobs = [(config.seed, 0, tuple(grid), matrix, sigma)]
     else:
-        if config.sigma is not None:
-            raise ValueError("--sigma needs --matrix: each random instance draws its own")
         count = config.trials if config.trials is not None else 200
         jobs = [(config.seed, i, tuple(grid), None, None) for i in range(count)]
     cases = _run_jobs(_sweep_case, jobs, config.parallel)
@@ -661,27 +649,19 @@ def cmd_ensemble(config: ExperimentConfig) -> ExperimentReport:
     """Random-model survey: how often does the reduction raise, keep, or
     lower the success probability?  Descriptive for n >= 3; for n = 2 a
     decrease would contradict a guarantee, so it fails the run."""
-    if config.method not in ENSEMBLE_METHODS:
-        raise ValueError(f"ensemble measures with one of {ENSEMBLE_METHODS}, "
-                         f"got {config.method!r}")
     n = config.n if config.n else 2
     m = config.m if config.m else n
     if m < n:
         raise DimensionMismatchError(f"need m >= n, got m={m}, n={n}")
     count = config.trials if config.trials is not None else 50
     sigmas = (config.sigma,) if config.sigma is not None else DEFAULT_SIGMA_GRID
-    method = "empirical" if (n > QUADRATURE_MAX_DIM or config.method == "empirical") \
-        else "quad"
+    method = "quad" if config.method == "quad" and n <= QUADRATURE_MAX_DIM else "empirical"
     trials_per_estimate = 50_000
     report = ExperimentReport(command="ensemble", config=config.to_dict())
-    index = 0
     summary = []
-    for sigma in sigmas:
-        jobs = []
-        for _ in range(count):
-            jobs.append((config.seed, index, m, n, sigma, config.delta,
-                         method, trials_per_estimate))
-            index += 1
+    for k, sigma in enumerate(sigmas):
+        jobs = [(config.seed, k * count + i, m, n, sigma, config.delta, method,
+                 trials_per_estimate) for i in range(count)]
         cases = _run_jobs(_ensemble_case, jobs, config.parallel)
         report.cases.extend(cases)
         tally = {"increased": 0, "unchanged": 0, "decreased": 0}
@@ -735,7 +715,7 @@ SUBCOMMANDS = {
     "reduce": (cmd_reduce, "reduce a matrix and report the transform and checks",
                ("matrix_path", "delta")),
     "decode": (cmd_decode, "decode an observation with the ZF, SIC, and brute-force decoders",
-               ("matrix_path", "y_path", "sigma")),
+               ("matrix_path", "y_path")),
     "pzf": (cmd_pzf, "estimate the success probability of one matrix",
             ("matrix_path", "sigma", "method", "trials", "seed")),
     "sweep-delta": (cmd_sweep_delta, "success probability across a delta grid",
@@ -746,6 +726,35 @@ SUBCOMMANDS = {
                  ("sigma", "delta", "method", "trials", "seed", "n", "m", "parallel")),
 }
 
+# (subcommand, field) -> (a test for the runs that read the flag, their name).
+# A flag given to any other run would be echoed but not read, so it is
+# refused; a flag a subcommand takes with no entry is read by every run.
+_SAMPLING = (lambda c: c.method in ("mc", "empirical"), "only with --method mc or empirical")
+_RANDOM = (lambda c: not c.matrix_path, "only without --matrix, which sweeps one matrix")
+READ_BY = {
+    ("pzf", "trials"): _SAMPLING,
+    ("pzf", "seed"): _SAMPLING,
+    ("sweep-delta", "sigma"): (lambda c: bool(c.matrix_path), "only with --matrix"),
+    ("sweep-delta", "trials"): _RANDOM,
+    ("sweep-delta", "seed"): _RANDOM,
+    ("sweep-delta", "parallel"): _RANDOM,
+    ("ensemble", "method"): (lambda c: c.method == "empirical" or (
+        c.method == "quad" and c.n <= QUADRATURE_MAX_DIM),
+        f"only as empirical, or as quad up to n = {QUADRATURE_MAX_DIM}"),
+}
+
+
+def _refuse_unread(config: ExperimentConfig, given=None):
+    """Refuse each given flag the run would not read.  ``given`` holds the parsed
+    flags; for a config built in code, a field off its default counts as given."""
+    if given is None:
+        given = {f.name for f in fields(config) if getattr(config, f.name) != f.default}
+    takes = (*SUBCOMMANDS[config.command][2], "out_path", "out_format")
+    for name in [name for name in _FLAGS if name in given]:  # in field order
+        reads, runs = READ_BY.get((config.command, name), (lambda c: name in takes, "in no run"))
+        if not reads(config):
+            raise ValueError(f"{config.command} reads {_FLAGS[name][0]} {runs}")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -753,31 +762,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lattice reductions, integer least-squares decoders, and "
                     "success-probability estimators with replayable reports.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, desc, fields) in SUBCOMMANDS.items():
+    for name, (_, desc, takes) in SUBCOMMANDS.items():
         command = sub.add_parser(name, help=desc, description=desc,
                                  argument_default=argparse.SUPPRESS)
-        for dest in (*fields, "out_path", "out_format"):
+        for dest in (*takes, "out_path", "out_format"):
             flag, kwargs = _FLAGS[dest]
             command.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 
 def config_from_args(args) -> ExperimentConfig:
-    fields = dict(vars(args))
-    grid = fields.pop("delta_grid", None)
+    given = dict(vars(args))
+    grid = given.pop("delta_grid", None)
     if grid is not None:
         try:
-            fields["delta_grid"] = tuple(float(tok) for tok in grid.split(","))
+            given["delta_grid"] = tuple(float(tok) for tok in grid.split(","))
         except ValueError:
             raise InvalidGridError(f"could not parse delta grid {grid!r}") from None
-    config = ExperimentConfig(**fields)
-    # only the parsed flags tell an explicit --seed from the field's default
-    if config.command == "pzf" and "seed" in fields and config.method in ("quad", "diagonal"):
-        raise ValueError(f"--seed seeds the samples; --method {config.method} draws none")
+    config = ExperimentConfig(**given)
+    _refuse_unread(config, given)
     return config
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
+    _refuse_unread(config)
     start = time.perf_counter()
     report = SUBCOMMANDS[config.command][0](config)
     report.duration_seconds = time.perf_counter() - start
@@ -785,11 +793,11 @@ def run(config: ExperimentConfig) -> ExperimentReport:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
         report = run(config)
+    except SystemExit as exc:  # argparse has printed the help (0) or a usage error (2)
+        return exc.code
     except (LatticeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,22 +32,15 @@ _INV_2_53 = float(2.0 ** -53)
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seed plus algorithm tag; the tag guards against silent replays
-    with a different generator."""
+    """The seed of one stream, wrapped to 64 bits; every stream comes from
+    the one generator named by ALGORITHM_ID."""
 
     seed: int
-    algorithm_id: str = ALGORITHM_ID
 
     def __post_init__(self):
         if not isinstance(self.seed, int):
             raise TypeError(f"seed must be an int, got {type(self.seed).__name__}")
         object.__setattr__(self, "seed", self.seed & _MASK64)
-
-
-def _check_spec(spec: RngSpec):
-    if spec.algorithm_id != ALGORITHM_ID:
-        raise ValueError(
-            f"unsupported rng algorithm {spec.algorithm_id!r}; this build provides {ALGORITHM_ID!r}")
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
@@ -83,7 +76,6 @@ def derive_seed(seed: int, index: int) -> int:
 
 def uniform_block(spec: RngSpec, start: int, count: int) -> np.ndarray:
     """Uniform draws on (0, 1] for counters start .. start+count-1."""
-    _check_spec(spec)
     if start < 0 or count < 0:
         raise ValueError("start and count must be non-negative")
     return _unit(_bits(spec.seed, np.arange(start, start + count, dtype=np.uint64)))
@@ -98,7 +90,6 @@ def gaussian_block(spec: RngSpec, start: int, count: int) -> np.ndarray:
     chunked when first drawn.  Each pair touched is transformed once, into
     an even and an odd slot of one buffer, which is then cut to the block.
     """
-    _check_spec(spec)
     if start < 0 or count < 0:
         raise ValueError("start and count must be non-negative")
     first = start // 2

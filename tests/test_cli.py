@@ -13,6 +13,8 @@ import pytest
 
 import zfprob
 from zfprob.cli import (
+    _FLAGS,
+    READ_BY,
     SUBCOMMANDS,
     ExperimentConfig,
     ExperimentReport,
@@ -34,13 +36,6 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
-
-
-def exit_code(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse reports usage errors this way
-        return exc.code
 
 
 def comparable(report, *drop):
@@ -193,11 +188,16 @@ class TestDecodeCommand:
         assert "observation length 2" in capsys.readouterr().err
 
     def test_infinite_sigma_exits_2(self, tmp_path, capsys):
-        # inf would be echoed as "sigma": Infinity, which is not strict JSON
+        # decode takes no --sigma at all, so any value is a usage error
         path = write(tmp_path, "m.csv", "4,9\n0,1\n")
         y_path = write(tmp_path, "y.csv", "0.4\n-0.7\n")
         assert main(["decode", "--matrix", path, "--y", y_path, "--sigma", "inf"]) == 2
         assert "sigma" in capsys.readouterr().err
+
+    def test_help_lists_no_sigma(self, capsys):
+        assert main(["decode", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--matrix" in out and "--sigma" not in out
 
 
 class TestPzfCommand:
@@ -230,6 +230,12 @@ class TestPzfCommand:
         b = ExperimentReport.from_json(open(out2).read())
         assert comparable(a) == comparable(b)
         assert a.cases[0]["estimate"]["seed"] == 31
+
+    def test_infinite_sigma_exits_2(self, tmp_path, capsys):
+        # inf would be echoed as "sigma": Infinity, which is not strict JSON
+        path = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        assert main(["pzf", "--matrix", path, "--sigma", "inf"]) == 2
+        assert "sigma" in capsys.readouterr().err
 
     def test_quad_dimension_cap_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv",
@@ -401,6 +407,11 @@ class TestOptionSets:
         ["pzf", "--matrix", "M", "--method", "diagonal", "--trials", "5"],
         ["sweep-delta", "--trials", "3", "--sigma", "0.3"],
         ["sweep-delta", "--matrix", "M", "--trials", "7"],
+        # --matrix sweeps that one matrix as one case, with no random draws
+        ["sweep-delta", "--matrix", "M", "--seed", "5"],
+        ["sweep-delta", "--matrix", "M", "--parallel", "2"],
+        # quad caps at n = 4, so above it the run would measure empirically
+        ["ensemble", "--n", "5", "--method", "quad", "--trials", "0"],
         # --seed 1 is the field's default, yet given explicitly it is still refused
         ["pzf", "--matrix", "M", "--seed", "2"],
         ["pzf", "--matrix", "M", "--method", "quad", "--seed", "1"],
@@ -408,7 +419,41 @@ class TestOptionSets:
     ])
     def test_mismatched_flag_exits_2(self, argv, tmp_path):
         matrix = write(tmp_path, "m.csv", "4,0\n0,1\n")
-        assert exit_code([matrix if a == "M" else a for a in argv]) == 2
+        assert main([matrix if a == "M" else a for a in argv]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["ensemble", "--n", "5", "--trials", "0"],
+        ["ensemble", "--n", "5", "--method", "empirical", "--trials", "0"],
+        ["ensemble", "--n", "4", "--method", "quad", "--trials", "0"],
+        ["sweep-delta", "--matrix", "M", "--sigma", "0.5", "--delta-grid", "0.5,1"],
+        ["pzf", "--matrix", "M", "--method", "empirical", "--trials", "1000", "--seed", "1"],
+    ])
+    def test_flag_the_run_reads_is_accepted(self, argv, tmp_path):
+        matrix = write(tmp_path, "m.csv", "4,0\n0,1\n")
+        assert main([matrix if a == "M" else a for a in argv]) == 0
+
+    @pytest.mark.parametrize("fields", [
+        dict(command="pzf", matrix_path="M", method="quad", trials=5),
+        dict(command="sweep-delta", matrix_path="M", trials=3),
+        dict(command="decode", matrix_path="M", y_path="M", sigma=0.5),
+        dict(command="ensemble", method="mc"),
+    ])
+    def test_config_built_in_code_is_refused_the_same(self, fields, tmp_path):
+        # a field off its default counts as given
+        matrix = write(tmp_path, "m.csv", "4,0\n0,1\n")
+        config = ExperimentConfig(**{k: matrix if v == "M" else v for k, v in fields.items()})
+        with pytest.raises(ValueError, match=f"{config.command} reads --"):
+            run(config)
+
+    def test_unknown_flag_returns_2_without_raising(self, capsys):
+        assert main(["reduce", "--bogus"]) == 2
+        assert "--bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", READ_BY)
+    def test_every_table_entry_names_a_flag_its_parser_takes(self, key, capsys):
+        command, name = key
+        assert main([command, "--help"]) == 0
+        assert f" {_FLAGS[name][0]} " in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_echoed_config_keeps_every_field(self, command, tmp_path, capsys):

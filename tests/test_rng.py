@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zfprob.rng import (
-    ALGORITHM_ID,
     RngSpec,
     _bits,
     derive_seed,
@@ -117,15 +116,6 @@ def test_derived_streams_do_not_echo_parent():
     parent = gaussian_block(RngSpec(seed=11), 0, 64)
     child = gaussian_block(RngSpec(seed=derive_seed(11, 0)), 0, 64)
     assert not np.any(parent == child)
-
-
-def test_algorithm_id_guard():
-    bad = RngSpec(seed=1, algorithm_id="some-other-generator")
-    with pytest.raises(ValueError):
-        uniform_block(bad, 0, 10)
-    with pytest.raises(ValueError):
-        gaussian_block(bad, 0, 10)
-    assert SPEC.algorithm_id == ALGORITHM_ID
 
 
 def test_seed_wraps_to_64_bits():
