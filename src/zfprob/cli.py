@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -116,8 +116,9 @@ class ExperimentConfig:
     parallel: int = 0
 
     def __post_init__(self):
-        if not (0.25 < self.delta <= 1.0):
-            raise InvalidGridError(f"delta must lie in (0.25, 1.0], got {self.delta!r}")
+        """The one gate on flags: a config that exists is one its run reads in full."""
+        if self.command not in SUBCOMMANDS:
+            raise ValueError(f"command must be one of {tuple(SUBCOMMANDS)}, got {self.command!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.out_format not in ("json", "csv"):
@@ -130,7 +131,20 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise InvalidGridError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.delta_grid is not None:
-            object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
+            grid = tuple(float(d) for d in self.delta_grid)
+            object.__setattr__(self, "delta_grid", grid)
+            if not grid:
+                raise InvalidGridError("delta grid is empty")
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise InvalidGridError(f"grid must be strictly increasing, got {list(grid)}")
+        for delta in (self.delta, *(self.delta_grid or ())):
+            if not (0.25 < delta <= 1.0):
+                raise InvalidGridError(f"delta must lie in (0.25, 1.0], got {delta!r}")
+        missing = [_FLAGS[name][0] for name in REQUIRES.get(self.command, ())
+                   if not getattr(self, name)]
+        if missing:
+            raise ParseError(f"{self.command} requires {' and '.join(missing)}")
+        _refuse_unread(self)
 
     def to_dict(self) -> dict:
         return asdict(self)  # the report's JSON encoding turns delta_grid into a list
@@ -419,8 +433,6 @@ def _match_verdict(name, got, want, tol=REFERENCE_VALUE_TOL) -> Verdict:
 def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
     """Reduce a matrix from file and report the transform, its statistics,
     and the structural checks."""
-    if not config.matrix_path:
-        raise ParseError("reduce requires --matrix")
     report = ExperimentReport(command="reduce", config=config.to_dict())
     r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     result = lll_reduce(r, LLLParams(delta=config.delta))
@@ -460,8 +472,6 @@ def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
 def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
     """Decode an observation with every available decoder and check the
     brute-force optimality bound where feasible."""
-    if not config.matrix_path or not config.y_path:
-        raise ParseError("decode requires --matrix and --y")
     report = ExperimentReport(command="decode", config=config.to_dict())
     matrix = load_matrix_csv(config.matrix_path)
     y = load_vector_csv(config.y_path)
@@ -499,8 +509,6 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
 
 def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
     """Estimate the success probability of one matrix with one method."""
-    if not config.matrix_path:
-        raise ParseError("pzf requires --matrix")
     report = ExperimentReport(command="pzf", config=config.to_dict())
     r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     sigma = config.sigma if config.sigma is not None else 1.0
@@ -541,12 +549,6 @@ def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
     """Success probability of the reduced matrix across a delta grid, with
     a per-instance monotonicity verdict."""
     grid = config.delta_grid if config.delta_grid is not None else DEFAULT_DELTA_GRID
-    if not grid:
-        raise InvalidGridError("delta grid is empty")
-    if any(not (0.25 < d <= 1.0) for d in grid):
-        raise InvalidGridError(f"grid values must lie in (0.25, 1.0], got {list(grid)}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidGridError(f"grid must be strictly increasing, got {list(grid)}")
     report = ExperimentReport(command="sweep-delta", config=config.to_dict())
     if config.matrix_path:
         matrix, _ = _triangular_from(load_matrix_csv(config.matrix_path))
@@ -555,10 +557,10 @@ def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
                 "sweep-delta covers 2x2 matrices; larger reductions are not "
                 "ordered by delta in general")
         sigma = config.sigma if config.sigma is not None else 1.0
-        jobs = [(config.seed, 0, tuple(grid), matrix, sigma)]
+        jobs = [(config.seed, 0, grid, matrix, sigma)]
     else:
         count = config.trials if config.trials is not None else 200
-        jobs = [(config.seed, i, tuple(grid), None, None) for i in range(count)]
+        jobs = [(config.seed, i, grid, None, None) for i in range(count)]
     cases = _run_jobs(_sweep_case, jobs, config.parallel)
     report.cases.extend(cases)
     bad = [c["index"] for c in cases if not c["monotone"]]
@@ -653,14 +655,15 @@ def cmd_ensemble(config: ExperimentConfig) -> ExperimentReport:
     m = config.m if config.m else n
     if m < n:
         raise DimensionMismatchError(f"need m >= n, got m={m}, n={n}")
+    if n > QUADRATURE_MAX_DIM:  # past the quadrature's reach the run samples, and echoes it
+        config = replace(config, method="empirical")
     count = config.trials if config.trials is not None else 50
     sigmas = (config.sigma,) if config.sigma is not None else DEFAULT_SIGMA_GRID
-    method = "quad" if config.method == "quad" and n <= QUADRATURE_MAX_DIM else "empirical"
     trials_per_estimate = 50_000
     report = ExperimentReport(command="ensemble", config=config.to_dict())
     summary = []
     for k, sigma in enumerate(sigmas):
-        jobs = [(config.seed, k * count + i, m, n, sigma, config.delta, method,
+        jobs = [(config.seed, k * count + i, m, n, sigma, config.delta, config.method,
                  trials_per_estimate) for i in range(count)]
         cases = _run_jobs(_ensemble_case, jobs, config.parallel)
         report.cases.extend(cases)
@@ -726,6 +729,10 @@ SUBCOMMANDS = {
                  ("sigma", "delta", "method", "trials", "seed", "n", "m", "parallel")),
 }
 
+# subcommand -> the fields its run cannot do without
+REQUIRES = {"reduce": ("matrix_path",), "decode": ("matrix_path", "y_path"),
+            "pzf": ("matrix_path",)}
+
 # (subcommand, field) -> (a test for the runs that read the flag, their name).
 # A flag given to any other run would be echoed but not read, so it is
 # refused; a flag a subcommand takes with no entry is read by every run.
@@ -785,7 +792,6 @@ def config_from_args(args) -> ExperimentConfig:
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    _refuse_unread(config)
     start = time.perf_counter()
     report = SUBCOMMANDS[config.command][0](config)
     report.duration_seconds = time.perf_counter() - start

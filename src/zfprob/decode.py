@@ -83,7 +83,7 @@ def zf_decode(inst: ILSInstance) -> DecodeResult:
     """Round each coordinate of the unconstrained solution R^{-1} y_tilde."""
     # the instance's r already passed the input gate with no row flipped
     real_solution = solve_triangular(inst.r, inst.y_tilde, lower=False)
-    return _result(inst, round_nearest(real_solution))
+    return _result(inst, [round_nearest(v) for v in real_solution])
 
 
 def sic_decode(inst: ILSInstance) -> DecodeResult:

@@ -161,41 +161,31 @@ def qr_factorize(a) -> QRFactorization:
     return QRFactorization(q1=q[:, :n], r=np.ldexp(np.triu(r) + 0.0, e), q2=q[:, n:])
 
 
-def round_nearest(x):
-    """Round to the nearest integer, breaking ties toward zero.
+def round_nearest(x) -> int:
+    """Round a real scalar to the nearest integer, breaking ties toward zero.
 
     Halfway points go to the integer of smaller magnitude: 0.5 -> 0,
-    1.5 -> 1, -0.5 -> 0, -1.5 -> -1.  Accepts scalars or arrays; returns
-    a Python int for scalar input, an int64 array otherwise.  A value
-    that is not finite, or of magnitude 2**63 or more, has no int64
-    rounding and raises ValueError.
+    1.5 -> 1, -0.5 -> 0, -1.5 -> -1.  Accepts a Python or numpy float or
+    int and returns a Python int.  A value that is not finite, or of
+    magnitude 2**63 or more, has no int64 rounding and raises ValueError.
     """
-    # both routes round |x| down and step up when the fraction, which is
-    # exact in float64, passes one half; |x| - 0.5 is not exact in
-    # [2**52, 2**53), where it would take odd integers one step down
-    if isinstance(x, (float, int, np.floating, np.integer)):
-        # the reduction loop rounds one entry at a time: skip numpy here
-        v = float(x)
-        a = abs(v)
-        if not a < _INT64_LIMIT:
-            raise ValueError(f"cannot round {v!r}: not finite or of magnitude 2**63 or more")
-        m = math.floor(a)
-        if a - m > 0.5:
-            m += 1
-        return -m if v < 0 else m
-    arr = np.asarray(x, dtype=float)
-    a = roundable_abs(arr)
-    m = np.floor(a)
-    a -= m
-    m += a > 0.5
-    out = np.copysign(m, arr).astype(np.int64)
-    return int(out) if arr.ndim == 0 else out
+    # round |x| down and step up when the fraction, which is exact in
+    # float64, passes one half; |x| - 0.5 is not exact in [2**52, 2**53),
+    # where it would take odd integers one step down
+    v = float(x)
+    a = abs(v)
+    if not a < _INT64_LIMIT:
+        raise ValueError(f"cannot round {v!r}: not finite or of magnitude 2**63 or more")
+    m = math.floor(a)
+    if a - m > 0.5:
+        m += 1
+    return -m if v < 0 else m
 
 
 def roundable_abs(x) -> np.ndarray:
-    """|x| as a new float64 array, refused as round_nearest refuses an
-    array: an entry that is not finite, or of magnitude 2**63 or more,
-    raises ValueError."""
+    """|x| as a new float64 array, refused entry by entry as round_nearest
+    refuses a scalar: an entry that is not finite, or of magnitude 2**63
+    or more, raises ValueError."""
     a = np.abs(np.asarray(x, dtype=float))
     if not a.max(initial=0.0) < _INT64_LIMIT:  # a NaN makes the max NaN
         raise ValueError("cannot round values that are not finite or of magnitude 2**63 or more")

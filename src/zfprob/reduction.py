@@ -298,7 +298,9 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
     """Check the size-reduced and adjacent-pair conditions with a small
     boundary slack; reports the first violating index pair if any.  r goes
-    through the input gate, so a pivot below the floor is refused."""
+    through the input gate, so a pivot below the floor is refused, and
+    delta through LLLParams, so a delta outside (0.25, 1.0] is too."""
+    delta = LLLParams(delta=delta).delta
     r, _ = unit_scale(positive_triangular(r)[0])
     n = r.shape[0]
     size_ok = True

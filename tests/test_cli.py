@@ -273,6 +273,9 @@ class TestSweepCommand:
         assert main(["sweep-delta", "--delta-grid", "0.5,", "--trials", "1"]) == 2
         with pytest.raises(InvalidGridError):
             ExperimentConfig(command="sweep-delta", delta=0.2)
+        for grid in [(), (0.9, 0.5), (0.5, 0.5), (0.2, 0.5), (0.5, 1.01)]:
+            with pytest.raises(InvalidGridError):
+                ExperimentConfig(command="sweep-delta", delta_grid=grid)
 
 
 class TestInvarianceCommand:
@@ -437,13 +440,21 @@ class TestOptionSets:
         dict(command="sweep-delta", matrix_path="M", trials=3),
         dict(command="decode", matrix_path="M", y_path="M", sigma=0.5),
         dict(command="ensemble", method="mc"),
+        dict(command="pzf", matrix_path="M", method="quad", trials=5, seed=9),
     ])
     def test_config_built_in_code_is_refused_the_same(self, fields, tmp_path):
-        # a field off its default counts as given
+        # a field off its default counts as given, and the config is never built
         matrix = write(tmp_path, "m.csv", "4,0\n0,1\n")
-        config = ExperimentConfig(**{k: matrix if v == "M" else v for k, v in fields.items()})
-        with pytest.raises(ValueError, match=f"{config.command} reads --"):
-            run(config)
+        with pytest.raises(ValueError, match=f"{fields['command']} reads --"):
+            ExperimentConfig(**{k: matrix if v == "M" else v for k, v in fields.items()})
+
+    def test_ensemble_echoes_the_method_it_ran(self, capsys):
+        # quadrature stops at n = 4, so the run samples and its echo says so
+        assert main(["ensemble", "--n", "5", "--trials", "1", "--sigma", "0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["method"] == "empirical"
+        replay = run(ExperimentConfig(**payload["config"])).replay_dict()
+        assert replay["config"] == payload["config"] and replay["cases"] == payload["cases"]
 
     def test_unknown_flag_returns_2_without_raising(self, capsys):
         assert main(["reduce", "--bogus"]) == 2
@@ -487,6 +498,20 @@ class TestConfigValidation:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(command="pzf", trials=-1)
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(ValueError, match="command must be one of"):
+            ExperimentConfig(command="bogus")
+
+    @pytest.mark.parametrize("fields,flag", [
+        (dict(command="reduce"), "--matrix"),
+        (dict(command="pzf", sigma=0.5), "--matrix"),
+        (dict(command="decode", matrix_path="m.csv"), "--y"),
+        (dict(command="decode", y_path="y.csv"), "--matrix"),
+    ])
+    def test_required_path_checked(self, fields, flag):
+        with pytest.raises(ParseError, match=f"requires {flag}"):
+            ExperimentConfig(**fields)
 
     @pytest.mark.parametrize("name", ["n", "m", "parallel"])
     def test_negative_counts_rejected(self, name):

@@ -89,11 +89,11 @@ class TestQRFactorize:
 
 class TestRoundNearest:
     def test_half_ties_go_to_smaller_magnitude(self):
-        np.testing.assert_array_equal(round_nearest([0.5, -0.5]), [0, 0])
-        np.testing.assert_array_equal(round_nearest([1.5, -1.5, 2.5]), [1, -1, 2])
+        assert [round_nearest(x) for x in (0.5, -0.5)] == [0, 0]
+        assert [round_nearest(x) for x in (1.5, -1.5, 2.5)] == [1, -1, 2]
 
     def test_unambiguous_cases(self):
-        np.testing.assert_array_equal(round_nearest([1.49, -1.51]), [1, -2])
+        assert [round_nearest(x) for x in (1.49, -1.51)] == [1, -2]
 
     def test_zf_coordinate_from_decode_example(self):
         assert round_nearest(-1.5031) == -2
@@ -112,16 +112,13 @@ class TestRoundNearest:
             with pytest.raises(ValueError):
                 round_nearest(x)
             with pytest.raises(ValueError):
-                round_nearest([x])
+                round_nearest(np.float64(x))
         with pytest.raises(SingularDiagonalError):
             lll_reduce([[1e-3, 1e17], [0.0, 1.0]])
 
     def test_return_types(self):
         for x in (2.4, np.float64(-2.6), 3, np.int64(-3), np.float32(0.5)):
             assert type(round_nearest(x)) is int
-        for x in ([2.4, -2.6], np.array([[0.5]]), (3,)):
-            out = round_nearest(x)
-            assert isinstance(out, np.ndarray) and out.dtype == np.int64
 
     @given(st.floats(min_value=-(2.0 ** 63 - 1024), max_value=2.0 ** 63 - 1024,
                      allow_nan=False))
@@ -137,15 +134,16 @@ class TestRoundNearest:
     @example(2.0 ** 63 - 1024)
     @example(-(2.0 ** 63 - 1024))
     @settings(max_examples=300)
-    def test_scalar_route_equals_array_route(self, x):
+    def test_equals_exact_reference(self, x):
         # exact reference: floor of |x| plus one when the fraction passes 1/2
         a = Fraction(abs(x))
         exact = math.floor(a) + (a - math.floor(a) > Fraction(1, 2))
         exact = -exact if x < 0 else exact
         for v in (x, np.float64(x)):
-            assert round_nearest(v) == int(round_nearest(np.array([v]))[0]) == exact
+            assert round_nearest(v) == exact
         whole = int(x)
-        assert round_nearest(whole) == int(round_nearest(np.array([whole]))[0]) == whole
+        for v in (whole, np.int64(whole)):
+            assert round_nearest(v) == whole
 
     @given(st.floats(min_value=-1e6, max_value=1e6),
            st.integers(min_value=-1000, max_value=1000))

@@ -254,6 +254,11 @@ class TestIsLLLReduced:
         assert report.size_ok and not report.lovasz_ok
         assert report.first_violation == (0, 1)
 
+    @pytest.mark.parametrize("delta", [0.25, 1.01])
+    def test_refuses_delta_as_lll_reduce_does(self, delta):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            is_lll_reduced(R_4_9, delta)
+
 
 class TestOrderings:
     def test_sqrd_moves_short_column_first(self):
