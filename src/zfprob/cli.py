@@ -14,6 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .ensembles import (
 )
 from .errors import (
     DimensionMismatchError,
+    DimensionTooLargeError,
     InvalidGridError,
     LatticeError,
     ParseError,
@@ -145,6 +147,12 @@ class ExperimentConfig:
         if missing:
             raise ParseError(f"{self.command} requires {' and '.join(missing)}")
         _refuse_unread(self)
+        n, m = _ensemble_plan(self)[:2]
+        if self.command == "ensemble" and m < n:
+            raise DimensionMismatchError(f"need m >= n, got m={m}, n={n}")
+        if self.command == "invariance" and self.n > QUADRATURE_MAX_DIM:
+            raise DimensionTooLargeError(
+                f"deterministic quadrature supports n <= {QUADRATURE_MAX_DIM}, got {self.n}")
 
     def to_dict(self) -> dict:
         return asdict(self)  # the report's JSON encoding turns delta_grid into a list
@@ -523,14 +531,17 @@ def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _sweep_case(args) -> dict:
-    seed, index, grid, matrix, sigma = args
-    if matrix is None:
-        r, sigma = random_unreduced_2x2(case_spec(seed, index))
+def _sweep_case(config: ExperimentConfig, index: int) -> dict:
+    if config.matrix_path:
+        r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
+        if r.shape[0] != 2:
+            raise DimensionMismatchError("sweep-delta covers 2x2 matrices; larger "
+                                         "reductions are not ordered by delta in general")
+        sigma = config.sigma if config.sigma is not None else 1.0
     else:
-        r = np.asarray(matrix)
+        r, sigma = random_unreduced_2x2(case_spec(config.seed, index))
     points = []
-    for delta in grid:
+    for delta in config.delta_grid or DEFAULT_DELTA_GRID:
         red = lll_reduce(r, LLLParams(delta=delta))
         est = pzf_quadrature(red.r_bar, sigma)
         points.append({"delta": delta, "value": est.value,
@@ -548,21 +559,9 @@ def _sweep_case(args) -> dict:
 def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
     """Success probability of the reduced matrix across a delta grid, with
     a per-instance monotonicity verdict."""
-    grid = config.delta_grid if config.delta_grid is not None else DEFAULT_DELTA_GRID
-    report = ExperimentReport(command="sweep-delta", config=config.to_dict())
-    if config.matrix_path:
-        matrix, _ = _triangular_from(load_matrix_csv(config.matrix_path))
-        if matrix.shape[0] != 2:
-            raise DimensionMismatchError(
-                "sweep-delta covers 2x2 matrices; larger reductions are not "
-                "ordered by delta in general")
-        sigma = config.sigma if config.sigma is not None else 1.0
-        jobs = [(config.seed, 0, grid, matrix, sigma)]
-    else:
-        count = config.trials if config.trials is not None else 200
-        jobs = [(config.seed, i, grid, None, None) for i in range(count)]
-    cases = _run_jobs(_sweep_case, jobs, config.parallel)
-    report.cases.extend(cases)
+    count = 1 if config.matrix_path else config.trials if config.trials is not None else 200
+    cases = _run_cases(_sweep_case, config, count)
+    report = ExperimentReport(command="sweep-delta", config=config.to_dict(), cases=cases)
     bad = [c["index"] for c in cases if not c["monotone"]]
     report.verdicts.append(Verdict(
         name="sweep-delta-monotone",
@@ -572,10 +571,9 @@ def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _invariance_case(args) -> dict:
-    seed, index, n_fixed = args
-    n = n_fixed if n_fixed else (2 if index % 2 == 0 else 3)
-    inst = random_instance(case_spec(seed, index), n)
+def _invariance_case(config: ExperimentConfig, index: int) -> dict:
+    n = config.n or (2 if index % 2 == 0 else 3)
+    inst = random_instance(case_spec(config.seed, index), n)
     base = zf_decode(inst)
     p_base = pzf_quadrature(inst.r, inst.sigma)
     defect_base = orthogonality_defect(inst.r)
@@ -604,10 +602,8 @@ def cmd_invariance(config: ExperimentConfig) -> ExperimentReport:
     residual, the orthogonality defect, and the success probability
     unchanged on a random ensemble."""
     count = config.trials if config.trials is not None else 1000
-    report = ExperimentReport(command="invariance", config=config.to_dict())
-    jobs = [(config.seed, i, config.n) for i in range(count)]
-    cases = _run_jobs(_invariance_case, jobs, config.parallel)
-    report.cases.extend(cases)
+    cases = _run_cases(_invariance_case, config, count)
+    report = ExperimentReport(command="invariance", config=config.to_dict(), cases=cases)
     checks = {
         "estimate-identity": lambda c, s: c[s]["estimate_identical"],
         "residual-invariant": lambda c, s: c[s]["residual_delta"] <= 1e-9,
@@ -625,15 +621,23 @@ def cmd_invariance(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _ensemble_case(args) -> dict:
-    seed, index, m, n, sigma, delta, method, trials = args
-    spec = case_spec(seed, index)
-    a = random_model_matrix(spec, m, n)
-    r = qr_factorize(a).r
-    measure_spec = role_spec(spec, _ROLE_MEASUREMENT)
-    before = _dispatch_estimator(r, sigma, method, trials, measure_spec)
-    red = lll_reduce(r, LLLParams(delta=delta))
-    after = _dispatch_estimator(red.r_bar, sigma, method, trials, measure_spec)
+def _ensemble_plan(config: ExperimentConfig) -> tuple:
+    """ensemble's (n, m, cases per sigma, sigma grid), defaults resolved."""
+    n = config.n or 2
+    return (n, config.m or n, config.trials if config.trials is not None else 50,
+            (config.sigma,) if config.sigma is not None else DEFAULT_SIGMA_GRID)
+
+
+def _ensemble_case(config: ExperimentConfig, index: int) -> dict:
+    n, m, count, sigmas = _ensemble_plan(config)
+    sigma = sigmas[index // count]
+    spec = case_spec(config.seed, index)
+    r = qr_factorize(random_model_matrix(spec, m, n)).r
+    measure = partial(_dispatch_estimator, sigma=sigma, method=config.method,
+                      trials=50_000, spec=role_spec(spec, _ROLE_MEASUREMENT))
+    before = measure(r)
+    red = lll_reduce(r, LLLParams(delta=config.delta))
+    after = measure(red.r_bar)
     budget = before.error_bound + after.error_bound
     if after.value > before.value + budget:
         outcome = "increased"
@@ -651,40 +655,33 @@ def cmd_ensemble(config: ExperimentConfig) -> ExperimentReport:
     """Random-model survey: how often does the reduction raise, keep, or
     lower the success probability?  Descriptive for n >= 3; for n = 2 a
     decrease would contradict a guarantee, so it fails the run."""
-    n = config.n if config.n else 2
-    m = config.m if config.m else n
-    if m < n:
-        raise DimensionMismatchError(f"need m >= n, got m={m}, n={n}")
+    n, _, count, sigmas = _ensemble_plan(config)
     if n > QUADRATURE_MAX_DIM:  # past the quadrature's reach the run samples, and echoes it
         config = replace(config, method="empirical")
-    count = config.trials if config.trials is not None else 50
-    sigmas = (config.sigma,) if config.sigma is not None else DEFAULT_SIGMA_GRID
-    trials_per_estimate = 50_000
-    report = ExperimentReport(command="ensemble", config=config.to_dict())
+    cases = _run_cases(_ensemble_case, config, len(sigmas) * count)  # case i has sigmas[i // count]
+    report = ExperimentReport(command="ensemble", config=config.to_dict(), cases=list(cases))
     summary = []
     for k, sigma in enumerate(sigmas):
-        jobs = [(config.seed, k * count + i, m, n, sigma, config.delta, config.method,
-                 trials_per_estimate) for i in range(count)]
-        cases = _run_jobs(_ensemble_case, jobs, config.parallel)
-        report.cases.extend(cases)
-        tally = {"increased": 0, "unchanged": 0, "decreased": 0}
-        for c in cases:
-            tally[c["outcome"]] += 1
-        summary.append({"sigma": sigma, "count": len(cases), **tally})
-        if n == 2 and cases:
+        outcomes = [c["outcome"] for c in cases[k * count:(k + 1) * count]]
+        tally = {o: outcomes.count(o) for o in ("increased", "unchanged", "decreased")}
+        summary.append({"sigma": sigma, "count": count, **tally})
+        if n == 2 and count:
             report.verdicts.append(Verdict(
                 name=f"ensemble-no-decrease-sigma-{sigma}",
                 passed=tally["decreased"] == 0,
-                detail=f"{tally['decreased']} decreases in {len(cases)} runs"))
+                detail=f"{tally['decreased']} decreases in {count} runs"))
     report.cases.append({"summary": summary})
     return report
 
 
-def _run_jobs(worker, jobs, parallel):
-    if parallel and parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * parallel))))
-    return [worker(j) for j in jobs]
+def _run_cases(case, config: ExperimentConfig, count: int) -> list:
+    """[case(config, i) for i in range(count)], on one pool when config.parallel > 1."""
+    work = partial(case, config)
+    if config.parallel > 1 and count > 1:
+        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+            return list(pool.map(work, range(count),
+                                 chunksize=max(1, count // (4 * config.parallel))))
+    return [work(i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -122,16 +122,14 @@ def unit_scale(a):
 
 @dataclass(frozen=True)
 class QRFactorization:
-    """Full QR factorization A = [q1 q2] [[r], [0]].
+    """Thin QR factorization A = q1 r.
 
     q1 : (m, n) orthonormal columns spanning range(A)
     r  : (n, n) upper triangular with positive diagonal
-    q2 : (m, m - n) orthonormal complement of range(A)
     """
 
     q1: np.ndarray
     r: np.ndarray
-    q2: np.ndarray
 
 
 def qr_factorize(a) -> QRFactorization:
@@ -145,20 +143,20 @@ def qr_factorize(a) -> QRFactorization:
     if m < n:
         raise DimensionMismatchError(
             f"need at least as many rows as columns, got shape {a.shape}")
+    # complete, not reduced: the modes round q1 and r differently, and replays pin those bits
     q, r_full = np.linalg.qr(a, mode="complete")
     r = r_full[:n, :n].copy()
     # flip signs so every pivot is positive; fold the flips into Q's columns
     signs = pivot_signs(r)
     r = signs[:, None] * r
-    q = q.copy()
-    q[:, :n] *= signs[None, :]
+    q1 = q[:, :n] * signs[None, :]
     if n:
         pivot = np.min(np.abs(np.diag(r)))
         if pivot <= RANK_TOL * np.max(np.linalg.norm(a, axis=0)):
             raise RankDeficientError(
                 f"matrix is rank deficient: smallest pivot {math.ldexp(pivot, e)!r}")
     # adding 0.0 turns any -0.0 produced by the sign flips into plain 0.0
-    return QRFactorization(q1=q[:, :n], r=np.ldexp(np.triu(r) + 0.0, e), q2=q[:, n:])
+    return QRFactorization(q1=q1, r=np.ldexp(np.triu(r) + 0.0, e))
 
 
 def round_nearest(x) -> int:

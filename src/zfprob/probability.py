@@ -89,6 +89,16 @@ def _unit_model(r, sigma):
     return r, unit_sigma
 
 
+def _unit_density(r, sigma):
+    """_unit_model plus the density's prefactor |det R| / (2 pi sigma^2)^{n/2},
+    refusing sigma when the volume underflows to 0 or the prefactor overflows."""
+    r, unit_sigma = _unit_model(r, sigma)
+    volume = (2.0 * math.pi * unit_sigma * unit_sigma) ** (r.shape[0] / 2.0)
+    if volume == 0.0 or not math.isfinite(pref := abs(float(np.prod(np.diag(r)))) / volume):
+        raise ValueError(f"sigma {sigma!r} is out of floating-point range next to R")
+    return r, unit_sigma, pref
+
+
 def _slab_mass(shift, pivot, sigma):
     """erf((s + p/2) / (sqrt2 sigma)) - erf((s - p/2) / (sqrt2 sigma)): twice the
     mass of the slab |x| <= 1/2 for pivot p and the later coordinates' shift s."""
@@ -96,12 +106,9 @@ def _slab_mass(shift, pivot, sigma):
     return _erf_array((shift + half) / root2sig) - _erf_array((shift - half) / root2sig)
 
 
-def _density(r, sigma, t):
-    """The prefactor |det R| / (2 pi sigma^2)^{n/2}, and the Gaussian factor
-    exp(-||t||^2 / (2 sigma^2)) for each row t of the points R xi."""
-    pref = (abs(float(np.prod(np.diag(r))))
-            / (2.0 * math.pi * sigma * sigma) ** (r.shape[0] / 2.0))
-    return pref, np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
+def _density(sigma, t):
+    """The Gaussian factor exp(-||t||^2 / (2 sigma^2)) for each row t of the points R xi."""
+    return np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
 
 
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
@@ -130,7 +137,7 @@ def _panel_axis(panels: int):
     return x, w
 
 
-def _outer_value(r, sigma, panels):
+def _outer_value(r, sigma, pref, panels):
     """Integral over the outer n-1 coordinates of the exact inner-coordinate
     mass times the outer Gaussian factor, times the probability prefactor."""
     d = r.shape[0] - 1
@@ -142,7 +149,7 @@ def _outer_value(r, sigma, panels):
     for a in np.meshgrid(*([w] * d), indexing="ij"):
         weights *= a.ravel()
     shift = xi @ r[0, 1:]
-    pref, outer = _density(r, sigma, xi @ r[1:, 1:].T)
+    outer = _density(sigma, xi @ r[1:, 1:].T)
     vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer
     return pref * float(weights @ vals), xi.shape[0]
 
@@ -156,14 +163,14 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     QUADRATURE_TARGET, the absolute error claimed.  Raises NoConvergence
     rather than return a value it cannot vouch for.
     """
-    r, sigma = _unit_model(r, sigma)
+    if np.ndim(r) == 2 and len(r) < 2:  # a diagonal factor: the closed form is exact
+        return replace(pzf_diagonal(r, sigma), method="Quadrature",
+                       error_bound=QUADRATURE_TARGET)
+    r, sigma, pref = _unit_density(r, sigma)
     n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise DimensionTooLargeError(
             f"deterministic quadrature supports n <= {QUADRATURE_MAX_DIM}, got {n}")
-    if n < 2:  # a diagonal factor: the closed form is exact
-        return replace(pzf_diagonal(r, sigma), method="Quadrature",
-                       error_bound=QUADRATURE_TARGET)
     # start fine enough that a panel cannot straddle the Gaussian ridge
     # unnoticed: panel width about sigma per column-norm unit
     col_scale = float(np.max(np.linalg.norm(r[:, 1:], axis=0)))
@@ -178,7 +185,7 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
             raise NoConvergenceError(
                 f"evaluation cap {QUADRATURE_EVAL_CAP} reached at {panels} panels "
                 f"without meeting target {QUADRATURE_TARGET}")
-        est, points = _outer_value(r, sigma, panels)
+        est, points = _outer_value(r, sigma, pref, panels)
         total += points
         if prev is not None and abs(est - prev) < 0.5 * QUADRATURE_TARGET:
             value = min(max(est, 0.0), 1.0)
@@ -194,12 +201,12 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     error_bound is one standard error of the mean, scaled by the
     prefactor.  Bit-reproducible for a fixed RngSpec.
     """
-    r, sigma = _unit_model(r, sigma)
+    r, sigma, pref = _unit_density(r, sigma)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     n = r.shape[0]
     xi = uniform_block(rng, 0, samples * n).reshape(samples, n) - 0.5
-    pref, vals = _density(r, sigma, xi @ r.T)
+    vals = _density(sigma, xi @ r.T)
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(samples)
     value = min(max(pref * float(np.mean(vals)), 0.0), 1.0)
     return ProbabilityEstimate(value=value, method="MonteCarlo",

@@ -31,7 +31,6 @@ from .linalg import (
     int64_entries,
     int_determinant,
     integer_entries,
-    pivot_signs,
     positive_triangular,
     qr_factorize,
     round_nearest,
@@ -236,10 +235,9 @@ def _swap_inplace(r, z, q, k):
     g = np.array([[c, -s], [s, c]])
     r[[k - 1, k], :] = g.T @ r[[k - 1, k], :]
     q[:, [k - 1, k]] = q[:, [k - 1, k]] @ g
-    pair = slice(k - 1, k + 1)
-    signs = pivot_signs(r[pair, pair])
-    r[pair, :] *= signs[:, None]
-    q[:, pair] *= signs
+    # pivot k-1 is now rho > 0 and pivot k is -s * (old pivot k-1) < 0: flip row k
+    r[k] = -r[k]
+    q[:, k] = -q[:, k]
     r[k, k - 1] = 0.0
 
 

@@ -6,12 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zfprob
+import zfprob.cli as cli_module
 from zfprob.cli import (
     _FLAGS,
     READ_BY,
@@ -19,6 +22,10 @@ from zfprob.cli import (
     ExperimentConfig,
     ExperimentReport,
     Verdict,
+    _ensemble_case,
+    _invariance_case,
+    _jsonable,
+    _sweep_case,
     cmd_reproduce,
     load_matrix_csv,
     load_vector_csv,
@@ -27,7 +34,12 @@ from zfprob.cli import (
     run,
 )
 from zfprob.ensembles import case_spec, random_triangular
-from zfprob.errors import InvalidGridError, ParseError
+from zfprob.errors import (
+    DimensionMismatchError,
+    DimensionTooLargeError,
+    InvalidGridError,
+    ParseError,
+)
 from zfprob.linalg import qr_factorize
 from zfprob.reduction import orthogonality_defect
 
@@ -237,6 +249,30 @@ class TestPzfCommand:
         assert main(["pzf", "--matrix", path, "--sigma", "inf"]) == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,sigma", [
+        # the density's volume (2 pi sigma^2)^{n/2} underflows to 0
+        (["pzf", "--matrix", "M", "--sigma", "1e-300"], "1e-300"),
+        (["ensemble", "--trials", "1", "--sigma", "1e-300"], "1e-300"),
+        # the volume is subnormal and |det R| / volume overflows
+        (["pzf", "--matrix", "M", "--sigma", "1e-155", "--method", "mc", "--trials", "2000"],
+         "1e-155"),
+    ])
+    def test_sigma_beyond_the_density_range_exits_2_by_name(self, argv, sigma, tmp_path,
+                                                            capsys):
+        matrix = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([matrix if a == "M" else a for a in argv]) == 2
+        # the message names the sigma given, not the one divided by R's power of two
+        assert f"error: sigma {sigma} is out of floating-point range next to R" in \
+            capsys.readouterr().err
+
+    def test_empirical_needs_no_density(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        assert main(["pzf", "--matrix", path, "--sigma", "1e-300", "--method", "empirical",
+                     "--trials", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["cases"][0]["estimate"]["value"] == 1.0
+
     def test_quad_dimension_cap_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv",
                      "\n".join(",".join("1" if i == j else "0" for j in range(5))
@@ -298,7 +334,35 @@ class TestInvarianceCommand:
         assert comparable(seq, "parallel") == comparable(par, "parallel")
 
 
+    def test_dimension_above_the_quadrature_is_refused_before_any_instance(self, monkeypatch,
+                                                                          capsys):
+        drawn = []
+        monkeypatch.setattr(cli_module, "random_instance", lambda *a: drawn.append(a))
+        assert main(["invariance", "--n", "5", "--trials", "1"]) == 2
+        assert drawn == []
+        assert "quadrature supports n <= 4, got 5" in capsys.readouterr().err
+
+
 class TestEnsembleCommand:
+    def test_one_pool_serves_every_sigma(self, monkeypatch, capsys):
+        opened = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", CountingPool)
+        argv = ["ensemble", "--n", "2", "--trials", "3"]
+        assert main(argv + ["--parallel", "0"]) == 0
+        seq = json.loads(capsys.readouterr().out)
+        assert opened == []
+        assert main(argv + ["--parallel", "2"]) == 0
+        par = json.loads(capsys.readouterr().out)
+        assert len(opened) == 1  # the default grid has three sigmas
+        assert len(seq["cases"]) == 3 * 3 + 1
+        assert par["cases"] == seq["cases"] and par["verdicts"] == seq["verdicts"]
+
     def test_zero_trials_empty_success(self, capsys):
         assert main(["ensemble", "--trials", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -310,6 +374,36 @@ class TestEnsembleCommand:
         assert all(v["passed"] for v in payload["verdicts"])
         summary = payload["cases"][-1]["summary"][0]
         assert summary["decreased"] == 0
+
+
+class TestCaseFunctions:
+    """Each batch case is a function of the echoed config and its index."""
+
+    @pytest.mark.parametrize("argv,case", [
+        (["sweep-delta", "--trials", "3", "--seed", "4"], _sweep_case),
+        (["sweep-delta", "--matrix", "M", "--sigma", "0.5", "--delta-grid", "0.5,1"],
+         _sweep_case),
+        (["invariance", "--trials", "3", "--seed", "5"], _invariance_case),
+        (["invariance", "--n", "3", "--trials", "2", "--seed", "5"], _invariance_case),
+        (["ensemble", "--trials", "2", "--seed", "6"], _ensemble_case),
+        (["ensemble", "--n", "5", "--trials", "1", "--sigma", "0.5"], _ensemble_case),
+    ])
+    def test_case_replays_from_the_echoed_config(self, argv, case, tmp_path, capsys):
+        matrix = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        assert main([matrix if a == "M" else a for a in argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        cases = [c for c in payload["cases"] if "summary" not in c]
+        assert cases
+        config = ExperimentConfig(**payload["config"])
+        for i, want in enumerate(cases):
+            assert json.loads(json.dumps(_jsonable(case(config, i)))) == want
+
+    def test_matrix_sweep_checks_its_file_in_the_run(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "3,1.5,0\n0,3,-1.51\n0,0,3\n")
+        config = ExperimentConfig(command="sweep-delta", matrix_path=path)
+        with pytest.raises(DimensionMismatchError, match="2x2"):
+            _sweep_case(config, 0)
+        assert main(["sweep-delta", "--matrix", path]) == 2
 
 
 class TestReportSerialization:
@@ -512,6 +606,16 @@ class TestConfigValidation:
     def test_required_path_checked(self, fields, flag):
         with pytest.raises(ParseError, match=f"requires {flag}"):
             ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [dict(n=3, m=2), dict(m=1), dict(n=6, m=5)])
+    def test_ensemble_with_fewer_rows_than_columns_is_refused_when_built(self, fields):
+        with pytest.raises(DimensionMismatchError, match="need m >= n"):
+            ExperimentConfig(command="ensemble", **fields)
+
+    def test_invariance_above_the_quadrature_is_refused_when_built(self):
+        with pytest.raises(DimensionTooLargeError, match="supports n <= 4, got 5"):
+            ExperimentConfig(command="invariance", n=5)
+        ExperimentConfig(command="invariance", n=4)
 
     @pytest.mark.parametrize("name", ["n", "m", "parallel"])
     def test_negative_counts_rejected(self, name):

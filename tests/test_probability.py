@@ -215,6 +215,27 @@ class TestMonteCarlo:
         assert pzf_monte_carlo(R1, 0.5, 1000, RngSpec(seed=321)).seed == 321
 
 
+class TestDensityRange:
+    """The quadrature and Monte Carlo integrate |det R| / (2 pi sigma^2)^{n/2}
+    times a Gaussian factor; a sigma that takes that prefactor out of the
+    float range is refused by the value the caller gave."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", ["quad", "mc"])
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-155])  # volume 0; prefactor inf
+    def test_refused_by_the_given_sigma(self, route, sigma):
+        with pytest.raises(ValueError, match=f"sigma {sigma!r} is out of floating-point range"):
+            if route == "quad":
+                pzf_quadrature(R1, sigma)
+            else:
+                pzf_monte_carlo(R1, sigma, 2000, RngSpec(seed=1))
+
+    def test_routes_without_the_density_still_answer(self):
+        assert pzf_quadrature(np.array([[4.0]]), 1e-300).value == 1.0
+        assert pzf_diagonal(np.diag([4.0, 1.0]), 1e-300).value == 1.0
+        assert pzf_empirical(R1, 1e-300, 1000, RngSpec(seed=1)).value == 1.0
+
+
 class TestEmpirical:
     def test_vanishing_noise_always_succeeds(self):
         est = pzf_empirical(np.eye(2), 1e-9, 2000, RngSpec(seed=5))
