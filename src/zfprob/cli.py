@@ -10,6 +10,7 @@ passed, 1 means at least one failed, 2 means a usage or input error.
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -41,7 +42,7 @@ from .errors import (
     LatticeError,
     ParseError,
 )
-from .linalg import check_sigma, positive_triangular, qr_factorize
+from .linalg import check_sigma, check_upper_triangular, qr_factorize
 from .probability import (
     ProbabilityEstimate,
     pzf_diagonal,
@@ -308,15 +309,14 @@ def _triangular_from(matrix):
     """Matrices straight from a file may be rectangular models; reduce to
     the square triangular factor when they are not already triangular.
 
-    Returns (r, q1) where q1 is the orthonormal factor that maps an
-    observation onto r's rows: the gate's row signs as a diagonal matrix,
-    or the QR factor's orthonormal columns."""
+    Returns (r, q1): a triangular file as given, negative pivots included
+    (every entry point flips them itself), with q1 None; else the QR factors,
+    whose q1.T maps an observation onto r's rows."""
     try:
-        r, signs = positive_triangular(matrix)
+        return check_upper_triangular(matrix), None
     except DimensionMismatchError:  # not square upper triangular
         f = qr_factorize(matrix)
         return f.r, f.q1
-    return r, np.diag(signs)
 
 
 def _dispatch_estimator(r, sigma, method, trials, spec: RngSpec):
@@ -487,14 +487,13 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
     if y.shape[0] != matrix.shape[0]:
         raise DimensionMismatchError(
             f"observation length {y.shape[0]} does not match {matrix.shape[0]} rows")
-    y_tilde = q1.T @ y
-    inst = ILSInstance(r=r, y_tilde=y_tilde, sigma=1.0)
+    inst = ILSInstance(r=r, y_tilde=y if q1 is None else q1.T @ y, sigma=1.0)
     zf = zf_decode(inst)
     sic = sic_decode(inst)
     case = {
         "matrix_digest": matrix_digest(matrix),
-        "r": r,
-        "y_tilde": y_tilde,
+        "r": inst.r,
+        "y_tilde": inst.y_tilde,
         "sigma": inst.sigma,
         "zf_estimate": zf.estimate,
         "zf_residual": zf.residual,
@@ -675,12 +674,12 @@ def cmd_ensemble(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_cases(case, config: ExperimentConfig, count: int) -> list:
-    """[case(config, i) for i in range(count)], on one pool when config.parallel > 1."""
+    """[case(config, i) for i in range(count)], on min(parallel, count, cores) workers."""
     work = partial(case, config)
-    if config.parallel > 1 and count > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-            return list(pool.map(work, range(count),
-                                 chunksize=max(1, count // (4 * config.parallel))))
+    workers = min(config.parallel, count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, range(count), chunksize=max(1, count // (4 * workers))))
     return [work(i) for i in range(count)]
 
 
@@ -702,7 +701,7 @@ _FLAGS = {
     "seed": ("--seed", dict(type=int)),
     "n": ("--n", dict(type=int, help="problem dimension")),
     "m": ("--m", dict(type=int, help="model rows for ensembles")),
-    "parallel": ("--parallel", dict(type=int, help="worker processes for independent cases")),
+    "parallel": ("--parallel", dict(type=int, help="worker processes, capped by cases and cores")),
     "out_path": ("--out", dict(help="report file path")),
     "out_format": ("--format", dict(choices=("json", "csv"))),
 }

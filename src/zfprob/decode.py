@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     NotUnimodularError,
-    SingularDiagonalError,
 )
 from .linalg import (
     _as_vector,
@@ -45,7 +44,9 @@ BOX_RADIUS = 3
 
 @dataclass(frozen=True)
 class ILSInstance:
-    """One decoding problem: triangular matrix, observation, noise level."""
+    """One decoding problem: triangular matrix, observation, noise level.
+    A negative-pivot row of R is flipped together with its entry of y_tilde,
+    which leaves R^{-1} y_tilde and every residual unchanged."""
 
     r: np.ndarray
     y_tilde: np.ndarray
@@ -53,11 +54,8 @@ class ILSInstance:
 
     def __post_init__(self):
         r, signs = positive_triangular(self.r)
-        y = _as_vector(self.y_tilde, r.shape[0], "observation")
-        # flipping a row of R would flip the matching entry of y_tilde too
-        if np.any(signs < 0.0):
-            raise SingularDiagonalError(
-                "R must have a positive diagonal; renormalize signs first")
+        # a row flip of R with the same flip of y_tilde is the same problem
+        y = signs * _as_vector(self.y_tilde, r.shape[0], "observation")
         check_sigma(self.sigma)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "y_tilde", y)
@@ -81,7 +79,7 @@ def _result(inst: ILSInstance, estimate: np.ndarray) -> DecodeResult:
 
 def zf_decode(inst: ILSInstance) -> DecodeResult:
     """Round each coordinate of the unconstrained solution R^{-1} y_tilde."""
-    # the instance's r already passed the input gate with no row flipped
+    # the instance's r and y_tilde already passed the input gate, flipped together
     real_solution = solve_triangular(inst.r, inst.y_tilde, lower=False)
     return _result(inst, [round_nearest(v) for v in real_solution])
 

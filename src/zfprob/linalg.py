@@ -23,7 +23,6 @@ _INT64_LIMIT = 2.0 ** 63  # the first magnitude an int64 cannot hold
 __all__ = [
     "QRFactorization",
     "qr_factorize",
-    "pivot_signs",
     "positive_triangular",
     "unit_scale",
     "round_nearest",
@@ -83,7 +82,7 @@ def check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
-def pivot_signs(r) -> np.ndarray:
+def _pivot_signs(r) -> np.ndarray:
     """The sign rule: +1 or -1 per row, whichever makes that row's pivot
     positive."""
     return np.where(r.diagonal() < 0.0, -1.0, 1.0)
@@ -105,7 +104,7 @@ def positive_triangular(r):
         i = int(diag.argmin())
         raise SingularDiagonalError(
             f"R pivot {i} has magnitude {float(abs(r[i, i]))!r}, below {SOLVE_DIAG_MIN} * 2**{e}")
-    signs = pivot_signs(r)
+    signs = _pivot_signs(r)
     return signs[:, None] * r, signs
 
 
@@ -147,7 +146,7 @@ def qr_factorize(a) -> QRFactorization:
     q, r_full = np.linalg.qr(a, mode="complete")
     r = r_full[:n, :n].copy()
     # flip signs so every pivot is positive; fold the flips into Q's columns
-    signs = pivot_signs(r)
+    signs = _pivot_signs(r)
     r = signs[:, None] * r
     q1 = q[:, :n] * signs[None, :]
     if n:

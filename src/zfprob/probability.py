@@ -91,10 +91,14 @@ def _unit_model(r, sigma):
 
 def _unit_density(r, sigma):
     """_unit_model plus the density's prefactor |det R| / (2 pi sigma^2)^{n/2},
-    refusing sigma when the volume underflows to 0 or the prefactor overflows."""
+    refusing sigma when the volume is 0 or infinite or the prefactor overflows."""
     r, unit_sigma = _unit_model(r, sigma)
-    volume = (2.0 * math.pi * unit_sigma * unit_sigma) ** (r.shape[0] / 2.0)
-    if volume == 0.0 or not math.isfinite(pref := abs(float(np.prod(np.diag(r)))) / volume):
+    try:
+        volume = (2.0 * math.pi * unit_sigma * unit_sigma) ** (r.shape[0] / 2.0)
+    except OverflowError:  # a finite base whose power leaves the float range
+        volume = math.inf
+    if not 0.0 < volume < math.inf or not math.isfinite(
+            pref := abs(float(np.prod(np.diag(r)))) / volume):
         raise ValueError(f"sigma {sigma!r} is out of floating-point range next to R")
     return r, unit_sigma, pref
 

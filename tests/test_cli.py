@@ -146,6 +146,25 @@ class TestReduceCommand:
         assert case["defect_before"] == pytest.approx(orthogonality_defect(r), rel=1e-12)
         assert math.isfinite(case["defect_after"])
 
+    def test_negative_pivot_file_is_reduced_as_given(self, tmp_path, capsys):
+        # the reduction flips the pivot itself and q_bar carries the flip, so
+        # only the echo of the file and q_bar's row differ from the positive file
+        cases = []
+        for text in ("4,9\n0,1\n", "-4,-9\n0,1\n"):
+            assert main(["reduce", "--matrix", write(tmp_path, "m.csv", text)]) == 0
+            cases.append(json.loads(capsys.readouterr().out)["cases"][0])
+        positive, negative = cases
+        for key in ("r_bar", "z", "stats", "reconstruction_error", "det_drift",
+                    "defect_before", "defect_after"):
+            assert negative[key] == positive[key]
+        assert negative["r"] == [[-4.0, -9.0], [0.0, 1.0]]
+        assert negative["matrix_digest"] == matrix_digest(negative["r"])
+        np.testing.assert_array_equal(negative["q_bar"],
+                                      np.array([[-1.0], [1.0]]) * positive["q_bar"])
+        r = np.array(negative["r"])
+        np.testing.assert_allclose(np.array(negative["q_bar"]).T @ r @ negative["z"],
+                                   negative["r_bar"], atol=1e-12)
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["reduce", "--matrix", "/no/such/file.csv"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -230,6 +249,19 @@ class TestPzfCommand:
         quad = json.loads(capsys.readouterr().out)["cases"][0]["estimate"]["value"]
         assert abs(diag - quad) <= 1e-6
 
+    @pytest.mark.parametrize("method", ["quad", "mc", "empirical"])
+    def test_negative_pivot_file_gives_the_positive_estimate(self, method, tmp_path, capsys):
+        cases = []
+        for text in ("4,9\n0,1\n", "4,9\n0,-1\n"):
+            assert main(["pzf", "--matrix", write(tmp_path, "m.csv", text), "--sigma", "0.5",
+                         "--method", method] + ([] if method == "quad" else ["--trials", "2000"]))\
+                == 0
+            cases.append(json.loads(capsys.readouterr().out)["cases"][0])
+        positive, negative = cases
+        assert negative["estimate"] == positive["estimate"]
+        assert negative["r"] == [[4.0, 9.0], [0.0, -1.0]]
+        assert negative["matrix_digest"] == matrix_digest(negative["r"])
+
     def test_mc_replay_bit_exact(self, tmp_path):
         path = write(tmp_path, "m.csv", "4,9\n0,1\n")
         out1 = str(tmp_path / "a.json")
@@ -256,6 +288,12 @@ class TestPzfCommand:
         # the volume is subnormal and |det R| / volume overflows
         (["pzf", "--matrix", "M", "--sigma", "1e-155", "--method", "mc", "--trials", "2000"],
          "1e-155"),
+        # the finite base 2 pi sigma^2 overflows under the power n/2 = 2
+        (["ensemble", "--n", "4", "--trials", "1", "--sigma", "1e100"], "1e+100"),
+        # sigma^2 itself overflows: the volume is inf and the prefactor 0
+        (["pzf", "--matrix", "M", "--sigma", "1e160"], "1e+160"),
+        (["pzf", "--matrix", "M", "--sigma", "1e160", "--method", "mc", "--trials", "2000"],
+         "1e+160"),
     ])
     def test_sigma_beyond_the_density_range_exits_2_by_name(self, argv, sigma, tmp_path,
                                                             capsys):
@@ -266,6 +304,11 @@ class TestPzfCommand:
         # the message names the sigma given, not the one divided by R's power of two
         assert f"error: sigma {sigma} is out of floating-point range next to R" in \
             capsys.readouterr().err
+
+    def test_large_sigma_inside_the_density_range_answers(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        assert main(["pzf", "--matrix", path, "--sigma", "1e150"]) == 0
+        assert 0.0 <= json.loads(capsys.readouterr().out)["cases"][0]["estimate"]["value"] < 1e-290
 
     def test_empirical_needs_no_density(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "4,9\n0,1\n")
@@ -333,6 +376,35 @@ class TestInvarianceCommand:
         par = ExperimentReport.from_json(open(par_out).read())
         assert comparable(seq, "parallel") == comparable(par, "parallel")
 
+
+    @pytest.mark.parametrize("cores", [None, 1, 2, 8])
+    def test_workers_are_bounded_by_cases_and_cores(self, cores, monkeypatch, capsys):
+        asked = []
+
+        class SerialPool:
+            # records the pool it was asked for and maps in this process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cores)
+        argv = ["invariance", "--trials", "3", "--seed", "5"]
+        assert main(argv + ["--parallel", "0"]) == 0
+        seq = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--parallel", "64"]) == 0
+        par = json.loads(capsys.readouterr().out)
+        workers = min(3, cores or 1)
+        assert asked == ([workers] if workers > 1 else [])
+        assert par["cases"] == seq["cases"] and par["verdicts"] == seq["verdicts"]
 
     def test_dimension_above_the_quadrature_is_refused_before_any_instance(self, monkeypatch,
                                                                           capsys):

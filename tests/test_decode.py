@@ -193,7 +193,23 @@ class TestILSInstance:
         with pytest.raises(DimensionMismatchError):
             ILSInstance(r=np.eye(2), y_tilde=[0.0, 0.0, 0.0], sigma=1.0)
 
-    def test_negative_diagonal_rejected(self):
-        with pytest.raises(SingularDiagonalError):
-            ILSInstance(r=np.array([[1.0, 0.0], [0.0, -1.0]]),
-                        y_tilde=[0.0, 0.0], sigma=1.0)
+    def test_negative_pivots_fold_into_the_observation(self):
+        # numpy's QR leaves pivots of either sign; flipping a row of R and
+        # the same entry of y_tilde is the same problem, so every decoder
+        # answers as on the sign-normalized pair
+        rng = np.random.default_rng(0)
+        folded = 0
+        for _ in range(200):
+            r = np.linalg.qr(rng.standard_normal((4, 4)))[1]
+            y = r @ rng.integers(-3, 4, 4) + 0.3 * rng.standard_normal(4)
+            signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+            folded += np.any(signs < 0.0)
+            raw = ILSInstance(r=r, y_tilde=y, sigma=1.0)
+            normalized = ILSInstance(r=signs[:, None] * r, y_tilde=signs * y, sigma=1.0)
+            np.testing.assert_array_equal(raw.r, normalized.r)
+            np.testing.assert_array_equal(raw.y_tilde, normalized.y_tilde)
+            for decoder in (zf_decode, sic_decode, ils_brute_force):
+                got, want = decoder(raw), decoder(normalized)
+                np.testing.assert_array_equal(got.estimate, want.estimate)
+                assert got.residual == want.residual
+        assert folded > 150

@@ -276,8 +276,9 @@ GATED = {
     "pzf_monte_carlo": (FACTOR, _estimate(pzf_monte_carlo, 1000, RngSpec(seed=3))),
     "pzf_empirical": (FACTOR, _estimate(pzf_empirical, 1000, RngSpec(seed=3))),
     "pzf_diagonal": (DIAGONAL, _estimate(pzf_diagonal)),
-    "ILSInstance": (FACTOR, lambda r: (zf_decode(ILSInstance(r=r, y_tilde=[0.3, -0.2],
-                                                              sigma=1.0)).estimate,)),
+    # the observation is made from the factor, so a row flip carries over to it
+    "ILSInstance": (FACTOR, lambda r: astuple(zf_decode(ILSInstance(
+        r=r, y_tilde=r[:, :2] @ [1.3, -0.6], sigma=1.0)))),
 }
 
 
@@ -299,8 +300,6 @@ REFUSALS = {
     "non-finite": (_set(0, 1, math.nan), DimensionMismatchError),
 }
 EXCEPTIONS = {
-    # y_tilde would have to flip with R's rows, so the instance refuses instead
-    ("negative pivot", "ILSInstance"): SingularDiagonalError,
     ("below-diagonal entry", "pzf_diagonal"): NotDiagonalError,
 }
 
