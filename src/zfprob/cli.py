@@ -45,8 +45,8 @@ from .errors import (
 from .linalg import check_sigma, check_upper_triangular, qr_factorize
 from .probability import (
     ProbabilityEstimate,
+    _empirical_estimates,
     pzf_diagonal,
-    pzf_empirical,
     pzf_monte_carlo,
     pzf_quadrature,
 )
@@ -195,7 +195,7 @@ class ExperimentReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
@@ -319,15 +319,17 @@ def _triangular_from(matrix):
         return f.r, f.q1
 
 
-def _dispatch_estimator(r, sigma, method, trials, spec: RngSpec):
+def _dispatch_estimator(factors, sigma, method, trials, spec: RngSpec) -> list:
+    """One estimate per factor; the empirical route tests them all on one
+    noise stream, drawn once."""
     if method == "quad":
-        return pzf_quadrature(r, sigma)
+        return [pzf_quadrature(r, sigma) for r in factors]
     if method == "diagonal":
-        return pzf_diagonal(r, sigma)
+        return [pzf_diagonal(r, sigma) for r in factors]
     count = trials if trials is not None else 100_000
     if method == "mc":
-        return pzf_monte_carlo(r, sigma, count, spec)
-    return pzf_empirical(r, sigma, count, spec)
+        return [pzf_monte_carlo(r, sigma, count, spec) for r in factors]
+    return _empirical_estimates(factors, sigma, count, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +521,8 @@ def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(command="pzf", config=config.to_dict())
     r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     sigma = config.sigma if config.sigma is not None else 1.0
-    est = _dispatch_estimator(r, sigma, config.method, config.trials,
-                              RngSpec(seed=config.seed))
+    [est] = _dispatch_estimator((r,), sigma, config.method, config.trials,
+                                RngSpec(seed=config.seed))
     report.cases.append({
         "matrix_digest": matrix_digest(r),
         "r": r,
@@ -632,11 +634,9 @@ def _ensemble_case(config: ExperimentConfig, index: int) -> dict:
     sigma = sigmas[index // count]
     spec = case_spec(config.seed, index)
     r = qr_factorize(random_model_matrix(spec, m, n)).r
-    measure = partial(_dispatch_estimator, sigma=sigma, method=config.method,
-                      trials=50_000, spec=role_spec(spec, _ROLE_MEASUREMENT))
-    before = measure(r)
     red = lll_reduce(r, LLLParams(delta=config.delta))
-    after = measure(red.r_bar)
+    before, after = _dispatch_estimator((r, red.r_bar), sigma, config.method, 50_000,
+                                        role_spec(spec, _ROLE_MEASUREMENT))
     budget = before.error_bound + after.error_bound
     if after.value > before.value + budget:
         outcome = "increased"

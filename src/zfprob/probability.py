@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 1000
+_EMPIRICAL_BLOCK = 2048  # trials per noise block: a block at n = 16 is 256 KB
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(QUADRATURE_NODES_PER_PANEL)
 
@@ -218,6 +219,33 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
                                seed=rng.seed)
 
 
+def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> list:
+    """pzf_empirical on each factor, all on the one noise stream of rng: each
+    block of _EMPIRICAL_BLOCK trials is drawn once and tested on every factor
+    while it is in cache.  A block equals the same slice of one whole draw,
+    and a column's triangular solve does not depend on its neighbours, so
+    every estimate equals its own pzf_empirical call."""
+    models = [_unit_model(r, sigma) for r in factors]
+    if trials < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
+    n = models[0][0].shape[0]
+    successes = [0] * len(models)
+    for first in range(0, trials, _EMPIRICAL_BLOCK):
+        count = min(_EMPIRICAL_BLOCK, trials - first)
+        g = gaussian_block(rng, first * n, count * n).reshape(count, n)
+        for k, (r, unit_sigma) in enumerate(models):
+            # roundable_abs refuses a non-finite coordinate, so the solve need not look
+            coords = solve_triangular(r, (unit_sigma * g).T, lower=False, check_finite=False)
+            successes[k] += int(np.count_nonzero(np.all(roundable_abs(coords) <= 0.5, axis=0)))
+    estimates = []
+    for hits in successes:
+        value = hits / trials
+        stderr = math.sqrt(value * (1.0 - value) / trials) or 1.0 / (trials + 1)
+        estimates.append(ProbabilityEstimate(value=value, method="Empirical", error_bound=stderr,
+                                             evaluations=trials, seed=rng.seed))
+    return estimates
+
+
 def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEstimate:
     """Simulate the decoder: success fraction over noise-only trials.
 
@@ -227,19 +255,8 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
     zero, so that is when every coordinate has magnitude at most 1/2; a
     coordinate it would refuse raises its ValueError.  error_bound is the
     binomial standard error, or 1 / (trials + 1) at no or every success,
-    the reach of the z = 1 Wilson interval.
+    the reach of the z = 1 Wilson interval.  The trials stream through in
+    blocks of _EMPIRICAL_BLOCK, so memory does not grow with trials; the
+    value does not depend on the block size.
     """
-    r, sigma = _unit_model(r, sigma)
-    if trials < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
-    n = r.shape[0]
-    noise = sigma * gaussian_block(rng, 0, trials * n).reshape(trials, n)
-    # roundable_abs refuses a non-finite coordinate, so the solve need not look
-    coords = solve_triangular(r, noise.T, lower=False, check_finite=False)
-    successes = int(np.count_nonzero(np.all(roundable_abs(coords) <= 0.5, axis=0)))
-    value = successes / trials
-    stderr = math.sqrt(value * (1.0 - value) / trials) or 1.0 / (trials + 1)
-    return ProbabilityEstimate(value=value, method="Empirical",
-                               error_bound=stderr, evaluations=trials,
-                               seed=rng.seed)
-
+    return _empirical_estimates([r], sigma, trials, rng)[0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,21 +8,30 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import nquad
+from scipy.linalg import solve_triangular
 
-from zfprob.ensembles import case_spec, random_triangular, role_spec
+from zfprob.ensembles import _ROLE_MEASUREMENT, case_spec, random_triangular, role_spec
 from zfprob.errors import (
+    DimensionMismatchError,
     DimensionTooLargeError,
     NoConvergenceError,
     NotDiagonalError,
+    SingularDiagonalError,
 )
+from zfprob.linalg import roundable_abs
 from zfprob.probability import (
+    MIN_SAMPLES,
+    ProbabilityEstimate,
+    _empirical_estimates,
+    _unit_model,
     erf,
     pzf_diagonal,
     pzf_empirical,
     pzf_monte_carlo,
     pzf_quadrature,
 )
-from zfprob.rng import RngSpec
+from zfprob.reduction import lll_reduce
+from zfprob.rng import RngSpec, gaussian_block
 
 SQRT2 = math.sqrt(2.0)
 R1 = np.array([[4.0, 9.0], [0.0, 1.0]])
@@ -283,3 +293,61 @@ class TestEmpirical:
     def test_minimum_trial_count(self):
         with pytest.raises(ValueError):
             pzf_empirical(R1, 0.5, 10, RngSpec(seed=1))
+
+    @pytest.mark.parametrize("trials", [1000, 2047, 2048, 2049, 50_000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 48])
+    def test_streamed_blocks_equal_one_whole_draw(self, n, trials):
+        r = random_triangular(case_spec(16, n), n)
+        sigma = 0.5 / float(np.max(np.linalg.norm(np.linalg.inv(r), axis=1)))
+        rng = RngSpec(seed=n)
+        est = pzf_empirical(r, sigma, trials, rng)
+        assert 0.0 < est.value < 1.0
+        assert est == _one_shot_empirical(r, sigma, trials, rng)
+
+    def test_shared_draws_equal_separate_calls(self):
+        for i in range(6):  # the factors and measurement streams of ensemble --n 16 cases
+            spec = case_spec(1, i)
+            r = random_triangular(spec, 16)
+            r_bar = lll_reduce(r).r_bar
+            rng = role_spec(spec, _ROLE_MEASUREMENT)
+            shared = _empirical_estimates((r, r_bar), 0.3, 50_000, rng)
+            assert shared == [pzf_empirical(r, 0.3, 50_000, rng),
+                              pzf_empirical(r_bar, 0.3, 50_000, rng)]
+
+    @pytest.mark.parametrize("bad, trials, error, match", [
+        (np.diag([1.0, 0.0]), 1000, SingularDiagonalError, "pivot"),
+        (np.ones((2, 3)), 1000, DimensionMismatchError, "square"),
+        (np.diag([1.0, 0.0]), 10, SingularDiagonalError, "pivot"),  # the factor first
+        (np.eye(2), 999, ValueError, "need at least 1000 trials, got 999"),
+    ])
+    def test_refused_before_any_draw(self, bad, trials, error, match, monkeypatch):
+        def no_draw(spec, start, count):
+            raise AssertionError("drew noise for a refused call")
+        monkeypatch.setattr("zfprob.probability.gaussian_block", no_draw)
+        with pytest.raises(error, match=match):
+            _empirical_estimates((R1, bad), 0.5, trials, RngSpec(seed=1))
+
+    def test_memory_does_not_grow_with_trials(self):
+        r = random_triangular(case_spec(16, 16), 16)
+        pzf_empirical(r, 0.3, MIN_SAMPLES, RngSpec(seed=1))  # warm every lazy import
+        tracemalloc.start()
+        try:
+            pzf_empirical(r, 0.3, 50_000, RngSpec(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20  # one whole 50,000 x 16 noise matrix alone is 6.4 MB
+
+
+def _one_shot_empirical(r, sigma, trials, rng):
+    """pzf_empirical as one draw of the whole noise matrix, the reference
+    for the streamed blocks."""
+    r, sigma = _unit_model(r, sigma)
+    n = r.shape[0]
+    noise = sigma * gaussian_block(rng, 0, trials * n).reshape(trials, n)
+    coords = solve_triangular(r, noise.T, lower=False, check_finite=False)
+    successes = int(np.count_nonzero(np.all(roundable_abs(coords) <= 0.5, axis=0)))
+    value = successes / trials
+    stderr = math.sqrt(value * (1.0 - value) / trials) or 1.0 / (trials + 1)
+    return ProbabilityEstimate(value=value, method="Empirical", error_bound=stderr,
+                               evaluations=trials, seed=rng.seed)
