@@ -63,9 +63,7 @@ from .rng import ALGORITHM_ID, RngSpec
 from .tolerances import (
     DEFAULT_DELTA,
     DEFECT_INVARIANCE_TOL,
-    DET_PRESERVATION_TOL,
     QUADRATURE_MAX_DIM,
-    REDUCTION_RECONSTRUCTION_TOL,
     REFERENCE_VALUE_TOL,
 )
 
@@ -141,8 +139,7 @@ class ExperimentConfig:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise InvalidGridError(f"grid must be strictly increasing, got {list(grid)}")
         for delta in (self.delta, *(self.delta_grid or ())):
-            if not (0.25 < delta <= 1.0):
-                raise InvalidGridError(f"delta must lie in (0.25, 1.0], got {delta!r}")
+            LLLParams(delta=delta)  # the one delta rule: InvalidGridError outside (0.25, 1.0]
         missing = [_FLAGS[name][0] for name in REQUIRES.get(self.command, ())
                    if not getattr(self, name)]
         if missing:
@@ -198,15 +195,12 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
+    def from_json(cls, text: str) -> "ExperimentReport":
+        d = json.loads(text)
         return cls(command=d["command"], config=d["config"], cases=d["cases"],
                    verdicts=[Verdict(**v) for v in d["verdicts"]],
                    duration_seconds=d["duration_seconds"],
                    rng_algorithm=d.get("rng_algorithm", ALGORITHM_ID))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        return cls.from_dict(json.loads(text))
 
     def to_csv(self) -> str:
         """One row per case; nested fields get dotted column names and
@@ -449,8 +443,6 @@ def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
     check = is_lll_reduced(result.r_bar, config.delta)
     defect_before = orthogonality_defect(r)
     defect_after = orthogonality_defect(result.r_bar)
-    recon = result.reconstruction_error(r)
-    drift = result.det_drift(r)
     report.cases.append({
         "matrix_digest": matrix_digest(r),
         "r": r,
@@ -459,19 +451,20 @@ def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
         "q_bar": result.q_bar,
         "stats": asdict(result.stats),
         "delta": config.delta,
-        "reconstruction_error": recon,
-        "det_drift": drift,
+        "reconstruction_error": result.reconstruction_error,
+        "det_drift": result.det_drift,
         "defect_before": defect_before,
         "defect_after": defect_after,
         "size_ok": check.size_ok,
         "lovasz_ok": check.lovasz_ok,
     })
+    # lll_reduce refuses a result that fails either test, so both echo a pass
     report.verdicts.append(Verdict(
-        name="reduce-reconstruction", passed=recon <= REDUCTION_RECONSTRUCTION_TOL,
-        detail=f"relative error {recon:.3e}"))
+        name="reduce-reconstruction", passed=True,
+        detail=f"relative error {result.reconstruction_error:.3e}"))
     report.verdicts.append(Verdict(
-        name="reduce-determinant-preserved", passed=drift <= DET_PRESERVATION_TOL,
-        detail=f"relative drift {drift:.3e}"))
+        name="reduce-determinant-preserved", passed=True,
+        detail=f"relative drift {result.det_drift:.3e}"))
     report.verdicts.append(Verdict(
         name="reduce-output-is-reduced", passed=check.is_reduced,
         detail=f"size_ok={check.size_ok} lovasz_ok={check.lovasz_ok} "

@@ -29,6 +29,7 @@ from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
     DIAGONAL_OFFDIAG_TOL,
     ERF_ABS_ERROR,
+    MC_MIN_ESS_FRACTION,
     QUADRATURE_EVAL_CAP,
     QUADRATURE_MAX_DIM,
     QUADRATURE_NODES_PER_PANEL,
@@ -204,7 +205,10 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     """Plain Monte Carlo on the defining integral with uniform xi draws.
 
     error_bound is one standard error of the mean, scaled by the
-    prefactor.  Bit-reproducible for a fixed RngSpec.
+    prefactor.  Bit-reproducible for a fixed RngSpec.  Raises
+    NoConvergenceError when the Kish effective sample size of the density
+    weights, (sum w)^2 / sum w^2, is below MC_MIN_ESS_FRACTION * samples:
+    then a few draws carry the mean, and its standard error is no bound.
     """
     r, sigma, pref = _unit_density(r, sigma)
     if samples < MIN_SAMPLES:
@@ -212,6 +216,13 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     n = r.shape[0]
     xi = uniform_block(rng, 0, samples * n).reshape(samples, n) - 0.5
     vals = _density(sigma, xi @ r.T)
+    # the weights divided by the largest, so their squares cannot underflow
+    w = vals / (np.max(vals) or 1.0)
+    ess = float(np.sum(w)) ** 2 / (float(w @ w) or 1.0)
+    if ess < MC_MIN_ESS_FRACTION * samples:
+        raise NoConvergenceError(
+            f"effective sample size {ess:.3g} of {samples} samples is below "
+            f"{MC_MIN_ESS_FRACTION} of them")
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(samples)
     value = min(max(pref * float(np.mean(vals)), 0.0), 1.0)
     return ProbabilityEstimate(value=value, method="MonteCarlo",

@@ -20,6 +20,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatchError,
+    InvalidGridError,
     IterationLimitExceededError,
     NotUnimodularError,
     RankDeficientError,
@@ -64,8 +65,8 @@ __all__ = [
 class LLLParams:
     """Reduction-loop knob.
 
-    delta: quality parameter in (0.25, 1.0]; larger demands a more
-    reduced output.  The loop is capped at MAX_ITERATIONS_PER_N2 * n**2
+    delta: quality parameter in (0.25, 1.0], or InvalidGridError; larger
+    demands a more reduced output.  The loop is capped at MAX_ITERATIONS_PER_N2 * n**2
     passes for an n-column input.
     """
 
@@ -73,7 +74,7 @@ class LLLParams:
 
     def __post_init__(self):
         if not (0.25 < self.delta <= 1.0):
-            raise ValueError(f"delta must lie in (0.25, 1.0], got {self.delta!r}")
+            raise InvalidGridError(f"delta must lie in (0.25, 1.0], got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -100,48 +101,74 @@ class ReductionResult:
 
     r_bar: upper triangular, positive diagonal.  z: integer unimodular.
     q_bar: orthogonal.  stats: elementary-step counters.
+    reconstruction_error: relative Frobenius error of Qbar^T R Z against
+    Rbar.  det_drift: relative |det| change through the reduction.  Both
+    are measured once, against the reduction's own input, before the
+    result is made: every reduction refuses, with SingularMatrixError
+    naming the failed test, a result whose error or drift exceeds its
+    tolerance.  check(r_input) re-verifies a result against a given input.
     """
 
     r_bar: np.ndarray
     z: np.ndarray
     q_bar: np.ndarray
     stats: ReductionStats
-
-    def reconstruction_error(self, r_input) -> float:
-        """Relative Frobenius error of Qbar^T R Z against Rbar."""
-        u, e = unit_scale(r_input)
-        lhs = self.q_bar.T @ u @ self.z
-        # an empty or all-zero R has no norm to be relative to: 1 at unit scale
-        scale = np.linalg.norm(u) or 1.0
-        return float(np.linalg.norm(lhs - np.ldexp(self.r_bar, -e)) / scale)
-
-    def det_drift(self, r_input) -> float:
-        """Relative |det| change through the reduction."""
-        r_input = check_upper_triangular(r_input)
-        d_in, e_in = _frexp_product(r_input.diagonal())
-        d_out, e_out = _frexp_product(self.r_bar.diagonal())
-        if d_in == 0.0:
-            raise SingularMatrixError("input factor has a zero pivot")
-        # both determinants scaled by the same exact 2**-e_in
-        with np.errstate(over="ignore"):
-            d_out = float(np.ldexp(d_out, e_out - e_in))
-        return _in_range(abs(d_out - d_in) / d_in, "determinant drift")
+    reconstruction_error: float
+    det_drift: float
 
     def check(self, r_input):
         """Raise unless every structural invariant holds against r_input."""
         if int_determinant(self.z) not in (-1, 1):
             raise NotUnimodularError(
                 f"transform determinant is {int_determinant(self.z)}, expected +-1")
-        if np.min(np.diag(self.r_bar)) <= 0.0:
+        if np.min(np.diag(self.r_bar), initial=np.inf) <= 0.0:
             raise SingularDiagonalError("reduced matrix has a non-positive pivot")
-        err = self.reconstruction_error(r_input)
-        if err > REDUCTION_RECONSTRUCTION_TOL:
-            raise SingularMatrixError(
-                f"reconstruction error {err:.3e} exceeds {REDUCTION_RECONSTRUCTION_TOL}")
-        drift = self.det_drift(r_input)
-        if drift > DET_PRESERVATION_TOL:
-            raise SingularMatrixError(
-                f"determinant drift {drift:.3e} exceeds {DET_PRESERVATION_TOL}")
+        _contract(r_input, check_upper_triangular(r_input), self.r_bar, self.z, self.q_bar)
+
+
+def _reconstruction_error(r_input, r_bar, z, q_bar) -> float:
+    """Relative Frobenius error of Qbar^T R Z against Rbar, R = r_input."""
+    u, e = unit_scale(r_input)
+    lhs = q_bar.T @ u @ z
+    # an empty or all-zero R has no norm to be relative to: 1 at unit scale
+    scale = np.linalg.norm(u) or 1.0
+    return float(np.linalg.norm(lhs - np.ldexp(r_bar, -e)) / scale)
+
+
+def _det_drift(r_input, r_bar) -> float:
+    """Relative |det| change from triangular r_input to r_bar."""
+    d_in, e_in = _frexp_product(r_input.diagonal())
+    d_out, e_out = _frexp_product(r_bar.diagonal())
+    if d_in == 0.0:
+        raise SingularMatrixError("input factor has a zero pivot")
+    # both determinants scaled by the same exact 2**-e_in
+    with np.errstate(over="ignore"):
+        d_out = float(np.ldexp(d_out, e_out - e_in))
+    return _in_range(abs(d_out - d_in) / d_in, "determinant drift")
+
+
+def _contract(r_input, triangular, r_bar, z, q_bar) -> tuple[float, float]:
+    """(reconstruction error, determinant drift) of Qbar^T R Z = Rbar, R being
+    r_input and triangular its checked triangular form; raises
+    SingularMatrixError naming the first of the two tests that fails."""
+    err = _reconstruction_error(r_input, r_bar, z, q_bar)
+    if not err <= REDUCTION_RECONSTRUCTION_TOL:
+        raise SingularMatrixError(
+            f"reconstruction error {err:.3e} exceeds {REDUCTION_RECONSTRUCTION_TOL}")
+    drift = _det_drift(triangular, r_bar)
+    if not drift <= DET_PRESERVATION_TOL:
+        raise SingularMatrixError(
+            f"determinant drift {drift:.3e} exceeds {DET_PRESERVATION_TOL}")
+    return err, drift
+
+
+def _result(r_input, gated, r_bar, z, q_bar, stats) -> ReductionResult:
+    """The result of reducing r_input, whose gate gave gated, once it passes
+    the contract.  z is unimodular by construction, so its determinant is
+    not recomputed, and gated's row flips leave |det| as it is."""
+    err, drift = _contract(r_input, gated, r_bar, z, q_bar)
+    return ReductionResult(r_bar=r_bar, z=z, q_bar=q_bar, stats=stats,
+                           reconstruction_error=err, det_drift=drift)
 
 
 def _frexp_product(v) -> tuple[float, int]:
@@ -252,10 +279,10 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     """
     if params is None:
         params = LLLParams()
-    r, signs = positive_triangular(r)
+    gated, signs = positive_triangular(r)
     # unit scale: the pair test squares entries, the pivot floors compare them
-    r, e = unit_scale(r)
-    n = r.shape[0]
+    u, e = unit_scale(gated)
+    n = u.shape[0]
     # z is kept as columns of Python ints and leaves through _transform
     z = [[int(i == j) for i in range(n)] for j in range(n)]
     q = np.diag(signs)
@@ -271,17 +298,17 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
             raise IterationLimitExceededError(
                 f"no convergence after {limit} passes (delta={params.delta})")
         changed = False
-        if _size_reduce_inplace(r, z, k - 1, k):
+        if _size_reduce_inplace(u, z, k - 1, k):
             size_reductions += 1
             changed = True
-        if not _lovasz_holds(r, k, params.delta):
-            _swap_inplace(r, z, q, k)
+        if not _lovasz_holds(u, k, params.delta):
+            _swap_inplace(u, z, q, k)
             swaps += 1
             changed = True
             k = max(k - 1, 1)
         else:
             for i in range(k - 2, -1, -1):
-                if _size_reduce_inplace(r, z, i, k):
+                if _size_reduce_inplace(u, z, i, k):
                     size_reductions += 1
                     changed = True
             k += 1
@@ -289,8 +316,7 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
             iterations += 1
     stats = ReductionStats(size_reductions=size_reductions, swaps=swaps,
                            iterations=iterations)
-    return ReductionResult(r_bar=np.ldexp(r + 0.0, e), z=_transform(z), q_bar=q,
-                           stats=stats)
+    return _result(r, gated, np.ldexp(u + 0.0, e), _transform(z), q, stats)
 
 
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
@@ -321,11 +347,12 @@ def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
     return LLLCheckReport(size_ok=size_ok, lovasz_ok=lovasz_ok, first_violation=first)
 
 
-def _perm_result(r, signs, perm) -> ReductionResult:
-    """Permutation perm of gated r, the gate's row flips folded into q_bar."""
-    n = r.shape[0]
+def _perm_result(r, gated, signs, perm) -> ReductionResult:
+    """Permutation perm of r, which the gate turned into gated with row flips
+    signs; the flips are folded into q_bar."""
+    n = gated.shape[0]
     z = np.eye(n, dtype=np.int64)[:, perm]
-    f = qr_factorize(r[:, perm])
+    f = qr_factorize(gated[:, perm])
     # swap count of the permutation: transpositions of its cycle decomposition
     seen = [False] * n
     cycles = 0
@@ -337,7 +364,7 @@ def _perm_result(r, signs, perm) -> ReductionResult:
                 seen[j] = True
                 j = perm[j]
     stats = ReductionStats(size_reductions=0, swaps=n - cycles, iterations=0)
-    return ReductionResult(r_bar=f.r, z=z, q_bar=signs[:, None] * f.q1, stats=stats)
+    return _result(r, gated, f.r, z, signs[:, None] * f.q1, stats)
 
 
 def _sorted_order(w, floor: float) -> list[int]:
@@ -373,8 +400,9 @@ def sqrd(r) -> ReductionResult:
     """Column reordering chosen first to last, each pick minimizing the
     next pivot magnitude; z is the corresponding permutation."""
     # row sign flips leave every residual norm, and so the order, unchanged
-    r, signs = positive_triangular(r)
-    return _perm_result(r, signs, _sorted_order(unit_scale(r)[0], floor=SOLVE_DIAG_MIN))
+    gated, signs = positive_triangular(r)
+    order = _sorted_order(unit_scale(gated)[0], floor=SOLVE_DIAG_MIN)
+    return _perm_result(r, gated, signs, order)
 
 
 def vblast(r) -> ReductionResult:
@@ -383,12 +411,12 @@ def vblast(r) -> ReductionResult:
 
     The column placed last gets pivot 1 / ||row c of R^-1||, so the picks
     are the sorted-QR picks on the dual basis R^-T, in reverse."""
-    r, signs = positive_triangular(r)
-    dual = solve_triangular(r, np.eye(r.shape[0]), lower=False).T
+    gated, signs = positive_triangular(r)
+    dual = solve_triangular(gated, np.eye(gated.shape[0]), lower=False).T
     if not np.all(np.isfinite(dual)):
         raise SingularMatrixError("R^-1 is out of floating-point range")
     tail = _sorted_order(dual, floor=np.finfo(float).tiny)
-    return _perm_result(r, signs, tail[::-1])
+    return _perm_result(r, gated, signs, tail[::-1])
 
 
 def orthogonality_defect(r) -> float:

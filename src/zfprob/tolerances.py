@@ -29,6 +29,8 @@ QUADRATURE_TARGET = 1e-8         # absolute error pzf_quadrature converges to
 QUADRATURE_NODES_PER_PANEL = 32  # Gauss-Legendre nodes per panel and direction
 QUADRATURE_EVAL_CAP = 10_000_000  # hard cap on integrand evaluations
 QUADRATURE_MAX_DIM = 4           # deterministic quadrature supports n <= 4
+MC_MIN_ESS_FRACTION = 0.01       # Kish effective sample size pzf_monte_carlo needs,
+                                 # as a fraction of its samples
 
 # --- Reduction loop defaults -------------------------------------------------
 DEFAULT_DELTA = 0.75

@@ -41,7 +41,7 @@ from zfprob.errors import (
     ParseError,
 )
 from zfprob.linalg import qr_factorize
-from zfprob.reduction import orthogonality_defect
+from zfprob.reduction import LLLParams, orthogonality_defect
 
 
 def write(tmp_path, name, text):
@@ -168,6 +168,18 @@ class TestReduceCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["reduce", "--matrix", "/no/such/file.csv"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_factor_the_reduction_cannot_stand_behind_exits_2(self, tmp_path, capsys):
+        # pivots 10^U(-10, 4): the float loop loses z, and the result fails
+        # its reconstruction test, which used to print a failed verdict
+        rng = np.random.default_rng([77, 0])
+        r = np.triu(rng.standard_normal((4, 4)))
+        np.fill_diagonal(r, 10.0 ** rng.uniform(-10, 4, size=4))
+        path = write(tmp_path, "m.csv",
+                     "\n".join(",".join(repr(v) for v in row) for row in r.tolist()))
+        assert main(["reduce", "--matrix", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: reconstruction error ") and "exceeds 1e-09" in err
 
     def test_transform_out_of_int64_range_exits_2(self, tmp_path, capsys):
         # z[0, 2] would be about 3.7e12 * 7.1e12; int64 arithmetic used to wrap it
@@ -688,6 +700,18 @@ class TestConfigValidation:
         with pytest.raises(DimensionTooLargeError, match="supports n <= 4, got 5"):
             ExperimentConfig(command="invariance", n=5)
         ExperimentConfig(command="invariance", n=4)
+
+    @pytest.mark.parametrize("fields, bad", [
+        (dict(command="reproduce", delta=0.25), 0.25),
+        (dict(command="ensemble", delta=1.01), 1.01),
+        (dict(command="sweep-delta", delta_grid=(0.5, 1.5)), 1.5),
+        (dict(command="sweep-delta", delta_grid=(0.1, 0.5)), 0.1)])
+    def test_delta_is_refused_as_lll_params_refuses_it(self, fields, bad):
+        with pytest.raises(InvalidGridError) as by_params:
+            LLLParams(delta=bad)
+        with pytest.raises(InvalidGridError) as by_config:
+            ExperimentConfig(**fields)
+        assert str(by_config.value) == str(by_params.value)
 
     @pytest.mark.parametrize("name", ["n", "m", "parallel"])
     def test_negative_counts_rejected(self, name):

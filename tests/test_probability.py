@@ -224,6 +224,21 @@ class TestMonteCarlo:
     def test_seed_echoed(self):
         assert pzf_monte_carlo(R1, 0.5, 1000, RngSpec(seed=321)).seed == 321
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_refuses_when_a_few_draws_carry_the_mean(self, n):
+        # the first two draws of this generator, upper entries standard normal,
+        # pivots |N(0,1)| + 1; the reference P_ZF at sigma 0.3 is 0.0284 at
+        # n = 16 and 8.5e-6 at n = 32, where uniform draws answered
+        # 0.0273 +- 0.0193 and 2.5e-18 +- 2.4e-18 on an ESS of about 2
+        rng = np.random.default_rng(5)
+        for size in (16, 32):
+            r = np.triu(rng.standard_normal((size, size)))
+            np.fill_diagonal(r, np.abs(rng.standard_normal(size)) + 1.0)
+            if size == n:
+                break
+        with pytest.raises(NoConvergenceError, match="effective sample size"):
+            pzf_monte_carlo(r, 0.3, 100_000, RngSpec(seed=1))
+
 
 class TestDensityRange:
     """The quadrature and Monte Carlo integrate |det R| / (2 pi sigma^2)^{n/2}
