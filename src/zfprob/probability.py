@@ -6,10 +6,14 @@ The target quantity is the Gaussian integral
     P = |det R| / (2 pi sigma^2)^{n/2} * integral over [-1/2, 1/2]^n
         of exp(-||R xi||^2 / (2 sigma^2)) d xi.
 
-Four routes: a closed form for diagonal R, deterministic panel quadrature
-for n <= 4 (with the innermost coordinate integrated exactly), plain Monte
-Carlo on the same integral, all three built on one slab mass and one
-density, and an empirical decoder simulation that checks them from outside.
+Four routes: a closed form for diagonal R; deterministic panel quadrature
+for n <= 4, with the innermost coordinate integrated exactly and every
+value checked against Sidak's bracket; sequential conditioning, which
+samples the coordinates of R^{-1} v last to first, each within its slab,
+and averages the product of the slab masses; and an empirical decoder
+simulation that checks them from outside.  The first three are built on
+one slab mass, and the quadrature integrates the outer coordinates'
+density.
 """
 
 import math
@@ -18,13 +22,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import erf as _erf_array
+from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import (
     DimensionTooLargeError,
     NoConvergenceError,
     NotDiagonalError,
 )
-from .linalg import check_sigma, positive_triangular, roundable_abs, unit_scale
+from .linalg import check_sigma, positive_triangular, qr_factorize, roundable_abs, unit_scale
+from .reduction import _dual_basis, _sorted_order
 from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
     DIAGONAL_OFFDIAG_TOL,
@@ -117,6 +123,17 @@ def _density(sigma, t):
     return np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
 
 
+def _sidak_bracket(r, sigma) -> tuple[float, float]:
+    """(prod p_i, min p_i) for the unit model (r, sigma), where
+    p_i = erf(1 / (2 sqrt2 sigma ||row i of R^-1||)) is the mass of the slab
+    |x_i| <= 1/2 in the marginal of x = R^-1 v.  Sidak's inequality (JASA
+    1967) puts P_ZF between the two."""
+    with np.errstate(over="ignore", divide="ignore"):  # an infinite argument: p_i = 1
+        p = _erf_array(1.0 / (2.0 * math.sqrt(2.0) * sigma
+                              * np.hypot.reduce(_dual_basis(r), axis=0)))
+    return float(np.prod(p)), float(np.min(p))
+
+
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
     """Closed form for diagonal R: product over i of erf(r_ii / (2 sqrt2 sigma))."""
     r = np.asarray(r, dtype=float)
@@ -166,8 +183,12 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     The innermost coordinate integrates exactly to an erf difference; the
     remaining coordinates use panel-subdivided Gauss-Legendre, doubling
     panel counts until two refinements agree to half of
-    QUADRATURE_TARGET, the absolute error claimed.  Raises NoConvergence
-    rather than return a value it cannot vouch for.
+    QUADRATURE_TARGET, the absolute error claimed.  The converged value is
+    checked against Sidak's bracket (_sidak_bracket): one outside it by
+    more than the target gives way to the bracket's midpoint, with the
+    half-width (at least n * ERF_ABS_ERROR) as its bound, when the bracket
+    is narrower than the target.  Raises NoConvergenceError rather than
+    return a value it cannot vouch for.
     """
     if np.ndim(r) == 2 and len(r) < 2:  # a diagonal factor: the closed form is exact
         return replace(pzf_diagonal(r, sigma), method="Quadrature",
@@ -194,39 +215,94 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
         est, points = _outer_value(r, sigma, pref, panels)
         total += points
         if prev is not None and abs(est - prev) < 0.5 * QUADRATURE_TARGET:
-            value = min(max(est, 0.0), 1.0)
-            return ProbabilityEstimate(value=value, method="Quadrature",
-                                       error_bound=QUADRATURE_TARGET, evaluations=total)
+            break
         prev = est
         panels *= 2
+    # two refinements can agree on a value the panels never resolved (0 where
+    # P = 1 at sigma 1e-8), so the bracket has the last word
+    lower, upper = _sidak_bracket(r, sigma)
+    if lower - QUADRATURE_TARGET <= est <= upper + QUADRATURE_TARGET:
+        return ProbabilityEstimate(value=min(max(est, 0.0), 1.0), method="Quadrature",
+                                   error_bound=QUADRATURE_TARGET, evaluations=total)
+    if upper - lower >= QUADRATURE_TARGET:
+        raise NoConvergenceError(
+            f"converged value {est!r} lies outside the Sidak bracket [{lower!r}, {upper!r}]")
+    half = 0.5 * (upper - lower)
+    return ProbabilityEstimate(value=lower + half, method="Quadrature",
+                               error_bound=max(half, n * ERF_ABS_ERROR), evaluations=total)
+
+
+def _conditional_step(shift, pivot, sigma, log_u):
+    """One coordinate of sequential conditioning, over all samples at once.
+
+    Given the later coordinates' shift s, the coordinate is N(-s/p, sigma^2/p^2)
+    for pivot p.  Returns the log of its mass on [-1/2, 1/2], which is
+    log(0.5 * _slab_mass(s, p, sigma)) up to rounding, and a draw from it
+    truncated there: the point that cuts off the fraction exp(log_u) of
+    that mass, counted from the end of the slab farther from the mean.
+    """
+    # an end that overflows is a whole half-line, and a mass that rounds to 0 has log -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        a, b = (shift - 0.5 * pivot) / sigma, (shift + 0.5 * pivot) / sigma
+        # the slab in standard units, reflected left of 0, where log_ndtr and
+        # ndtri_exp keep their precision in the tail
+        flip = shift > 0.0
+        lo, hi = np.where(flip, -b, a), np.where(flip, -a, b)
+        log_lo = log_ndtr(lo)
+        # floored, so that log_lo - log_hi is not inf - inf where both CDFs underflow
+        log_hi = np.maximum(log_ndtr(hi), -np.finfo(float).max)
+        # a slab that holds the mean can be too narrow for the log-CDFs to
+        # differ (sigma 1e160), while the erf difference keeps its precision
+        log_mass = np.where(hi >= 0.0, np.log(0.5 * _slab_mass(shift, pivot, sigma)),
+                            log_hi + np.log(-np.expm1(log_lo - log_hi)))
+        z = np.clip(ndtri_exp(np.logaddexp(log_lo, log_u + log_mass)), lo, hi)
+        x = (sigma * np.where(flip, -z, z) - shift) / pivot
+    return log_mass, np.clip(x, -0.5, 0.5)
 
 
 def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityEstimate:
-    """Plain Monte Carlo on the defining integral with uniform xi draws.
+    """Sequential conditioning (Genz, JCGS 1992): x = R^{-1} v is drawn last
+    coordinate first, each from its conditional normal truncated to
+    [-1/2, 1/2], and a sample's weight is the product of those conditional
+    masses, so P_ZF is the mean weight.
 
-    error_bound is one standard error of the mean, scaled by the
-    prefactor.  Bit-reproducible for a fixed RngSpec.  Raises
-    NoConvergenceError when the Kish effective sample size of the density
-    weights, (sum w)^2 / sum w^2, is below MC_MIN_ESS_FRACTION * samples:
-    then a few draws carry the mean, and its standard error is no bound.
+    A column permutation leaves P_ZF unchanged, so the columns are first
+    ordered, largest conditional spread outermost: the sorted QR on the dual
+    basis R^-T, largest residual first, picks reversed; qr_factorize's rank
+    test on the reordered columns raises RankDeficientError.  Each
+    coordinate takes one uniform_block value.  error_bound is one standard error of the
+    mean weight, floored at n * ERF_ABS_ERROR as the closed form's is.
+    Bit-reproducible for a fixed RngSpec.  Raises NoConvergenceError when
+    the Kish effective sample size of the weights, (sum w)^2 / sum w^2, is
+    below MC_MIN_ESS_FRACTION * samples: then a few draws carry the mean,
+    and its standard error is no bound.
     """
-    r, sigma, pref = _unit_density(r, sigma)
+    r, sigma = _unit_model(r, sigma)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     n = r.shape[0]
-    xi = uniform_block(rng, 0, samples * n).reshape(samples, n) - 0.5
-    vals = _density(sigma, xi @ r.T)
-    # the weights divided by the largest, so their squares cannot underflow
-    w = vals / (np.max(vals) or 1.0)
-    ess = float(np.sum(w)) ** 2 / (float(w @ w) or 1.0)
+    order = _sorted_order(_dual_basis(r), floor=np.finfo(float).tiny, largest=True)
+    r = qr_factorize(r[:, order[::-1]]).r
+    # sample i takes uniforms [i * n, (i + 1) * n); rows are coordinates, so
+    # each step reads contiguous memory
+    log_u = np.log(uniform_block(rng, 0, samples * n).reshape(samples, n).T.copy())
+    x = np.zeros((n, samples))
+    log_w = np.zeros(samples)
+    for k in range(n - 1, -1, -1):
+        log_mass, x[k] = _conditional_step(r[k, k + 1:] @ x[k + 1:], r[k, k], sigma, log_u[k])
+        log_w += log_mass
+    # the weights over the largest, so their squares cannot underflow
+    top = float(np.max(log_w))
+    rel = np.exp(log_w - top) if top > -math.inf else np.zeros(samples)
+    ess = float(np.sum(rel)) ** 2 / (float(rel @ rel) or 1.0)
     if ess < MC_MIN_ESS_FRACTION * samples:
         raise NoConvergenceError(
             f"effective sample size {ess:.3g} of {samples} samples is below "
             f"{MC_MIN_ESS_FRACTION} of them")
-    stderr = float(np.std(vals, ddof=1)) / math.sqrt(samples)
-    value = min(max(pref * float(np.mean(vals)), 0.0), 1.0)
-    return ProbabilityEstimate(value=value, method="MonteCarlo",
-                               error_bound=pref * stderr, evaluations=samples,
+    w = np.exp(log_w)
+    stderr = float(np.std(w, ddof=1)) / math.sqrt(samples)
+    return ProbabilityEstimate(value=min(max(float(np.mean(w)), 0.0), 1.0), method="MonteCarlo",
+                               error_bound=max(stderr, n * ERF_ABS_ERROR), evaluations=samples,
                                seed=rng.seed)
 
 

@@ -367,11 +367,23 @@ def _perm_result(r, gated, signs, perm) -> ReductionResult:
     return _result(r, gated, f.r, z, signs[:, None] * f.q1, stats)
 
 
-def _sorted_order(w, floor: float) -> list[int]:
+def _dual_basis(r) -> np.ndarray:
+    """R^-T for a gated upper-triangular r: column c is row c of R^-1, whose
+    norm is 1 / (the pivot column c gets when placed last).  Raises
+    SingularMatrixError when an entry leaves the float range."""
+    # the gate has checked that r is finite
+    dual = solve_triangular(r, np.eye(r.shape[0]), lower=False, check_finite=False).T
+    if not np.all(np.isfinite(dual)):
+        raise SingularMatrixError("R^-1 is out of floating-point range")
+    return dual
+
+
+def _sorted_order(w, floor: float, largest: bool = False) -> list[int]:
     """Sorted QR on the columns of w: pick the remaining column with the
-    smallest residual norm (the first index within a relative tie window),
-    then project it out of the rest.  Returns the picks in order; a picked
-    residual below floor means the columns became dependent."""
+    smallest residual norm, or the largest when largest is set (the first
+    index within a relative tie window), then project it out of the rest.
+    Returns the picks in order; a picked residual below floor means the
+    columns became dependent."""
     work = np.array(w, dtype=float)
     remaining = list(range(work.shape[1]))
     order: list[int] = []
@@ -381,7 +393,8 @@ def _sorted_order(w, floor: float) -> list[int]:
             # hypot, not a sum of squares: a dual column's squares can leave
             # the float range while the column itself does not
             norm = math.hypot(*work[:, c])
-            if best is None or norm < best_norm * (1.0 - ORDERING_TIE_TOL):
+            if best is None or (norm > best_norm * (1.0 + ORDERING_TIE_TOL) if largest
+                                else norm < best_norm * (1.0 - ORDERING_TIE_TOL)):
                 best, best_norm = c, norm
         if best_norm < floor:
             raise RankDeficientError("columns became dependent during ordering")
@@ -412,10 +425,7 @@ def vblast(r) -> ReductionResult:
     The column placed last gets pivot 1 / ||row c of R^-1||, so the picks
     are the sorted-QR picks on the dual basis R^-T, in reverse."""
     gated, signs = positive_triangular(r)
-    dual = solve_triangular(gated, np.eye(gated.shape[0]), lower=False).T
-    if not np.all(np.isfinite(dual)):
-        raise SingularMatrixError("R^-1 is out of floating-point range")
-    tail = _sorted_order(dual, floor=np.finfo(float).tiny)
+    tail = _sorted_order(_dual_basis(gated), floor=np.finfo(float).tiny)
     return _perm_result(r, gated, signs, tail[::-1])
 
 

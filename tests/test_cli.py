@@ -298,14 +298,12 @@ class TestPzfCommand:
         (["pzf", "--matrix", "M", "--sigma", "1e-300"], "1e-300"),
         (["ensemble", "--trials", "1", "--sigma", "1e-300"], "1e-300"),
         # the volume is subnormal and |det R| / volume overflows
-        (["pzf", "--matrix", "M", "--sigma", "1e-155", "--method", "mc", "--trials", "2000"],
-         "1e-155"),
+        (["pzf", "--matrix", "M", "--sigma", "1e-155"], "1e-155"),
         # the finite base 2 pi sigma^2 overflows under the power n/2 = 2
         (["ensemble", "--n", "4", "--trials", "1", "--sigma", "1e100"], "1e+100"),
         # sigma^2 itself overflows: the volume is inf and the prefactor 0
         (["pzf", "--matrix", "M", "--sigma", "1e160"], "1e+160"),
-        (["pzf", "--matrix", "M", "--sigma", "1e160", "--method", "mc", "--trials", "2000"],
-         "1e+160"),
+        (["ensemble", "--trials", "1", "--sigma", "1e160"], "1e+160"),
     ])
     def test_sigma_beyond_the_density_range_exits_2_by_name(self, argv, sigma, tmp_path,
                                                             capsys):
@@ -316,6 +314,17 @@ class TestPzfCommand:
         # the message names the sigma given, not the one divided by R's power of two
         assert f"error: sigma {sigma} is out of floating-point range next to R" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-155", "1e160"])
+    def test_monte_carlo_needs_no_density(self, sigma, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pzf", "--matrix", path, "--sigma", sigma, "--method", "mc",
+                         "--trials", "2000"]) == 0
+        value = json.loads(capsys.readouterr().out)["cases"][0]["estimate"]["value"]
+        # P_ZF is 1 at tiny sigma and |det R| / (2 pi sigma^2) = 6.4e-321 at 1e160
+        assert (value == 1.0) if float(sigma) < 1.0 else (6e-321 < value < 7e-321)
 
     def test_large_sigma_inside_the_density_range_answers(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "4,9\n0,1\n")

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import nquad
@@ -22,7 +23,9 @@ from zfprob.linalg import roundable_abs
 from zfprob.probability import (
     MIN_SAMPLES,
     ProbabilityEstimate,
+    _conditional_step,
     _empirical_estimates,
+    _sidak_bracket,
     _unit_model,
     erf,
     pzf_diagonal,
@@ -30,7 +33,7 @@ from zfprob.probability import (
     pzf_monte_carlo,
     pzf_quadrature,
 )
-from zfprob.reduction import lll_reduce
+from zfprob.reduction import lll_reduce, sqrd, vblast
 from zfprob.rng import RngSpec, gaussian_block
 
 SQRT2 = math.sqrt(2.0)
@@ -65,6 +68,37 @@ def reference_integral(r, sigma):
     val, _ = nquad(integrand, [(-0.5, 0.5)] * n,
                    opts={"epsabs": 1e-11, "epsrel": 1e-11})
     return pref * val
+
+
+def baseline_factor(n):
+    """The first two draws of this generator, upper entries standard normal
+    and pivots |N(0,1)| + 1, at n = 16 and then n = 32."""
+    rng = np.random.default_rng(5)
+    for size in (16, 32):
+        r = np.triu(rng.standard_normal((size, size)))
+        np.fill_diagonal(r, np.abs(rng.standard_normal(size)) + 1.0)
+        if size == n:
+            return r
+    raise ValueError(n)
+
+
+# P_ZF of baseline_factor(n) at sigma 0.3, from Genz's quasi-Monte Carlo:
+# scipy.stats.multivariate_normal.cdf(full(n, 0.5), mean=zeros(n),
+#     cov=0.09 * inv(R) @ inv(R).T, lower_limit=full(n, -0.5), maxpts=2_000_000,
+#     abseps=1e-12, releps=1e-12, rng=default_rng(seed))
+# with seeds 1 and 2 gives 0.02840927 and 0.02840927 at n = 16 (5 s each) and
+# 8.5154e-6 and 8.5162e-6 at n = 32 (11 s each); the constants are the means
+BASELINE_REFERENCE = {16: 0.0284093, 32: 8.5158e-6}
+
+
+def bracket(r, sigma):
+    return _sidak_bracket(*_unit_model(r, sigma))
+
+
+def assert_in_bracket(est, r, sigma, bounds=1):
+    lower, upper = bracket(r, sigma)
+    slack = bounds * est.error_bound
+    assert lower - slack <= est.value <= upper + slack, (est, lower, upper)
 
 
 class TestErf:
@@ -183,6 +217,38 @@ class TestQuadrature:
         with pytest.raises(NoConvergenceError):
             pzf_quadrature(np.eye(4), 1e-5)
 
+    @pytest.mark.parametrize("sigma", [0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_value_lies_in_the_bracket(self, n, sigma):
+        for i in range(6):
+            r = random_triangular(case_spec(11, i), n)
+            try:
+                est = pzf_quadrature(r, sigma)
+            except NoConvergenceError:
+                continue
+            assert_in_bracket(est, r, sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-10])
+    def test_tiny_sigma_answers_the_narrow_bracket(self, sigma):
+        # two refinements agree on 0 here, against a bracket of [1, 1]
+        est = pzf_quadrature(R1, sigma)
+        assert (est.value, est.error_bound, est.method) == (1.0, 2e-12, "Quadrature")
+
+    @pytest.mark.parametrize("planted, sigma, want", [
+        (0.3, 0.5, 0.3),         # inside [0.233, 0.341]: kept bit for bit
+        (0.0, 0.5, None),        # outside a bracket wider than the target: refused
+        (0.0, 1e-8, 1.0),        # outside a bracket narrower than it: the midpoint
+    ])
+    def test_converged_value_is_checked_against_the_bracket(self, planted, sigma, want,
+                                                            monkeypatch):
+        monkeypatch.setattr("zfprob.probability._outer_value",
+                            lambda r, sigma, pref, panels: (planted, 1))
+        if want is None:
+            with pytest.raises(NoConvergenceError, match="outside the Sidak bracket"):
+                pzf_quadrature(R1, sigma)
+        else:
+            assert pzf_quadrature(R1, sigma).value == want
+
     def test_block_diagonal_probability_is_product_of_blocks(self):
         block = np.zeros((4, 4))
         block[0, 0] = 1.0
@@ -224,40 +290,123 @@ class TestMonteCarlo:
     def test_seed_echoed(self):
         assert pzf_monte_carlo(R1, 0.5, 1000, RngSpec(seed=321)).seed == 321
 
+    @pytest.mark.parametrize("samples", [20_000, 100_000])
     @pytest.mark.parametrize("n", [16, 32])
-    def test_refuses_when_a_few_draws_carry_the_mean(self, n):
-        # the first two draws of this generator, upper entries standard normal,
-        # pivots |N(0,1)| + 1; the reference P_ZF at sigma 0.3 is 0.0284 at
-        # n = 16 and 8.5e-6 at n = 32, where uniform draws answered
-        # 0.0273 +- 0.0193 and 2.5e-18 +- 2.4e-18 on an ESS of about 2
-        rng = np.random.default_rng(5)
-        for size in (16, 32):
-            r = np.triu(rng.standard_normal((size, size)))
-            np.fill_diagonal(r, np.abs(rng.standard_normal(size)) + 1.0)
-            if size == n:
-                break
+    def test_answers_the_baseline_factors_within_three_bounds(self, n, samples):
+        # uniform draws of xi answered 0.0273 +- 0.0193 and 2.5e-18 +- 2.4e-18
+        # here, on an effective sample size of about 2
+        est = pzf_monte_carlo(baseline_factor(n), 0.3, samples, RngSpec(seed=1))
+        assert abs(est.value - BASELINE_REFERENCE[n]) <= 3 * est.error_bound
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_agrees_with_genz_quasi_monte_carlo(self, n):
+        r = random_triangular(case_spec(18, n), n)
+        inv = np.linalg.inv(r)
+        want = scipy.stats.multivariate_normal(mean=np.zeros(n), cov=0.09 * inv @ inv.T).cdf(
+            np.full(n, 0.5), lower_limit=np.full(n, -0.5), rng=np.random.default_rng(1))
+        est = pzf_monte_carlo(r, 0.3, 20_000, RngSpec(seed=n))
+        assert abs(est.value - want) <= 3 * est.error_bound
+
+    def test_orderings_leave_the_estimate_unchanged(self):
+        # the paper's first theorem: SQRD and V-BLAST leave P_ZF unchanged;
+        # on common random numbers the estimates agree to rounding, while a
+        # reduction that changes P_ZF moves the estimate by many bounds
+        for r in [baseline_factor(16)] + [random_triangular(case_spec(19, n), n)
+                                          for n in (3, 5, 8)]:
+            rng = RngSpec(seed=r.shape[0])
+            est = pzf_monte_carlo(r, 0.3, 5000, rng)
+            for reordered in (sqrd(r).r_bar, vblast(r).r_bar):
+                value = pzf_monte_carlo(reordered, 0.3, 5000, rng).value
+                assert abs(value - est.value) <= 1e-12 * est.value
+            reduced = pzf_monte_carlo(lll_reduce(r).r_bar, 0.3, 5000, rng)
+            assert abs(reduced.value - est.value) > 10 * reduced.error_bound
+
+    @pytest.mark.parametrize("shift", [-40.0, -10.0, -0.3, 0.0, 3.0, 40.0])
+    def test_conditional_step_against_arbitrary_precision(self, shift):
+        # the conditional N(-shift, 1) on [-1/2, 1/2], pivot 1: its log mass, and
+        # each draw x cuts off the fraction u of that mass, counted from the end
+        # of the slab farther from the mean
+        u = np.array([1e-9, 0.3, 0.7, 1.0 - 1e-9])
+        log_mass, x = _conditional_step(np.full(4, shift), 1.0, 1.0, np.log(u))
+
+        def between(lo, hi):  # Phi(hi) - Phi(lo), from the tail that keeps digits
+            return mpmath.ncdf(-lo) - mpmath.ncdf(-hi) if lo + hi > 0 else \
+                mpmath.ncdf(hi) - mpmath.ncdf(lo)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(shift) - 0.5
+            mass = between(a, a + 1)
+            assert log_mass == pytest.approx(float(mpmath.log(mass)), rel=1e-13)
+            for ui, xi in zip(u, x):
+                z = mpmath.mpf(float(xi)) + shift
+                cut = between(z, a + 1) if shift > 0 else between(a, z)
+                assert float(cut / mass) == pytest.approx(ui, rel=1e-6)
+
+    def test_refuses_when_a_few_draws_carry_the_mean(self, monkeypatch):
+        # no factor tried reaches the refusal (the effective sample size stayed
+        # above 0.09 of the samples up to n = 64), so plant the weights: one
+        # sample of weight 1, the rest e^-50
+        def planted(shift, pivot, sigma, log_u):
+            log_mass = np.full(log_u.shape, -50.0)
+            log_mass[0] = 0.0
+            return log_mass, np.zeros(log_u.shape)
+        monkeypatch.setattr("zfprob.probability._conditional_step", planted)
         with pytest.raises(NoConvergenceError, match="effective sample size"):
-            pzf_monte_carlo(r, 0.3, 100_000, RngSpec(seed=1))
+            pzf_monte_carlo(np.eye(1), 0.5, 1000, RngSpec(seed=1))
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-155, 1e160])
+    @pytest.mark.filterwarnings("error")
+    def test_answers_sigma_beyond_the_density_range(self, sigma):
+        est = pzf_monte_carlo(R1, sigma, 2000, RngSpec(seed=1))
+        assert_in_bracket(est, R1, sigma)
+        if sigma > 1.0:
+            # every slab holds about p / (sqrt(2 pi) sigma) of its coordinate:
+            # the erf difference keeps that where the two log-CDFs round equal
+            assert est.value == pytest.approx(4.0 / (2.0 * math.pi) / sigma / sigma, rel=1e-2)
+        else:
+            assert est.value == 1.0
+
+
+class TestSidakBracket:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+    def test_every_estimator_lies_in_the_bracket(self, n):
+        r = random_triangular(case_spec(20, n), n)
+        norm = float(np.max(np.linalg.norm(np.linalg.inv(r), axis=1)))
+        diagonal = np.diag(np.diag(r))
+        for t in (0.05, 0.2, 0.5, 1.0):
+            sigma = t / norm  # from a bracket of width 0 to a wide one
+            assert_in_bracket(pzf_diagonal(diagonal, sigma), diagonal, sigma)
+            # the sampled estimates within three standard errors
+            assert_in_bracket(pzf_monte_carlo(r, sigma, 2000, RngSpec(seed=n)), r, sigma, 3)
+            assert_in_bracket(pzf_empirical(r, sigma, 2000, RngSpec(seed=n)), r, sigma, 3)
+            if n <= 4:
+                try:
+                    assert_in_bracket(pzf_quadrature(r, sigma), r, sigma)
+                except NoConvergenceError:
+                    pass
+
+    def test_diagonal_bracket_is_the_closed_form(self):
+        d = np.diag([SQRT2, 2 * SQRT2])
+        lower, upper = bracket(d, 0.5)
+        assert lower == pytest.approx(pzf_diagonal(d, 0.5).value, abs=1e-15)
+        assert upper == pytest.approx(math.erf(1.0), abs=1e-15)
 
 
 class TestDensityRange:
-    """The quadrature and Monte Carlo integrate |det R| / (2 pi sigma^2)^{n/2}
+    """The quadrature at n >= 2 integrates |det R| / (2 pi sigma^2)^{n/2}
     times a Gaussian factor; a sigma that takes that prefactor out of the
     float range is refused by the value the caller gave."""
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("route", ["quad", "mc"])
+    @pytest.mark.parametrize("route", ["quad"])  # the one route that integrates the density
     @pytest.mark.parametrize("sigma", [1e-300, 1e-155])  # volume 0; prefactor inf
     def test_refused_by_the_given_sigma(self, route, sigma):
         with pytest.raises(ValueError, match=f"sigma {sigma!r} is out of floating-point range"):
-            if route == "quad":
-                pzf_quadrature(R1, sigma)
-            else:
-                pzf_monte_carlo(R1, sigma, 2000, RngSpec(seed=1))
+            pzf_quadrature(R1, sigma)
 
     def test_routes_without_the_density_still_answer(self):
         assert pzf_quadrature(np.array([[4.0]]), 1e-300).value == 1.0
         assert pzf_diagonal(np.diag([4.0, 1.0]), 1e-300).value == 1.0
+        assert pzf_monte_carlo(R1, 1e-300, 1000, RngSpec(seed=1)).value == 1.0
         assert pzf_empirical(R1, 1e-300, 1000, RngSpec(seed=1)).value == 1.0
 
 
