@@ -126,8 +126,8 @@ class ExperimentConfig:
             raise ValueError(f"format must be json or csv, got {self.out_format!r}")
         if self.sigma is not None:
             check_sigma(self.sigma)
-        if self.trials is not None and self.trials < 0:
-            raise ValueError("trials must be nonnegative")
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"trials must be positive, got {self.trials}")
         for name in ("n", "m", "parallel"):
             if getattr(self, name) < 0:
                 raise InvalidGridError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -657,7 +657,7 @@ def cmd_ensemble(config: ExperimentConfig) -> ExperimentReport:
         outcomes = [c["outcome"] for c in cases[k * count:(k + 1) * count]]
         tally = {o: outcomes.count(o) for o in ("increased", "unchanged", "decreased")}
         summary.append({"sigma": sigma, "count": count, **tally})
-        if n == 2 and count:
+        if n == 2:
             report.verdicts.append(Verdict(
                 name=f"ensemble-no-decrease-sigma-{sigma}",
                 passed=tally["decreased"] == 0,

@@ -16,7 +16,7 @@ from .errors import (
     SingularDiagonalError,
     SingularMatrixError,
 )
-from .tolerances import RANK_TOL, SOLVE_DIAG_MIN, UPPER_TRIANGULAR_TOL
+from .tolerances import SOLVE_DIAG_MIN, UPPER_TRIANGULAR_TOL
 
 _INT64_LIMIT = 2.0 ** 63  # the first magnitude an int64 cannot hold
 
@@ -82,12 +82,6 @@ def check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
-def _pivot_signs(r) -> np.ndarray:
-    """The sign rule: +1 or -1 per row, whichever makes that row's pivot
-    positive."""
-    return np.where(r.diagonal() < 0.0, -1.0, 1.0)
-
-
 def positive_triangular(r):
     """The input gate for a triangular factor: returns (signs[:, None] * r, signs).
 
@@ -104,7 +98,8 @@ def positive_triangular(r):
         i = int(diag.argmin())
         raise SingularDiagonalError(
             f"R pivot {i} has magnitude {float(abs(r[i, i]))!r}, below {SOLVE_DIAG_MIN} * 2**{e}")
-    signs = _pivot_signs(r)
+    # the sign rule: +1 or -1 per row, whichever makes that row's pivot positive
+    signs = np.where(r.diagonal() < 0.0, -1.0, 1.0)
     return signs[:, None] * r, signs
 
 
@@ -132,10 +127,12 @@ class QRFactorization:
 
 
 def qr_factorize(a) -> QRFactorization:
-    """Householder QR with the diagonal of R normalized to be positive.
+    """Householder QR with R passed through the triangular gate,
+    positive_triangular: its row flips, which make every pivot positive,
+    are folded into q1's columns.
 
-    Requires m >= n and full column rank; rank deficiency (smallest pivot
-    below RANK_TOL times the largest column norm) raises RankDeficientError.
+    Requires m >= n.  A factor the gate refuses, a pivot below SOLVE_DIAG_MIN
+    relative to R's largest entry, is rank deficient: RankDeficientError.
     """
     a, e = unit_scale(_as_matrix(a))
     m, n = a.shape
@@ -144,18 +141,12 @@ def qr_factorize(a) -> QRFactorization:
             f"need at least as many rows as columns, got shape {a.shape}")
     # complete, not reduced: the modes round q1 and r differently, and replays pin those bits
     q, r_full = np.linalg.qr(a, mode="complete")
-    r = r_full[:n, :n].copy()
-    # flip signs so every pivot is positive; fold the flips into Q's columns
-    signs = _pivot_signs(r)
-    r = signs[:, None] * r
-    q1 = q[:, :n] * signs[None, :]
-    if n:
-        pivot = np.min(np.abs(np.diag(r)))
-        if pivot <= RANK_TOL * np.max(np.linalg.norm(a, axis=0)):
-            raise RankDeficientError(
-                f"matrix is rank deficient: smallest pivot {math.ldexp(pivot, e)!r}")
+    try:
+        r, signs = positive_triangular(np.ldexp(r_full[:n, :n], e))
+    except SingularDiagonalError as exc:
+        raise RankDeficientError(f"matrix is rank deficient: {exc}") from exc
     # adding 0.0 turns any -0.0 produced by the sign flips into plain 0.0
-    return QRFactorization(q1=q1, r=np.ldexp(np.triu(r) + 0.0, e))
+    return QRFactorization(q1=q[:, :n] * signs[None, :], r=r + 0.0)
 
 
 def round_nearest(x) -> int:

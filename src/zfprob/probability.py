@@ -29,8 +29,8 @@ from .errors import (
     NoConvergenceError,
     NotDiagonalError,
 )
-from .linalg import check_sigma, positive_triangular, qr_factorize, roundable_abs, unit_scale
-from .reduction import _dual_basis, _sorted_order
+from .linalg import check_sigma, positive_triangular, roundable_abs, unit_scale
+from .reduction import _dual_basis, _perm_result, _sorted_order
 from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
     DIAGONAL_OFFDIAG_TOL,
@@ -183,12 +183,13 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     The innermost coordinate integrates exactly to an erf difference; the
     remaining coordinates use panel-subdivided Gauss-Legendre, doubling
     panel counts until two refinements agree to half of
-    QUADRATURE_TARGET, the absolute error claimed.  The converged value is
-    checked against Sidak's bracket (_sidak_bracket): one outside it by
-    more than the target gives way to the bracket's midpoint, with the
-    half-width (at least n * ERF_ABS_ERROR) as its bound, when the bracket
-    is narrower than the target.  Raises NoConvergenceError rather than
-    return a value it cannot vouch for.
+    QUADRATURE_TARGET, the absolute error claimed, or until the next
+    refinement would pass QUADRATURE_EVAL_CAP evaluations.  Sidak's bracket
+    (_sidak_bracket) then decides: a converged value inside it, give or
+    take the target, keeps its bits; otherwise a bracket narrower than the
+    target answers with its midpoint, with the half-width (at least
+    n * ERF_ABS_ERROR) as its bound; otherwise NoConvergenceError.
+    evaluations counts the integrand evaluations spent either way.
     """
     if np.ndim(r) == 2 and len(r) < 2:  # a diagonal factor: the closed form is exact
         return replace(pzf_diagonal(r, sigma), method="Quadrature",
@@ -204,29 +205,27 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     panels = 1
     while panels * QUADRATURE_NODES_PER_PANEL * sigma < col_scale and panels < 512:
         panels *= 2
-    total = 0
-    prev = None
-    while True:
-        cost = (QUADRATURE_NODES_PER_PANEL * panels) ** (n - 1)
-        if total + cost > QUADRATURE_EVAL_CAP:
-            raise NoConvergenceError(
-                f"evaluation cap {QUADRATURE_EVAL_CAP} reached at {panels} panels "
-                f"without meeting target {QUADRATURE_TARGET}")
-        est, points = _outer_value(r, sigma, pref, panels)
+    total, prev, est = 0, None, None
+    # refine until two values agree or the next refinement would pass the cap
+    while est is None and (total + (QUADRATURE_NODES_PER_PANEL * panels) ** (n - 1)
+                           <= QUADRATURE_EVAL_CAP):
+        value, points = _outer_value(r, sigma, pref, panels)
         total += points
-        if prev is not None and abs(est - prev) < 0.5 * QUADRATURE_TARGET:
-            break
-        prev = est
-        panels *= 2
+        if prev is not None and abs(value - prev) < 0.5 * QUADRATURE_TARGET:
+            est = value
+        prev, panels = value, 2 * panels
     # two refinements can agree on a value the panels never resolved (0 where
     # P = 1 at sigma 1e-8), so the bracket has the last word
     lower, upper = _sidak_bracket(r, sigma)
-    if lower - QUADRATURE_TARGET <= est <= upper + QUADRATURE_TARGET:
+    if est is not None and lower - QUADRATURE_TARGET <= est <= upper + QUADRATURE_TARGET:
         return ProbabilityEstimate(value=min(max(est, 0.0), 1.0), method="Quadrature",
                                    error_bound=QUADRATURE_TARGET, evaluations=total)
     if upper - lower >= QUADRATURE_TARGET:
+        found = (f"no convergence within {QUADRATURE_EVAL_CAP} evaluations" if est is None
+                 else f"converged value {est!r} lies outside the Sidak bracket")
         raise NoConvergenceError(
-            f"converged value {est!r} lies outside the Sidak bracket [{lower!r}, {upper!r}]")
+            f"{found}, and the bracket [{lower!r}, {upper!r}] is not narrower than "
+            f"target {QUADRATURE_TARGET}")
     half = 0.5 * (upper - lower)
     return ProbabilityEstimate(value=lower + half, method="Quadrature",
                                error_bound=max(half, n * ERF_ABS_ERROR), evaluations=total)
@@ -268,9 +267,12 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
 
     A column permutation leaves P_ZF unchanged, so the columns are first
     ordered, largest conditional spread outermost: the sorted QR on the dual
-    basis R^-T, largest residual first, picks reversed; qr_factorize's rank
-    test on the reordered columns raises RankDeficientError.  Each
-    coordinate takes one uniform_block value.  error_bound is one standard error of the
+    basis R^-T, largest residual first, picks reversed.  The reordered
+    columns are re-triangularized as sqrd and vblast do theirs: a factor the
+    gate refuses raises RankDeficientError, and one that fails the
+    reductions' reconstruction or determinant contract raises
+    SingularMatrixError naming the failed test.  Each coordinate takes one
+    uniform_block value.  error_bound is one standard error of the
     mean weight, floored at n * ERF_ABS_ERROR as the closed form's is.
     Bit-reproducible for a fixed RngSpec.  Raises NoConvergenceError when
     the Kish effective sample size of the weights, (sum w)^2 / sum w^2, is
@@ -281,8 +283,8 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     n = r.shape[0]
-    order = _sorted_order(_dual_basis(r), floor=np.finfo(float).tiny, largest=True)
-    r = qr_factorize(r[:, order[::-1]]).r
+    order = _sorted_order(_dual_basis(r), largest=True)
+    r = _perm_result(r, r, np.ones(n), order[::-1]).r_bar
     # sample i takes uniforms [i * n, (i + 1) * n); rows are coordinates, so
     # each step reads contiguous memory
     log_u = np.log(uniform_block(rng, 0, samples * n).reshape(samples, n).T.copy())

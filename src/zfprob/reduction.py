@@ -378,12 +378,14 @@ def _dual_basis(r) -> np.ndarray:
     return dual
 
 
-def _sorted_order(w, floor: float, largest: bool = False) -> list[int]:
+def _sorted_order(w, largest: bool = False) -> list[int]:
     """Sorted QR on the columns of w: pick the remaining column with the
     smallest residual norm, or the largest when largest is set (the first
     index within a relative tie window), then project it out of the rest.
-    Returns the picks in order; a picked residual below floor means the
-    columns became dependent."""
+    Returns the picks in order.  Only a residual that is not a positive
+    normal float, one that underflowed, is refused here; whether the
+    reordered factor has full rank is the gate's call, through
+    qr_factorize."""
     work = np.array(w, dtype=float)
     remaining = list(range(work.shape[1]))
     order: list[int] = []
@@ -396,7 +398,7 @@ def _sorted_order(w, floor: float, largest: bool = False) -> list[int]:
             if best is None or (norm > best_norm * (1.0 + ORDERING_TIE_TOL) if largest
                                 else norm < best_norm * (1.0 - ORDERING_TIE_TOL)):
                 best, best_norm = c, norm
-        if best_norm < floor:
+        if not best_norm >= np.finfo(float).tiny:
             raise RankDeficientError("columns became dependent during ordering")
         order.append(best)
         remaining.remove(best)
@@ -414,7 +416,7 @@ def sqrd(r) -> ReductionResult:
     next pivot magnitude; z is the corresponding permutation."""
     # row sign flips leave every residual norm, and so the order, unchanged
     gated, signs = positive_triangular(r)
-    order = _sorted_order(unit_scale(gated)[0], floor=SOLVE_DIAG_MIN)
+    order = _sorted_order(unit_scale(gated)[0])
     return _perm_result(r, gated, signs, order)
 
 
@@ -425,7 +427,7 @@ def vblast(r) -> ReductionResult:
     The column placed last gets pivot 1 / ||row c of R^-1||, so the picks
     are the sorted-QR picks on the dual basis R^-T, in reverse."""
     gated, signs = positive_triangular(r)
-    tail = _sorted_order(_dual_basis(gated), floor=np.finfo(float).tiny)
+    tail = _sorted_order(_dual_basis(gated))
     return _perm_result(r, gated, signs, tail[::-1])
 
 

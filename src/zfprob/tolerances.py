@@ -7,7 +7,6 @@ reference it by name instead of repeating magic numbers.
 # --- QR factorization contracts ---------------------------------------------
 ORTHONORMALITY_TOL = 1e-10       # ||Q1^T Q1 - I||_F on a successful factorization
 QR_RECONSTRUCTION_TOL = 1e-10    # ||Q1 R - A||_F / ||A||_F
-RANK_TOL = 1e-12                 # pivot threshold, relative to largest column norm
 
 # --- Triangular solves and diagonals ----------------------------------------
 SOLVE_DIAG_MIN = 1e-14           # pivot floor, relative: applied to unit_scale(R)

@@ -456,10 +456,11 @@ class TestEnsembleCommand:
         assert len(seq["cases"]) == 3 * 3 + 1
         assert par["cases"] == seq["cases"] and par["verdicts"] == seq["verdicts"]
 
-    def test_zero_trials_empty_success(self, capsys):
-        assert main(["ensemble", "--trials", "0"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["verdicts"] == []
+    @pytest.mark.parametrize("command", ["ensemble", "invariance", "sweep-delta"])
+    def test_zero_trials_exits_2(self, command, capsys):
+        # a batch of no cases has nothing to pass
+        assert main([command, "--trials", "0"]) == 2
+        assert "trials must be positive" in capsys.readouterr().err
 
     def test_two_dim_never_decreases(self, capsys):
         assert main(["ensemble", "--trials", "6", "--seed", "2", "--sigma", "0.5"]) == 0
@@ -579,7 +580,7 @@ MINIMAL_RUNS = {
     "pzf": ["--matrix", "M", "--sigma", "0.5"],
     "sweep-delta": ["--trials", "1"],
     "invariance": ["--trials", "1"],
-    "ensemble": ["--trials", "0"],
+    "ensemble": ["--trials", "1"],
 }
 
 
@@ -592,7 +593,7 @@ class TestOptionSets:
         ["ensemble", "--method", "mc"],
         ["ensemble", "--method", "diagonal"],
         # flags the chosen mode would echo but not use; M is a 2x2 matrix file
-        ["pzf", "--matrix", "M", "--method", "mc", "--trials", "0"],
+        ["pzf", "--matrix", "M", "--method", "mc", "--trials", "1"],
         ["pzf", "--matrix", "M", "--method", "quad", "--trials", "5"],
         ["pzf", "--matrix", "M", "--method", "diagonal", "--trials", "5"],
         ["sweep-delta", "--trials", "3", "--sigma", "0.3"],
@@ -601,7 +602,7 @@ class TestOptionSets:
         ["sweep-delta", "--matrix", "M", "--seed", "5"],
         ["sweep-delta", "--matrix", "M", "--parallel", "2"],
         # quad caps at n = 4, so above it the run would measure empirically
-        ["ensemble", "--n", "5", "--method", "quad", "--trials", "0"],
+        ["ensemble", "--n", "5", "--method", "quad", "--trials", "1"],
         # --seed 1 is the field's default, yet given explicitly it is still refused
         ["pzf", "--matrix", "M", "--seed", "2"],
         ["pzf", "--matrix", "M", "--method", "quad", "--seed", "1"],
@@ -612,9 +613,9 @@ class TestOptionSets:
         assert main([matrix if a == "M" else a for a in argv]) == 2
 
     @pytest.mark.parametrize("argv", [
-        ["ensemble", "--n", "5", "--trials", "0"],
-        ["ensemble", "--n", "5", "--method", "empirical", "--trials", "0"],
-        ["ensemble", "--n", "4", "--method", "quad", "--trials", "0"],
+        ["ensemble", "--n", "5", "--trials", "1", "--sigma", "0.5"],
+        ["ensemble", "--n", "5", "--method", "empirical", "--trials", "1", "--sigma", "0.5"],
+        ["ensemble", "--n", "4", "--method", "quad", "--trials", "1", "--sigma", "0.5"],
         ["sweep-delta", "--matrix", "M", "--sigma", "0.5", "--delta-grid", "0.5,1"],
         ["pzf", "--matrix", "M", "--method", "empirical", "--trials", "1000", "--seed", "1"],
     ])

@@ -33,7 +33,7 @@ from zfprob.reduction import (
     vblast,
 )
 from zfprob.rng import RngSpec
-from zfprob.tolerances import ORTHONORMALITY_TOL, QR_RECONSTRUCTION_TOL
+from zfprob.tolerances import ORTHONORMALITY_TOL, QR_RECONSTRUCTION_TOL, SOLVE_DIAG_MIN
 
 
 class TestQRFactorize:
@@ -69,6 +69,26 @@ class TestQRFactorize:
         a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         with pytest.raises(RankDeficientError):
             qr_factorize(a)
+
+    @pytest.mark.parametrize("c", [2.0**-600, 2.0**-30, 1.0, 2.0**30, 2.0**600],
+                             ids=["2^-600", "2^-30", "1", "2^30", "2^600"])
+    def test_rank_rule_is_the_gate(self, c):
+        # a triangular input is its own R, so the two refuse the same factors;
+        # 0.75 is the largest entry and already at unit scale
+        refused = set()
+        for rel in (1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6):
+            for sign in (1.0, -1.0):
+                r = c * np.array([[0.75, 0.3], [0.0, sign * rel * SOLVE_DIAG_MIN]])
+                try:
+                    positive_triangular(r)
+                except SingularDiagonalError:
+                    refused.add((rel, sign))
+                    with pytest.raises(RankDeficientError, match="pivot 1"):
+                        qr_factorize(r)
+                    continue
+                f = qr_factorize(r)
+                np.testing.assert_array_equal(f.r, positive_triangular(r)[0])
+        assert refused == {(rel, sign) for rel in (1.0 - 1e-6, 1.0 - 1e-12) for sign in (1.0, -1.0)}
 
     def test_wide_matrix_raises(self):
         with pytest.raises(DimensionMismatchError):

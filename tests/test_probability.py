@@ -213,20 +213,19 @@ class TestQuadrature:
         with pytest.raises(DimensionTooLargeError):
             pzf_quadrature(np.eye(5), 1.0)
 
-    def test_unreachable_budget_raises(self):
-        with pytest.raises(NoConvergenceError):
-            pzf_quadrature(np.eye(4), 1e-5)
+    def test_unreachable_budget_answers_the_bracket(self):
+        # the first refinement would already pass the evaluation cap, and the
+        # bracket is [1, 1]: its midpoint, with no evaluation spent
+        est = pzf_quadrature(np.eye(4), 1e-5)
+        assert (est.value, est.error_bound, est.evaluations) == (1.0, 4e-12, 0)
 
     @pytest.mark.parametrize("sigma", [0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10])
     @pytest.mark.parametrize("n", [2, 3])
     def test_every_value_lies_in_the_bracket(self, n, sigma):
+        # none is refused: where the panels stop short, the bracket is narrow
         for i in range(6):
             r = random_triangular(case_spec(11, i), n)
-            try:
-                est = pzf_quadrature(r, sigma)
-            except NoConvergenceError:
-                continue
-            assert_in_bracket(est, r, sigma)
+            assert_in_bracket(pzf_quadrature(r, sigma), r, sigma)
 
     @pytest.mark.parametrize("sigma", [1e-8, 1e-10])
     def test_tiny_sigma_answers_the_narrow_bracket(self, sigma):
@@ -248,6 +247,27 @@ class TestQuadrature:
                 pzf_quadrature(R1, sigma)
         else:
             assert pzf_quadrature(R1, sigma).value == want
+
+    @pytest.mark.parametrize("sigma, want", [
+        (0.5, None),   # a bracket wider than the target: refused
+        (1e-8, 1.0),   # a bracket narrower than it: the midpoint
+    ])
+    def test_evaluation_cap_leaves_the_answer_to_the_bracket(self, sigma, want,
+                                                             monkeypatch):
+        # refinements that never agree run into the cap with no converged value
+        calls = []
+
+        def never_agree(r, sigma, pref, panels):
+            calls.append(panels)
+            return float(len(calls) % 2), 10**6
+
+        monkeypatch.setattr("zfprob.probability._outer_value", never_agree)
+        if want is None:
+            with pytest.raises(NoConvergenceError, match="^no convergence within"):
+                pzf_quadrature(R1, sigma)
+        else:
+            est = pzf_quadrature(R1, sigma)
+            assert (est.value, est.evaluations) == (want, 10**6 * len(calls))
 
     def test_block_diagonal_probability_is_product_of_blocks(self):
         block = np.zeros((4, 4))

@@ -12,7 +12,7 @@ from zfprob.errors import (
     SingularDiagonalError,
     SingularMatrixError,
 )
-from zfprob.linalg import check_upper_triangular, int_determinant
+from zfprob.linalg import check_upper_triangular, int_determinant, positive_triangular
 from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
 from zfprob.reduction import (
     LLLParams,
@@ -332,6 +332,16 @@ class TestOrderings:
     def test_ill_conditioned_orders_match_exact_arithmetic(self, strategy, index, exact):
         assert column_order(strategy(ill_conditioned(index))) == exact
 
+    @pytest.mark.parametrize("strategy", [sqrd, vblast])
+    def test_reordered_factor_is_judged_by_the_gate(self, strategy):
+        # the gate accepts this factor (pivot 1e-13 of the largest entry),
+        # and so it accepts the reordered one, whose pivots are 0.3 and 1e-13 / 0.3
+        r = np.array([[1.0, 0.3], [0.0, 1e-13]])
+        result = strategy(r)
+        result.check(r)
+        assert column_order(result) == (1, 0)
+        np.testing.assert_allclose(result.r_bar.diagonal(), [0.3, 1e-13 / 0.3], rtol=1e-12)
+
     @pytest.mark.filterwarnings("error")
     def test_vblast_on_dual_basis_of_wide_range(self):
         # bidiagonal with pivots 1e-8, whose exact order is the identity;
@@ -509,15 +519,25 @@ def test_every_returned_result_passes_its_contract():
                 else:  # the pivot gate, the int64 boundary
                     assert isinstance(exc, SingularDiagonalError) or "int64" in str(exc)
                 continue
-            except RankDeficientError:  # the orderings' rank tests
-                assert reduce in (sqrd, vblast)
+            except RankDeficientError:  # the gate, on sqrd's reordered factor
+                assert reduce is sqrd
                 continue
             result.check(r)
+            positive_triangular(result.r_bar)
             assert _contract(r, check_upper_triangular(r), result.r_bar, result.z,
                              result.q_bar) == (result.reconstruction_error, result.det_drift)
-    # here the loop loses z on 161 factors and sqrd's factorization drifts on 20
+    # here the loop loses z on 161 factors; sqrd's reordered factor fails the
+    # gate on 44 and its factorization drifts on 30, and vblast returns all
+    # 499 factors the gate lets in
     assert contract_refusals[lll_reduce] > 0 and contract_refusals[sqrd] > 0
     assert contract_refusals[vblast] == 0
+
+
+def test_sampler_reorders_through_the_contract():
+    # the sampler's reordered factor drifts by 2e-9 here; it is refused as
+    # sqrd and vblast refuse theirs
+    with pytest.raises(SingularMatrixError, match="^determinant drift .* exceeds 1e-09$"):
+        pzf_monte_carlo(ill_conditioned(176), 0.3, 2000, RngSpec(seed=1))
 
 
 @pytest.mark.parametrize("reduce, index, failed", [
