@@ -6,18 +6,18 @@ The target quantity is the Gaussian integral
     P = |det R| / (2 pi sigma^2)^{n/2} * integral over [-1/2, 1/2]^n
         of exp(-||R xi||^2 / (2 sigma^2)) d xi.
 
-Four routes: a closed form for diagonal R; deterministic panel quadrature
-for n <= 4, with the innermost coordinate integrated exactly and every
-value checked against Sidak's bracket; sequential conditioning, which
-samples the coordinates of R^{-1} v last to first, each within its slab,
-and averages the product of the slab masses; and an empirical decoder
-simulation that checks them from outside.  The first three are built on
-one slab mass, and the quadrature integrates the outer coordinates'
-density.
+Four routes: a closed form for diagonal R; deterministic quadrature for
+n <= 4, whose panels integrate the innermost coordinate exactly and the
+outer ones against the density, and whose every answer is checked
+against, or taken from, Sidak's bracket of marginal slab masses;
+sequential conditioning, which samples the coordinates of R^{-1} v last
+to first, each within its slab, and averages the product of the slab
+masses; and an empirical decoder simulation that checks them from
+outside.  The first three, and the bracket, are built on one slab mass.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -97,20 +97,6 @@ def _unit_model(r, sigma):
     return r, unit_sigma
 
 
-def _unit_density(r, sigma):
-    """_unit_model plus the density's prefactor |det R| / (2 pi sigma^2)^{n/2},
-    refusing sigma when the volume is 0 or infinite or the prefactor overflows."""
-    r, unit_sigma = _unit_model(r, sigma)
-    try:
-        volume = (2.0 * math.pi * unit_sigma * unit_sigma) ** (r.shape[0] / 2.0)
-    except OverflowError:  # a finite base whose power leaves the float range
-        volume = math.inf
-    if not 0.0 < volume < math.inf or not math.isfinite(
-            pref := abs(float(np.prod(np.diag(r)))) / volume):
-        raise ValueError(f"sigma {sigma!r} is out of floating-point range next to R")
-    return r, unit_sigma, pref
-
-
 def _slab_mass(shift, pivot, sigma):
     """erf((s + p/2) / (sqrt2 sigma)) - erf((s - p/2) / (sqrt2 sigma)): twice the
     mass of the slab |x| <= 1/2 for pivot p and the later coordinates' shift s."""
@@ -125,13 +111,14 @@ def _density(sigma, t):
 
 def _sidak_bracket(r, sigma) -> tuple[float, float]:
     """(prod p_i, min p_i) for the unit model (r, sigma), where
-    p_i = erf(1 / (2 sqrt2 sigma ||row i of R^-1||)) is the mass of the slab
-    |x_i| <= 1/2 in the marginal of x = R^-1 v.  Sidak's inequality (JASA
-    1967) puts P_ZF between the two."""
-    with np.errstate(over="ignore", divide="ignore"):  # an infinite argument: p_i = 1
-        p = _erf_array(1.0 / (2.0 * math.sqrt(2.0) * sigma
-                              * np.hypot.reduce(_dual_basis(r), axis=0)))
-    return float(np.prod(p)), float(np.min(p))
+    p_i = 0.5 * _slab_mass(0, 1 / ||row i of R^-1||, sigma), the closed form
+    at the pivot coordinate i would get if placed last, is the mass of the
+    slab |x_i| <= 1/2 in the marginal of x = R^-1 v.  Sidak's inequality
+    (JASA 1967) puts P_ZF between the two; both are 1 at n = 0 and P_ZF at
+    n = 1."""
+    with np.errstate(over="ignore"):  # an infinite argument: p_i = 1
+        p = 0.5 * _slab_mass(0.0, 1.0 / np.hypot.reduce(_dual_basis(r), axis=0), sigma)
+    return float(np.prod(p)), float(np.min(p, initial=1.0))
 
 
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
@@ -184,31 +171,38 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     remaining coordinates use panel-subdivided Gauss-Legendre, doubling
     panel counts until two refinements agree to half of
     QUADRATURE_TARGET, the absolute error claimed, or until the next
-    refinement would pass QUADRATURE_EVAL_CAP evaluations.  Sidak's bracket
+    refinement would pass QUADRATURE_EVAL_CAP evaluations.  The panels
+    run at n >= 2, where the density's prefactor |det R| / (2 pi sigma^2)^{n/2}
+    is finite over a volume strictly between 0 and inf.  Sidak's bracket
     (_sidak_bracket) then decides: a converged value inside it, give or
     take the target, keeps its bits; otherwise a bracket narrower than the
     target answers with its midpoint, with the half-width (at least
-    n * ERF_ABS_ERROR) as its bound; otherwise NoConvergenceError.
-    evaluations counts the integrand evaluations spent either way.
+    n * ERF_ABS_ERROR) as its bound; otherwise NoConvergenceError.  So
+    n < 2, where the bracket is exact, and a sigma outside the density's
+    range answer from the bracket with 0 evaluations.  evaluations counts
+    the integrand evaluations spent either way.
     """
-    if np.ndim(r) == 2 and len(r) < 2:  # a diagonal factor: the closed form is exact
-        return replace(pzf_diagonal(r, sigma), method="Quadrature",
-                       error_bound=QUADRATURE_TARGET)
-    r, sigma, pref = _unit_density(r, sigma)
+    r, sigma = _unit_model(r, sigma)
     n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise DimensionTooLargeError(
             f"deterministic quadrature supports n <= {QUADRATURE_MAX_DIM}, got {n}")
+    try:
+        volume = (2.0 * math.pi * sigma * sigma) ** (n / 2.0)
+    except OverflowError:  # a finite base whose power leaves the float range
+        volume = math.inf
+    # an infinite prefactor keeps the panels off, and the bracket answers
+    pref = abs(float(np.prod(np.diag(r)))) / volume if 0.0 < volume < math.inf else math.inf
     # start fine enough that a panel cannot straddle the Gaussian ridge
     # unnoticed: panel width about sigma per column-norm unit
-    col_scale = float(np.max(np.linalg.norm(r[:, 1:], axis=0)))
+    col_scale = float(np.max(np.linalg.norm(r[:, 1:], axis=0), initial=0.0))
     panels = 1
     while panels * QUADRATURE_NODES_PER_PANEL * sigma < col_scale and panels < 512:
         panels *= 2
     total, prev, est = 0, None, None
     # refine until two values agree or the next refinement would pass the cap
-    while est is None and (total + (QUADRATURE_NODES_PER_PANEL * panels) ** (n - 1)
-                           <= QUADRATURE_EVAL_CAP):
+    while n >= 2 and math.isfinite(pref) and est is None and (
+            total + (QUADRATURE_NODES_PER_PANEL * panels) ** (n - 1) <= QUADRATURE_EVAL_CAP):
         value, points = _outer_value(r, sigma, pref, panels)
         total += points
         if prev is not None and abs(value - prev) < 0.5 * QUADRATURE_TARGET:

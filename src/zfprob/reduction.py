@@ -229,20 +229,13 @@ def size_reduce_entry(r, z, i: int, k: int):
     return np.ldexp(r, e), _transform(z), applied
 
 
-def _pair_squares(r, k: int) -> tuple[float, float]:
-    """(r_{k-1,k-1}^2, r_{k-1,k}^2 + r_{k,k}^2), the two sides of the
-    adjacent-pair condition at column k.  r is unit-scaled, so no square
-    overflows, and its pivots clear the relative floor, so no pivot's
-    square underflows."""
-    a, b, c = r.item(k - 1, k - 1), r.item(k - 1, k), r.item(k, k)
-    return a * a, b * b + c * c
-
-
 def _lovasz_holds(r, k: int, delta: float) -> bool:
     """Adjacent-pair condition at column k (1 <= k < n):
-    delta * r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_{k,k}^2."""
-    top, rest = _pair_squares(r, k)
-    return delta * top <= rest
+    delta * r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_{k,k}^2.  r is unit-scaled, so
+    no square overflows, and its pivots clear the relative floor, so no
+    pivot's square underflows."""
+    a, b, c = r.item(k - 1, k - 1), r.item(k - 1, k), r.item(k, k)
+    return delta * (a * a) <= b * b + c * c
 
 
 def _swap_inplace(r, z, q, k):
@@ -321,30 +314,21 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
 
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
     """Check the size-reduced and adjacent-pair conditions with a small
-    boundary slack; reports the first violating index pair if any.  r goes
+    boundary slack; reports the first violating index pair if any, size
+    violations before pair ones, each in column-major order.  r goes
     through the input gate, so a pivot below the floor is refused, and
     delta through LLLParams, so a delta outside (0.25, 1.0] is too."""
     delta = LLLParams(delta=delta).delta
     r, _ = unit_scale(positive_triangular(r)[0])
-    n = r.shape[0]
-    size_ok = True
-    lovasz_ok = True
-    first: tuple[int, int] | None = None
-    for k in range(1, n):
-        for i in range(k):
-            bound = 0.5 * abs(r[i, i])
-            if abs(r[i, k]) > bound + LLL_CHECK_SLACK * abs(r[i, i]):
-                size_ok = False
-                if first is None:
-                    first = (i, k)
-    for k in range(1, n):
-        top, rhs = _pair_squares(r, k)
-        lhs = delta * top
-        if lhs > rhs + LLL_CHECK_SLACK * lhs:
-            lovasz_ok = False
-            if first is None:
-                first = (k - 1, k)
-    return LLLCheckReport(size_ok=size_ok, lovasz_ok=lovasz_ok, first_violation=first)
+    d = np.diag(r)  # the gate's pivots are positive
+    # |r_ik| against r_ii / 2 for i < k, held column-major as (k, i)
+    size = np.argwhere(np.abs(np.triu(r, 1)).T > 0.5 * d + LLL_CHECK_SLACK * d)
+    b, c = np.diag(r, 1), d[1:]
+    lhs = delta * (d[:-1] * d[:-1])
+    pair = np.flatnonzero(lhs > b * b + c * c + LLL_CHECK_SLACK * lhs)
+    first = ((int(size[0, 1]), int(size[0, 0])) if size.size
+             else (int(pair[0]), int(pair[0]) + 1) if pair.size else None)
+    return LLLCheckReport(size_ok=not size.size, lovasz_ok=not pair.size, first_violation=first)
 
 
 def _perm_result(r, gated, signs, perm) -> ReductionResult:

@@ -294,7 +294,7 @@ class TestPzfCommand:
         assert "sigma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,sigma", [
-        # the density's volume (2 pi sigma^2)^{n/2} underflows to 0
+        # the panels do not run: the density's volume (2 pi sigma^2)^{n/2} underflows to 0
         (["pzf", "--matrix", "M", "--sigma", "1e-300"], "1e-300"),
         (["ensemble", "--trials", "1", "--sigma", "1e-300"], "1e-300"),
         # the volume is subnormal and |det R| / volume overflows
@@ -305,15 +305,18 @@ class TestPzfCommand:
         (["pzf", "--matrix", "M", "--sigma", "1e160"], "1e+160"),
         (["ensemble", "--trials", "1", "--sigma", "1e160"], "1e+160"),
     ])
-    def test_sigma_beyond_the_density_range_exits_2_by_name(self, argv, sigma, tmp_path,
-                                                            capsys):
+    def test_sigma_beyond_the_density_range_answers(self, argv, sigma, tmp_path, capsys):
         matrix = write(tmp_path, "m.csv", "4,9\n0,1\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([matrix if a == "M" else a for a in argv]) == 2
-        # the message names the sigma given, not the one divided by R's power of two
-        assert f"error: sigma {sigma} is out of floating-point range next to R" in \
-            capsys.readouterr().err
+            assert main([matrix if a == "M" else a for a in argv]) == 0
+        case = json.loads(capsys.readouterr().out)["cases"][0]
+        pzf = argv[0] == "pzf"
+        value = case["estimate"]["value"] if pzf else case["p_before"]
+        # P_ZF is 1 at tiny sigma and vanishes at huge sigma
+        assert (value == 1.0) if float(sigma) < 1.0 else (value < 1e-100)
+        # the bracket's half-width, floored at n * 1e-12, not the panels' 1e-8
+        assert (case["estimate"]["error_bound"] if pzf else case["error_budget"]) <= 1e-11
 
     @pytest.mark.parametrize("sigma", ["1e-300", "1e-155", "1e160"])
     def test_monte_carlo_needs_no_density(self, sigma, tmp_path, capsys):

@@ -12,9 +12,15 @@ from zfprob.errors import (
     SingularDiagonalError,
     SingularMatrixError,
 )
-from zfprob.linalg import check_upper_triangular, int_determinant, positive_triangular
+from zfprob.linalg import (
+    check_upper_triangular,
+    int_determinant,
+    positive_triangular,
+    unit_scale,
+)
 from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
 from zfprob.reduction import (
+    LLLCheckReport,
     LLLParams,
     ReductionStats,
     _contract,
@@ -29,7 +35,11 @@ from zfprob.reduction import (
     vblast,
 )
 from zfprob.rng import RngSpec
-from zfprob.tolerances import QUADRATURE_MAX_DIM, REDUCTION_RECONSTRUCTION_TOL
+from zfprob.tolerances import (
+    LLL_CHECK_SLACK,
+    QUADRATURE_MAX_DIM,
+    REDUCTION_RECONSTRUCTION_TOL,
+)
 
 SQRT2 = math.sqrt(2.0)
 R_4_9 = np.array([[4.0, 9.0], [0.0, 1.0]])
@@ -41,6 +51,23 @@ def assert_is_permutation(z):
     z = np.asarray(z)
     assert np.all((z == 0) | (z == 1))
     assert np.all(z.sum(axis=0) == 1) and np.all(z.sum(axis=1) == 1)
+
+
+def scalar_lll_check(r, delta):
+    """is_lll_reduced's report, one entry at a time: size violations before
+    pair ones, each in column-major order."""
+    r, _ = unit_scale(positive_triangular(r)[0])
+    n = r.shape[0]
+    size = [(i, k) for k in range(1, n) for i in range(k)
+            if abs(r[i, k]) > 0.5 * r[i, i] + LLL_CHECK_SLACK * r[i, i]]
+    pair = []
+    for k in range(1, n):
+        a, b, c = r[k - 1, k - 1], r[k - 1, k], r[k, k]
+        lhs = delta * (a * a)
+        if lhs > b * b + c * c + LLL_CHECK_SLACK * lhs:
+            pair.append((k - 1, k))
+    return LLLCheckReport(size_ok=not size, lovasz_ok=not pair,
+                          first_violation=(size + pair or [None])[0])
 
 
 def column_order(result):
@@ -256,6 +283,34 @@ class TestIsLLLReduced:
         report = is_lll_reduced(r, 0.75)
         assert report.size_ok and not report.lovasz_ok
         assert report.first_violation == (0, 1)
+
+    @pytest.mark.parametrize("delta", [0.3, 0.75, 0.99, 1.0])
+    def test_matches_a_scalar_loop(self, delta):
+        # random factors, their LLL outputs, outputs with one planted
+        # violation, an oversized entry or a pivot grown past the pair test,
+        # and both tests' boundaries, passed only through the slack
+        rng = np.random.default_rng(41)
+        factors = [np.array([[1.0, 0.5 + 1e-14], [0.0, 1.0]]),
+                   np.diag([1.0, math.sqrt(delta) * (1.0 - 1e-14)])]
+        for i in range(60):
+            r = random_triangular(case_spec(41, i), 1 + i % 9)
+            factors += [r, lll_reduce(r, LLLParams(delta=delta)).r_bar]
+            n = r.shape[0]
+            if n > 1:
+                planted = factors[-1].copy()
+                k = int(rng.integers(1, n))
+                if i % 2:
+                    row = int(rng.integers(0, k))
+                    planted[row, k] = 0.6 * planted[row, row]
+                else:
+                    planted[k - 1, k - 1] *= 3.0
+                factors.append(planted)
+        seen = set()
+        for r in factors:
+            expected = scalar_lll_check(r, delta)
+            assert is_lll_reduced(r, delta) == expected
+            seen.add((expected.size_ok, expected.lovasz_ok))
+        assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
     @pytest.mark.parametrize("delta", [0.25, 1.01])
     def test_refuses_delta_as_lll_reduce_does(self, delta):
