@@ -80,7 +80,7 @@ def _result(inst: ILSInstance, estimate: np.ndarray) -> DecodeResult:
 def zf_decode(inst: ILSInstance) -> DecodeResult:
     """Round each coordinate of the unconstrained solution R^{-1} y_tilde."""
     # the instance's r and y_tilde already passed the input gate, flipped together
-    real_solution = solve_triangular(inst.r, inst.y_tilde, lower=False)
+    real_solution = solve_triangular(inst.r, inst.y_tilde, lower=False, check_finite=False)
     return _result(inst, [round_nearest(v) for v in real_solution])
 
 

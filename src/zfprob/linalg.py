@@ -5,6 +5,7 @@ All routines work on float64 numpy arrays.  Triangular matrices are upper
 triangular and square unless stated otherwise.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,13 +68,23 @@ def check_upper_triangular(r) -> np.ndarray:
         raise DimensionMismatchError(f"R must be square, got shape {r.shape}")
     if n == 0:
         return r
-    scale = np.max(np.abs(r))
-    below = np.abs(np.tril(r, -1))
-    if below.size and np.max(below) > UPPER_TRIANGULAR_TOL * scale:
-        i, j = np.unravel_index(np.argmax(below), below.shape)
+    lower = _strict_lower(n)
+    below = np.abs(r[lower])  # row-major, so argmax names the first largest entry
+    if below.size and np.max(below) > UPPER_TRIANGULAR_TOL * np.max(np.abs(r)):
+        k = int(np.argmax(below))
+        i, j = (int(index[k]) for index in np.nonzero(lower))
         raise DimensionMismatchError(
             f"R is not upper triangular: entry ({i}, {j}) = {r[i, j]!r}")
-    return np.triu(r)
+    # np.triu's own expression, so the bytes and the memory order are np.triu's
+    return np.where(lower, np.zeros(1, r.dtype), r)
+
+
+@functools.lru_cache(maxsize=64)  # bounded: a process meeting many sizes keeps 64 masks
+def _strict_lower(n: int) -> np.ndarray:
+    """The read-only mask of the entries below the diagonal of an n x n matrix."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def check_sigma(sigma) -> None:

@@ -137,27 +137,44 @@ def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
                                error_bound=n * ERF_ABS_ERROR, evaluations=n)
 
 
-def _panel_axis(panels: int):
-    # Gauss-Legendre nodes/weights tiled over `panels` equal pieces of [-1/2, 1/2]
+def _build_panel_grid(panels: int, d: int):
+    # Gauss-Legendre nodes/weights tiled over `panels` equal pieces of [-1/2, 1/2],
+    # and their tensor product over d coordinates: points xi (rows) and weights
     edges = np.linspace(-0.5, 0.5, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 / panels
     x = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
     w = np.tile(half * _GL_WEIGHTS, panels)
-    return x, w
-
-
-def _outer_value(r, sigma, pref, panels):
-    """Integral over the outer n-1 coordinates of the exact inner-coordinate
-    mass times the outer Gaussian factor, times the probability prefactor."""
-    d = r.shape[0] - 1
-    r11 = r[0, 0]
-    x, w = _panel_axis(panels)
     axes = np.meshgrid(*([x] * d), indexing="ij")
     xi = np.stack([a.ravel() for a in axes], axis=1)
     weights = np.ones(xi.shape[0])
     for a in np.meshgrid(*([w] * d), indexing="ij"):
         weights *= a.ravel()
+    xi.flags.writeable = weights.flags.writeable = False
+    return xi, weights
+
+
+_PANEL_GRIDS = {}  # (panels, d) -> _build_panel_grid(panels, d), for the small grids only
+
+
+def _panel_grid(panels: int, d: int):
+    """The read-only (xi, weights) of _outer_value's tensor grid.  A grid of
+    at most QUADRATURE_NODES_PER_PANEL ** 3 points (1 MiB at d = 3) is built
+    once per process, and the few such (panels, d) hold under 3 MiB in all;
+    a larger one, up to the evaluation cap, is built per call."""
+    grid = _PANEL_GRIDS.get((panels, d))
+    if grid is None:
+        grid = _build_panel_grid(panels, d)
+        if (QUADRATURE_NODES_PER_PANEL * panels) ** d <= QUADRATURE_NODES_PER_PANEL ** 3:
+            _PANEL_GRIDS[panels, d] = grid
+    return grid
+
+
+def _outer_value(r, sigma, pref, panels):
+    """Integral over the outer n-1 coordinates of the exact inner-coordinate
+    mass times the outer Gaussian factor, times the probability prefactor."""
+    r11 = r[0, 0]
+    xi, weights = _panel_grid(panels, r.shape[0] - 1)
     shift = xi @ r[0, 1:]
     outer = _density(sigma, xi @ r[1:, 1:].T)
     vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer

@@ -23,9 +23,9 @@ __all__ = [
 
 ALGORITHM_ID = "splitmix64-boxmuller-v1"
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+# splitmix64's increment and its mixer's two multipliers, as Python ints
+_GOLDEN_INT, _M1_INT, _M2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GOLDEN, _M1, _M2 = np.uint64(_GOLDEN_INT), np.uint64(_M1_INT), np.uint64(_M2_INT)
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = float(2.0 ** -53)
 
@@ -50,6 +50,13 @@ def _finalize(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _finalize_int(x: int) -> int:
+    # _finalize on one value in [0, 2**64), in Python ints masked to 64 bits
+    x = ((x ^ (x >> 30)) * _M1_INT) & _MASK64
+    x = ((x ^ (x >> 27)) * _M2_INT) & _MASK64
+    return x ^ (x >> 31)
+
+
 def _bits(seed: int, counters: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return _finalize(np.uint64(seed) + (counters + np.uint64(1)) * _GOLDEN)
@@ -68,10 +75,8 @@ def derive_seed(seed: int, index: int) -> int:
     """
     if index < 0:
         raise ValueError("index must be non-negative")
-    with np.errstate(over="ignore"):
-        base = _finalize(np.array([seed & _MASK64], dtype=np.uint64))
-        child = base ^ ((np.uint64(index & _MASK64) + np.uint64(1)) * _GOLDEN)
-        return int(_finalize(child)[0])
+    step = (((index & _MASK64) + 1) * _GOLDEN_INT) & _MASK64
+    return _finalize_int(_finalize_int(seed & _MASK64) ^ step)
 
 
 def uniform_block(spec: RngSpec, start: int, count: int) -> np.ndarray:

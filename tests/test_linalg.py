@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -241,6 +242,31 @@ def test_check_upper_triangular_flags_entry():
         check_upper_triangular(np.array([[1.0, 0.0], [0.5, 1.0]]))
     out = check_upper_triangular(np.array([[1.0, 2.0], [1e-14, 1.0]]))
     assert out[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_check_upper_triangular_returns_triu_bytes_and_memory_order(order):
+    rng = np.random.default_rng(21)
+    for n in range(9):
+        # lower entries of roundoff size pass the gate and are cleared
+        a = np.triu(rng.standard_normal((n, n))) + 1e-13 * np.tril(rng.standard_normal((n, n)), -1)
+        r = np.asarray(a, order=order)
+        got, want = check_upper_triangular(r), np.triu(r)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+            want.flags.c_contiguous, want.flags.f_contiguous)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("first, second", [((1, 0), (2, 0)), ((3, 0), (2, 1)), ((3, 2), (2, 0))])
+def test_refusal_names_the_first_of_tied_lower_entries_in_row_major_order(first, second,
+                                                                          order):
+    r = np.triu(np.ones((4, 4)))
+    r[first], r[second] = 0.5, -0.5
+    # the rule the refusal keeps: argmax over |tril(r, -1)|, read row by row
+    i, j = np.unravel_index(np.argmax(np.abs(np.tril(r, -1))), r.shape)
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"entry ({i}, {j}) = {r[i, j]!r}")):
+        check_upper_triangular(np.asarray(r, order=order))
 
 
 @pytest.mark.parametrize("c", [2.0**-40, 1.0, 2.0**40], ids=["2^-40", "1", "2^40"])

@@ -24,8 +24,11 @@ from zfprob.probability import (
     MIN_SAMPLES,
     ProbabilityEstimate,
     _conditional_step,
+    _density,
     _empirical_estimates,
+    _outer_value,
     _sidak_bracket,
+    _slab_mass,
     _unit_model,
     erf,
     pzf_diagonal,
@@ -35,6 +38,7 @@ from zfprob.probability import (
 )
 from zfprob.reduction import lll_reduce, sqrd, vblast
 from zfprob.rng import RngSpec, gaussian_block
+from zfprob.tolerances import QUADRATURE_NODES_PER_PANEL
 
 SQRT2 = math.sqrt(2.0)
 R1 = np.array([[4.0, 9.0], [0.0, 1.0]])
@@ -280,6 +284,77 @@ class TestQuadrature:
         p3 = pzf_quadrature(R3, 1.0)
         scalar = math.erf(1.0 / (2 * SQRT2))
         assert abs(p4.value - scalar * p3.value) <= 3e-8
+
+
+def per_call_outer_value(r, sigma, pref, panels):
+    """Reference: _outer_value with its tensor grid built on every call."""
+    d = r.shape[0] - 1
+    r11 = r[0, 0]
+    nodes, node_weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES_PER_PANEL)
+    edges = np.linspace(-0.5, 0.5, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 / panels
+    x = (mid[:, None] + half * nodes[None, :]).ravel()
+    w = np.tile(half * node_weights, panels)
+    axes = np.meshgrid(*([x] * d), indexing="ij")
+    xi = np.stack([a.ravel() for a in axes], axis=1)
+    weights = np.ones(xi.shape[0])
+    for a in np.meshgrid(*([w] * d), indexing="ij"):
+        weights *= a.ravel()
+    shift = xi @ r[0, 1:]
+    outer = _density(sigma, xi @ r[1:, 1:].T)
+    vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer
+    return pref * float(weights @ vals), xi.shape[0]
+
+
+def quadrature_census(n, count):
+    """(value, bound, evaluations) in hex, or the refusal's message, for the
+    first count factors of case_spec(11, i) at n over a grid of sigma."""
+    out = []
+    for i in range(count):
+        r = random_triangular(case_spec(11, i), n)
+        for sigma in (3.0, 1.0, 0.5, 0.2, 0.1, 0.03, 0.01):
+            try:
+                est = pzf_quadrature(r, sigma)
+                out.append((est.value.hex(), est.error_bound.hex(), est.evaluations))
+            except NoConvergenceError as exc:
+                out.append(str(exc))
+    return out
+
+
+class TestPanelGrid:
+    """pzf_quadrature keeps each small tensor grid for the process: that
+    must give the per-call grid's bits and hold no large grid."""
+
+    @pytest.mark.parametrize("n, count, refusals", [(2, 40, 0), (3, 25, 0), (4, 6, 1)])
+    def test_kept_grids_give_the_per_call_bits(self, n, count, refusals, monkeypatch):
+        monkeypatch.setattr("zfprob.probability._PANEL_GRIDS", {})
+        kept = quadrature_census(n, count)
+        monkeypatch.setattr("zfprob.probability._outer_value", per_call_outer_value)
+        assert quadrature_census(n, count) == kept
+        # n = 4, i = 5 at sigma 0.03, whose Sidak bracket is wider than the target
+        assert sum(isinstance(o, str) for o in kept) == refusals
+
+    def test_kept_grids_are_read_only_and_within_the_bound(self, monkeypatch):
+        grids, seen = {}, []
+        monkeypatch.setattr("zfprob.probability._PANEL_GRIDS", grids)
+
+        def spy(r, sigma, pref, panels):
+            seen.append((panels, r.shape[0] - 1))
+            return _outer_value(r, sigma, pref, panels)
+
+        monkeypatch.setattr("zfprob.probability._outer_value", spy)
+        for n in (2, 3, 4):
+            pzf_quadrature(random_triangular(case_spec(11, 0), n), 0.1)
+        assert max(panels for panels, d in seen if d == 3) >= 2
+        bound = QUADRATURE_NODES_PER_PANEL ** 3
+        small = {(p, d) for p, d in seen if (QUADRATURE_NODES_PER_PANEL * p) ** d <= bound}
+        assert set(grids) == small
+        for xi, weights in grids.values():
+            assert xi.shape == (weights.size, xi.shape[1]) and weights.size <= bound
+            assert not xi.flags.writeable and not weights.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 0.0
 
 
 class TestMonteCarlo:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from zfprob.rng import (
     RngSpec,
     _bits,
+    _finalize,
+    _finalize_int,
     derive_seed,
     gaussian_block,
     uniform_block,
@@ -110,6 +112,51 @@ def test_derive_seed_is_deterministic_and_spreads():
     assert derive_seed(1, 3) != derive_seed(2, 3)
     with pytest.raises(ValueError):
         derive_seed(1, -1)
+
+
+# regression pin: child seeds as the uint64-array route derived them, the
+# wrap at 2**64 - 1 and seeds or indices beyond 64 bits included
+GOLDEN_DERIVED_SEEDS = {
+    (0, 0): 16294208416658607535,
+    (1, 3): 1998239919951679251,
+    (12345, 7): 11579847468683371375,
+    (-1, 5): 14570741955795171121,
+    (2 ** 64 - 1, 2 ** 64 - 1): 5476333178966447588,
+    (2 ** 70 + 3, 1): 3466137924951166186,
+}
+
+
+@pytest.mark.parametrize("seed, index", sorted(GOLDEN_DERIVED_SEEDS))
+def test_derive_seed_is_pinned(seed, index):
+    assert derive_seed(seed, index) == GOLDEN_DERIVED_SEEDS[seed, index]
+
+
+def uint64_derive_seed(seed, index):
+    """Reference: derive_seed evaluated on one-element uint64 arrays, whose
+    arithmetic wraps mod 2**64."""
+    mask = 2 ** 64 - 1
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    with np.errstate(over="ignore"):
+        base = _finalize(np.array([seed & mask], dtype=np.uint64))
+        child = base ^ ((np.uint64(index & mask) + np.uint64(1)) * golden)
+        return int(_finalize(child)[0])
+
+
+@given(x=st.integers(0, 2 ** 64 - 1))
+@example(x=0)
+@example(x=2 ** 64 - 1)
+@settings(max_examples=300, deadline=None)
+def test_integer_mixer_equals_the_array_mixer(x):
+    with np.errstate(over="ignore"):
+        assert _finalize_int(x) == int(_finalize(np.array([x], dtype=np.uint64))[0])
+
+
+@given(seed=st.integers(-2 ** 70, 2 ** 70), index=st.integers(0, 2 ** 70))
+@example(seed=2 ** 64 - 1, index=2 ** 64 - 1)
+@example(seed=0, index=2 ** 64)
+@settings(max_examples=300, deadline=None)
+def test_derive_seed_equals_the_uint64_route(seed, index):
+    assert derive_seed(seed, index) == uint64_derive_seed(seed, index)
 
 
 def test_derived_streams_do_not_echo_parent():
