@@ -254,7 +254,7 @@ def _csv_cell(v):
 
 def matrix_digest(a) -> str:
     a = np.asarray(a, dtype=float)
-    canon = f"{a.shape}|" + ",".join(repr(float(v)) for v in a.ravel())
+    canon = f"{a.shape}|" + ",".join(map(repr, a.ravel().tolist()))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

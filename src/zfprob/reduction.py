@@ -241,22 +241,25 @@ def _lovasz_holds(r, k: int, delta: float) -> bool:
 def _swap_inplace(r, z, q, k):
     """Exchange columns k-1 and k of r and of z, a list of columns, then
     restore triangular form with one 2x2 rotation accumulated into q;
-    pivots stay positive."""
-    r[:, [k - 1, k]] = r[:, [k, k - 1]]
+    pivots stay positive.
+
+    r must be upper triangular, so rows below k of columns k-1 and k, and
+    columns left of k-1 of rows k-1 and k, are zero: the exchange runs on
+    rows <= k and the rotation on columns >= k-1 only."""
+    r[:k + 1, k - 1:k + 1] = r[:k + 1, k - 1:k + 1][:, ::-1]
     z[k - 1], z[k] = z[k], z[k - 1]
     # the swap leaves one entry below the diagonal; rotate it away
-    a = r[k - 1, k - 1]
-    b = r[k, k - 1]
+    a, b = r.item(k - 1, k - 1), r.item(k, k - 1)
     rho = math.hypot(a, b)
     if rho < SOLVE_DIAG_MIN:
         raise SingularDiagonalError(f"columns {k-1},{k} are numerically dependent")
     c = a / rho
     s = b / rho
     g = np.array([[c, -s], [s, c]])
-    r[[k - 1, k], :] = g.T @ r[[k - 1, k], :]
-    q[:, [k - 1, k]] = q[:, [k - 1, k]] @ g
+    r[k - 1:k + 1, k - 1:] = g.T @ r[k - 1:k + 1, k - 1:]
+    q[:, k - 1:k + 1] = q[:, k - 1:k + 1] @ g
     # pivot k-1 is now rho > 0 and pivot k is -s * (old pivot k-1) < 0: flip row k
-    r[k] = -r[k]
+    r[k, k - 1:] = -r[k, k - 1:]
     q[:, k] = -q[:, k]
     r[k, k - 1] = 0.0
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -573,6 +574,21 @@ class TestReportSerialization:
         a = matrix_digest(np.array([[1.0, 2.0], [0.0, 1.0]]))
         b = matrix_digest(np.array([[1.0, 2.0], [0.0, 1.0000001]]))
         assert a != b and len(a) == 16
+
+    @pytest.mark.parametrize("a", [
+        [[-0.0, 0.0], [5e-324, -5e-324]],
+        [math.inf, -math.inf, math.nan],
+        np.zeros((0, 3)),
+        np.array(2.5),
+        [[1, -2, 3], [2**53 + 1, 0, 7]],
+        np.array([[0.1, 1e308], [-1e-300, 1.0 / 3.0]]),
+    ], ids=["signed-zeros-and-subnormals", "inf-and-nan", "empty-0x3", "zero-d", "python-ints",
+            "fractions"])
+    def test_digest_equals_the_per_element_expression(self, a):
+        # each entry as repr(float(v)) of the float64 array, as the digest was first written
+        f = np.asarray(a, dtype=float)
+        canon = f"{f.shape}|" + ",".join(repr(float(v)) for v in f.ravel())
+        assert matrix_digest(a) == hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 # the smallest run of each subcommand; M and Y stand for a matrix and an observation file

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import zfprob.reduction as reduction_module
 from zfprob.ensembles import case_spec, random_triangular
 from zfprob.errors import (
     DimensionMismatchError,
     InvalidGridError,
     IterationLimitExceededError,
+    LatticeError,
     RankDeficientError,
     SingularDiagonalError,
     SingularMatrixError,
@@ -39,6 +41,7 @@ from zfprob.tolerances import (
     LLL_CHECK_SLACK,
     QUADRATURE_MAX_DIM,
     REDUCTION_RECONSTRUCTION_TOL,
+    SOLVE_DIAG_MIN,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -188,6 +191,81 @@ class TestSwapAndRetriangularize:
             np.testing.assert_allclose(r2, r0, atol=1e-10)
             np.testing.assert_array_equal(z2, np.eye(n, dtype=np.int64))
             np.testing.assert_allclose(q2, np.eye(n), atol=1e-10)
+
+
+def full_width_swap(r, z, q, k):
+    """_swap_inplace as first written: it exchanges whole columns and rotates
+    whole rows, the zeros left of column k-1 and below row k included.  The
+    reference for the bits of the swap that touches only what it changes."""
+    r[:, [k - 1, k]] = r[:, [k, k - 1]]
+    z[k - 1], z[k] = z[k], z[k - 1]
+    a = r[k - 1, k - 1]
+    b = r[k, k - 1]
+    rho = math.hypot(a, b)
+    if rho < SOLVE_DIAG_MIN:
+        raise SingularDiagonalError(f"columns {k-1},{k} are numerically dependent")
+    c = a / rho
+    s = b / rho
+    g = np.array([[c, -s], [s, c]])
+    r[[k - 1, k], :] = g.T @ r[[k - 1, k], :]
+    q[:, [k - 1, k]] = q[:, [k - 1, k]] @ g
+    r[k] = -r[k]
+    q[:, k] = -q[:, k]
+    r[k, k - 1] = 0.0
+
+
+def test_swap_matches_the_full_width_swap_bit_for_bit():
+    # every k at n = 2 .. 64 rotates views 2 .. 64 columns wide, so the
+    # product meets every tile edge of the BLAS kernel
+    rng = np.random.default_rng(2013)
+    for n in range(2, 65):
+        r0 = np.triu(np.where(rng.random((n, n)) < 0.2, 0.0, rng.standard_normal((n, n))))
+        r0[np.diag_indices(n)] = 0.1 + np.abs(rng.standard_normal(n))
+        q0 = rng.standard_normal((n, n))
+        z0 = rng.integers(-9, 10, (n, n)).tolist()
+        for k in range(1, n):
+            got, want = [], []
+            for swap, out in ((_swap_inplace, got), (full_width_swap, want)):
+                r, z, q = r0.copy(), [list(col) for col in z0], q0.copy()
+                swap(r, z, q, k)
+                # the full-width flip leaves -0.0 left of column k-1 in row k
+                assert not np.tril(r, -1).any()
+                out += [np.triu(r).tobytes(), z, q.tobytes()]
+            assert got == want, (n, k)
+
+
+def scrambled_n48(seed):
+    """A 48x48 factor scrambled by 48 random unimodular column operations,
+    as the benchmark's reduce-n48 workload makes its inputs."""
+    rng = np.random.default_rng([seed, 3])
+    u = np.eye(48, dtype=np.int64)
+    g = rng.standard_normal((48, 48))
+    for _ in range(48):
+        i, j = rng.choice(48, 2, replace=False)
+        u[:, j] += int(rng.choice((-1, 1))) * u[:, i]
+    _, r = np.linalg.qr(g @ u)
+    return np.triu(np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None] * r) + 0.0
+
+
+def lll_outcome(r, delta):
+    try:
+        res = lll_reduce(r, LLLParams(delta=delta))
+    except LatticeError as exc:
+        return type(exc), str(exc)
+    return (res.r_bar.tobytes(), res.z.tobytes(), res.q_bar.tobytes(), res.stats,
+            res.reconstruction_error.hex(), res.det_drift.hex())
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.75, 0.99, 1.0])
+def test_lll_reduce_matches_the_full_width_swap_bit_for_bit(delta, monkeypatch):
+    factors = [ill_conditioned(i) for i in range(500)] + [scrambled_n48(s) for s in (1, 2, 3)]
+    got = [lll_outcome(r, delta) for r in factors]
+    monkeypatch.setattr(reduction_module, "_swap_inplace", full_width_swap)
+    want = [lll_outcome(r, delta) for r in factors]
+    assert got == want
+    # both results and refusals are compared
+    assert sum(isinstance(o[0], bytes) for o in got) > 100
+    assert sum(isinstance(o[0], type) for o in got) > 100
 
 
 class TestLLLReduce:

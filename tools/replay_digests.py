@@ -33,6 +33,11 @@ INPUT_FILES = {
     "diag2.csv": "1.4142135623730951,0\n0,2.8284271247461903\n",
     "y2.csv": "0.4\n-0.7\n",
     "y3.csv": "1.2\n-0.4\n2.9\n",
+    # falling pivots 17 .. 2 over entries in -3 .. 3: LLL swaps at every k from 1 to 15
+    "tri16.csv": "".join(
+        ",".join(str(17 - i if j == i else (3 * i + 5 * j) % 7 - 3 if j > i else 0)
+                 for j in range(16)) + "\n"
+        for i in range(16)),
 }
 
 INVOCATIONS = (
@@ -72,6 +77,7 @@ INVOCATIONS = (
      "--parallel", "2"),
     ("ensemble", "--n", "2", "--delta", "0.9", "--trials", "5", "--format", "csv"),
     ("ensemble", "--n", "3", "--m", "2"),
+    ("reduce", "--matrix", "tri16.csv"),
 )
 
 
