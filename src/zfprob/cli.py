@@ -140,8 +140,8 @@ class ExperimentConfig:
                 raise InvalidGridError(f"grid must be strictly increasing, got {list(grid)}")
         for delta in (self.delta, *(self.delta_grid or ())):
             LLLParams(delta=delta)  # the one delta rule: InvalidGridError outside (0.25, 1.0]
-        missing = [_FLAGS[name][0] for name in REQUIRES.get(self.command, ())
-                   if not getattr(self, name)]
+        missing = [_FLAGS[name][0] for name, when in SUBCOMMANDS[self.command][2].items()
+                   if when is _REQUIRED and not getattr(self, name)]
         if missing:
             raise ParseError(f"{self.command} requires {' and '.join(missing)}")
         _refuse_unread(self)
@@ -428,8 +428,8 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _match_verdict(name, got, want, tol=REFERENCE_VALUE_TOL) -> Verdict:
-    return Verdict(name=name, passed=abs(got - want) <= tol,
+def _match_verdict(name, got, want) -> Verdict:
+    return Verdict(name=name, passed=abs(got - want) <= REFERENCE_VALUE_TOL,
                    detail=f"computed {got:.6f}, expected {want:.4f}, "
                           f"|diff| = {abs(got - want):.2e}")
 
@@ -489,7 +489,6 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
         "matrix_digest": matrix_digest(matrix),
         "r": inst.r,
         "y_tilde": inst.y_tilde,
-        "sigma": inst.sigma,
         "zf_estimate": zf.estimate,
         "zf_residual": zf.residual,
         "sic_estimate": sic.estimate,
@@ -699,44 +698,39 @@ _FLAGS = {
     "out_format": ("--format", dict(choices=("json", "csv"))),
 }
 
-# subcommand -> (command function, description, the ExperimentConfig fields
-# it reads); every subcommand also takes --out and --format
-SUBCOMMANDS = {
-    "reproduce": (cmd_reproduce, "run the bundled reference cases against their pinned values",
-                  ("delta",)),
-    "reduce": (cmd_reduce, "reduce a matrix and report the transform and checks",
-               ("matrix_path", "delta")),
-    "decode": (cmd_decode, "decode an observation with the ZF, SIC, and brute-force decoders",
-               ("matrix_path", "y_path")),
-    "pzf": (cmd_pzf, "estimate the success probability of one matrix",
-            ("matrix_path", "sigma", "method", "trials", "seed")),
-    "sweep-delta": (cmd_sweep_delta, "success probability across a delta grid",
-                    ("matrix_path", "sigma", "delta_grid", "trials", "seed", "parallel")),
-    "invariance": (cmd_invariance, "permutation-reduction invariance suite on random instances",
-                   ("trials", "seed", "n", "parallel")),
-    "ensemble": (cmd_ensemble, "survey how the reduction moves the success probability",
-                 ("sigma", "delta", "method", "trials", "seed", "n", "m", "parallel")),
-}
-
-# subcommand -> the fields its run cannot do without
-REQUIRES = {"reduce": ("matrix_path",), "decode": ("matrix_path", "y_path"),
-            "pzf": ("matrix_path",)}
-
-# (subcommand, field) -> (a test for the runs that read the flag, their name).
-# A flag given to any other run would be echoed but not read, so it is
-# refused; a flag a subcommand takes with no entry is read by every run.
+# subcommand -> (command function, description, {ExperimentConfig field it
+# takes: when its runs read it}), every subcommand also taking the _OUTPUT
+# fields.  "When" is a (test for the runs that read the field, their name)
+# pair: every run reads an _EVERY field, and a _REQUIRED one, which it cannot
+# do without.  A flag given to any other run would be echoed but not read,
+# so it is refused.
+_EVERY = (lambda c: True, "in every run")
+_REQUIRED = (lambda c: True, "in every run")
 _SAMPLING = (lambda c: c.method in ("mc", "empirical"), "only with --method mc or empirical")
 _RANDOM = (lambda c: not c.matrix_path, "only without --matrix, which sweeps one matrix")
-READ_BY = {
-    ("pzf", "trials"): _SAMPLING,
-    ("pzf", "seed"): _SAMPLING,
-    ("sweep-delta", "sigma"): (lambda c: bool(c.matrix_path), "only with --matrix"),
-    ("sweep-delta", "trials"): _RANDOM,
-    ("sweep-delta", "seed"): _RANDOM,
-    ("sweep-delta", "parallel"): _RANDOM,
-    ("ensemble", "method"): (lambda c: c.method == "empirical" or (
-        c.method == "quad" and c.n <= QUADRATURE_MAX_DIM),
-        f"only as empirical, or as quad up to n = {QUADRATURE_MAX_DIM}"),
+_OUTPUT = dict(out_path=_EVERY, out_format=_EVERY)
+SUBCOMMANDS = {
+    "reproduce": (cmd_reproduce, "run the bundled reference cases against their pinned values",
+                  dict(delta=_EVERY)),
+    "reduce": (cmd_reduce, "reduce a matrix and report the transform and checks",
+               dict(matrix_path=_REQUIRED, delta=_EVERY)),
+    "decode": (cmd_decode, "decode an observation with the ZF, SIC, and brute-force decoders",
+               dict(matrix_path=_REQUIRED, y_path=_REQUIRED)),
+    "pzf": (cmd_pzf, "estimate the success probability of one matrix",
+            dict(matrix_path=_REQUIRED, sigma=_EVERY, method=_EVERY, trials=_SAMPLING,
+                 seed=_SAMPLING)),
+    "sweep-delta": (cmd_sweep_delta, "success probability across a delta grid",
+                    dict(matrix_path=_EVERY,
+                         sigma=(lambda c: bool(c.matrix_path), "only with --matrix"),
+                         delta_grid=_EVERY, trials=_RANDOM, seed=_RANDOM, parallel=_RANDOM)),
+    "invariance": (cmd_invariance, "permutation-reduction invariance suite on random instances",
+                   dict(trials=_EVERY, seed=_EVERY, n=_EVERY, parallel=_EVERY)),
+    "ensemble": (cmd_ensemble, "survey how the reduction moves the success probability",
+                 dict(sigma=_EVERY, delta=_EVERY,
+                      method=(lambda c: c.method == "empirical" or (
+                          c.method == "quad" and c.n <= QUADRATURE_MAX_DIM),
+                          f"only as empirical, or as quad up to n = {QUADRATURE_MAX_DIM}"),
+                      trials=_EVERY, seed=_EVERY, n=_EVERY, m=_EVERY, parallel=_EVERY)),
 }
 
 
@@ -745,9 +739,9 @@ def _refuse_unread(config: ExperimentConfig, given=None):
     flags; for a config built in code, a field off its default counts as given."""
     if given is None:
         given = {f.name for f in fields(config) if getattr(config, f.name) != f.default}
-    takes = (*SUBCOMMANDS[config.command][2], "out_path", "out_format")
+    takes = {**SUBCOMMANDS[config.command][2], **_OUTPUT}
     for name in [name for name in _FLAGS if name in given]:  # in field order
-        reads, runs = READ_BY.get((config.command, name), (lambda c: name in takes, "in no run"))
+        reads, runs = takes.get(name, (lambda c: False, "in no run"))
         if not reads(config):
             raise ValueError(f"{config.command} reads {_FLAGS[name][0]} {runs}")
 
@@ -761,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, desc, takes) in SUBCOMMANDS.items():
         command = sub.add_parser(name, help=desc, description=desc,
                                  argument_default=argparse.SUPPRESS)
-        for dest in (*takes, "out_path", "out_format"):
+        for dest in {**takes, **_OUTPUT}:
             flag, kwargs = _FLAGS[dest]
             command.add_argument(flag, dest=dest, **kwargs)
     return parser

@@ -18,7 +18,7 @@ from .errors import (
     NotUnimodularError,
 )
 from .linalg import (
-    _as_vector,
+    _as_array,
     check_sigma,
     int64_entries,
     int_determinant,
@@ -54,8 +54,12 @@ class ILSInstance:
 
     def __post_init__(self):
         r, signs = positive_triangular(self.r)
+        y = _as_array(self.y_tilde, 1, "observation")
+        if y.shape[0] != r.shape[0]:
+            raise DimensionMismatchError(
+                f"observation has length {y.shape[0]}, expected {r.shape[0]}")
         # a row flip of R with the same flip of y_tilde is the same problem
-        y = signs * _as_vector(self.y_tilde, r.shape[0], "observation")
+        y = signs * y
         check_sigma(self.sigma)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "y_tilde", y)

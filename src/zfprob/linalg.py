@@ -36,24 +36,14 @@ __all__ = [
 ]
 
 
-def _as_matrix(a, name="matrix") -> np.ndarray:
+def _as_array(a, ndim: int, name: str) -> np.ndarray:
+    """The one array check: a as float64, with ndim dimensions and finite entries."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DimensionMismatchError(f"{name} contains non-finite entries")
     return a
-
-
-def _as_vector(v, n=None, name="vector") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be 1-dimensional, got shape {v.shape}")
-    if n is not None and v.shape[0] != n:
-        raise DimensionMismatchError(f"{name} has length {v.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(v)):
-        raise DimensionMismatchError(f"{name} contains non-finite entries")
-    return v
 
 
 def check_upper_triangular(r) -> np.ndarray:
@@ -62,12 +52,10 @@ def check_upper_triangular(r) -> np.ndarray:
     Below-diagonal entries may carry roundoff up to UPPER_TRIANGULAR_TOL
     relative to the largest entry; anything bigger is an error.
     """
-    r = _as_matrix(r, "R")
+    r = _as_array(r, 2, "R")
     n, m = r.shape
     if n != m:
         raise DimensionMismatchError(f"R must be square, got shape {r.shape}")
-    if n == 0:
-        return r
     lower = _strict_lower(n)
     below = np.abs(r[lower])  # row-major, so argmax names the first largest entry
     if below.size and np.max(below) > UPPER_TRIANGULAR_TOL * np.max(np.abs(r)):
@@ -145,7 +133,7 @@ def qr_factorize(a) -> QRFactorization:
     Requires m >= n.  A factor the gate refuses, a pivot below SOLVE_DIAG_MIN
     relative to R's largest entry, is rank deficient: RankDeficientError.
     """
-    a, e = unit_scale(_as_matrix(a))
+    a, e = unit_scale(_as_array(a, 2, "matrix"))
     m, n = a.shape
     if m < n:
         raise DimensionMismatchError(

@@ -123,7 +123,8 @@ class ReductionResult:
                 f"transform determinant is {int_determinant(self.z)}, expected +-1")
         if np.min(np.diag(self.r_bar), initial=np.inf) <= 0.0:
             raise SingularDiagonalError("reduced matrix has a non-positive pivot")
-        _contract(r_input, check_upper_triangular(r_input), self.r_bar, self.z, self.q_bar)
+        check_upper_triangular(r_input)
+        _contract(r_input, self.r_bar, self.z, self.q_bar)
 
 
 def _reconstruction_error(r_input, r_bar, z, q_bar) -> float:
@@ -136,8 +137,8 @@ def _reconstruction_error(r_input, r_bar, z, q_bar) -> float:
 
 
 def _det_drift(r_input, r_bar) -> float:
-    """Relative |det| change from triangular r_input to r_bar."""
-    d_in, e_in = _frexp_product(r_input.diagonal())
+    """Relative |det| change from triangular r_input to r_bar; row flips keep |det|."""
+    d_in, e_in = _frexp_product(np.asarray(r_input, dtype=float).diagonal())
     d_out, e_out = _frexp_product(r_bar.diagonal())
     if d_in == 0.0:
         raise SingularMatrixError("input factor has a zero pivot")
@@ -147,26 +148,25 @@ def _det_drift(r_input, r_bar) -> float:
     return _in_range(abs(d_out - d_in) / d_in, "determinant drift")
 
 
-def _contract(r_input, triangular, r_bar, z, q_bar) -> tuple[float, float]:
+def _contract(r_input, r_bar, z, q_bar) -> tuple[float, float]:
     """(reconstruction error, determinant drift) of Qbar^T R Z = Rbar, R being
-    r_input and triangular its checked triangular form; raises
-    SingularMatrixError naming the first of the two tests that fails."""
+    the triangular r_input; raises SingularMatrixError naming the first of
+    the two tests that fails."""
     err = _reconstruction_error(r_input, r_bar, z, q_bar)
     if not err <= REDUCTION_RECONSTRUCTION_TOL:
         raise SingularMatrixError(
             f"reconstruction error {err:.3e} exceeds {REDUCTION_RECONSTRUCTION_TOL}")
-    drift = _det_drift(triangular, r_bar)
+    drift = _det_drift(r_input, r_bar)
     if not drift <= DET_PRESERVATION_TOL:
         raise SingularMatrixError(
             f"determinant drift {drift:.3e} exceeds {DET_PRESERVATION_TOL}")
     return err, drift
 
 
-def _result(r_input, gated, r_bar, z, q_bar, stats) -> ReductionResult:
-    """The result of reducing r_input, whose gate gave gated, once it passes
-    the contract.  z is unimodular by construction, so its determinant is
-    not recomputed, and gated's row flips leave |det| as it is."""
-    err, drift = _contract(r_input, gated, r_bar, z, q_bar)
+def _result(r_input, r_bar, z, q_bar, stats) -> ReductionResult:
+    """The result of reducing r_input, once it passes the contract.  z is
+    unimodular by construction, so its determinant is not recomputed."""
+    err, drift = _contract(r_input, r_bar, z, q_bar)
     return ReductionResult(r_bar=r_bar, z=z, q_bar=q_bar, stats=stats,
                            reconstruction_error=err, det_drift=drift)
 
@@ -194,9 +194,8 @@ def _size_reduce_inplace(r, z, i, k) -> bool:
     # then |r_ik / r_ii| <= 1/2 too, division being monotone, and that rounds to 0
     if abs(entry) <= 0.5 * abs(pivot):
         return False
+    # else |entry / pivot| >= 1/2 + 2**-53, the pivot being normal, so mu != 0
     mu = round_nearest(entry / pivot)
-    if mu == 0:
-        return False
     # rows above i only, r is triangular
     r[: i + 1, k] -= mu * r[: i + 1, i]
     z[k] = [a - mu * b for a, b in zip(z[k], z[i])]
@@ -312,7 +311,7 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
             iterations += 1
     stats = ReductionStats(size_reductions=size_reductions, swaps=swaps,
                            iterations=iterations)
-    return _result(r, gated, np.ldexp(u + 0.0, e), _transform(z), q, stats)
+    return _result(r, np.ldexp(u + 0.0, e), _transform(z), q, stats)
 
 
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
@@ -351,7 +350,7 @@ def _perm_result(r, gated, signs, perm) -> ReductionResult:
                 seen[j] = True
                 j = perm[j]
     stats = ReductionStats(size_reductions=0, swaps=n - cycles, iterations=0)
-    return _result(r, gated, f.r, z, signs[:, None] * f.q1, stats)
+    return _result(r, f.r, z, signs[:, None] * f.q1, stats)
 
 
 def _dual_basis(r) -> np.ndarray:

@@ -18,7 +18,6 @@ import zfprob
 import zfprob.cli as cli_module
 from zfprob.cli import (
     _FLAGS,
-    READ_BY,
     SUBCOMMANDS,
     ExperimentConfig,
     ExperimentReport,
@@ -42,6 +41,7 @@ from zfprob.errors import (
     ParseError,
 )
 from zfprob.linalg import qr_factorize
+from zfprob.probability import ProbabilityEstimate
 from zfprob.reduction import LLLParams, orthogonality_defect
 
 
@@ -79,6 +79,11 @@ class TestLoaders:
         with pytest.raises(ParseError) as err:
             load_matrix_csv(path)
         assert err.value.line == 2 and err.value.column == 2
+
+    def test_empty_field_exits_2_naming_line_and_column(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "4,9\n1,,2\n")
+        assert main(["reduce", "--matrix", path]) == 2
+        assert "empty field (line 2, column 2)" in capsys.readouterr().err
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "m.csv", "\n\n")
@@ -211,6 +216,7 @@ class TestDecodeCommand:
         case = json.loads(capsys.readouterr().out)["cases"][0]
         np.testing.assert_array_equal(case["r"], [[2.0, -1.0], [0.0, 3.0]])
         np.testing.assert_array_equal(case["y_tilde"], [-0.4, -0.7])
+        assert "sigma" not in case  # no decoder reads a noise level
 
     def test_sigma_is_refused(self, tmp_path, capsys):
         # no decoder reads a noise level, so the flag would only be echoed
@@ -473,6 +479,27 @@ class TestEnsembleCommand:
         summary = payload["cases"][-1]["summary"][0]
         assert summary["decreased"] == 0
 
+    def test_planted_model_the_reduction_worsens_counts_as_a_decrease(self, monkeypatch,
+                                                                       capsys):
+        # reference 3 at sigma = 1: the reduction lowers P from 0.6105 to 0.6030
+        monkeypatch.setattr(cli_module, "random_model_matrix",
+                            lambda spec, m, n: np.array(cli_module.REFERENCE_3_R))
+        assert main(["ensemble", "--n", "3", "--trials", "1", "--sigma", "1.0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cases"][0]["outcome"] == "decreased"
+        assert payload["cases"][-1]["summary"][0]["decreased"] == 1
+        assert payload["verdicts"] == []  # descriptive above n = 2
+
+    def test_two_dim_decrease_fails_the_run(self, monkeypatch, capsys):
+        # no 2x2 model can lower P, so the estimate pair is planted instead
+        pair = [ProbabilityEstimate(value=v, method="quad", error_bound=1e-8, evaluations=1)
+                for v in (0.9, 0.5)]
+        monkeypatch.setattr(cli_module, "_dispatch_estimator", lambda *args: pair)
+        assert main(["ensemble", "--trials", "1", "--sigma", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert "[FAIL] ensemble-no-decrease-sigma-0.5: 1 decreases in 1 runs" in err
+        assert "first failing verdict: ensemble-no-decrease-sigma-0.5" in err
+
 
 class TestCaseFunctions:
     """Each batch case is a function of the echoed config and its index."""
@@ -667,7 +694,8 @@ class TestOptionSets:
         assert main(["reduce", "--bogus"]) == 2
         assert "--bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", READ_BY)
+    @pytest.mark.parametrize("key", [(command, name) for command, (_, _, takes)
+                                     in SUBCOMMANDS.items() for name in takes])
     def test_every_table_entry_names_a_flag_its_parser_takes(self, key, capsys):
         command, name = key
         assert main([command, "--help"]) == 0

@@ -193,6 +193,17 @@ class TestILSInstance:
         with pytest.raises(DimensionMismatchError):
             ILSInstance(r=np.eye(2), y_tilde=[0.0, 0.0, 0.0], sigma=1.0)
 
+    @pytest.mark.parametrize("y, message", [
+        ([0.0, 0.0, 0.0], "observation has length 3, expected 2"),
+        ([[0.0, 0.0]], r"observation must be 1-dimensional, got shape \(1, 2\)"),
+        ([0.0, np.nan], "observation contains non-finite entries"),
+        # the entries are checked before the length
+        ([np.inf, 0.0, 0.0], "observation contains non-finite entries"),
+    ])
+    def test_observation_refusals_name_what_failed(self, y, message):
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            ILSInstance(r=np.eye(2), y_tilde=y, sigma=1.0)
+
     def test_negative_pivots_fold_into_the_observation(self):
         # numpy's QR leaves pivots of either sign; flipping a row of R and
         # the same entry of y_tilde is the same problem, so every decoder

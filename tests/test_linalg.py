@@ -181,6 +181,13 @@ class TestIntDeterminant:
         assert int_determinant(np.array([[0, 1], [1, 0]])) == -1
         assert int_determinant(np.array([[2, 0], [0, 3]])) == 6
         assert int_determinant(np.array([[1, 2], [2, 4]])) == 0
+        # elimination leaves a zero pivot with nothing nonzero below it
+        assert int_determinant(np.array([[1, 2, 3], [2, 4, 5], [0, 0, 1]])) == 0
+
+    def test_non_square_refused(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^need a square matrix, got shape \(2, 3\)$"):
+            int_determinant(np.zeros((2, 3), dtype=np.int64))
 
     def test_unimodular_product_stays_exact(self):
         # a long product of elementary integer column operations has

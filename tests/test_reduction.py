@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,12 +11,12 @@ from zfprob.errors import (
     InvalidGridError,
     IterationLimitExceededError,
     LatticeError,
+    NotUnimodularError,
     RankDeficientError,
     SingularDiagonalError,
     SingularMatrixError,
 )
 from zfprob.linalg import (
-    check_upper_triangular,
     int_determinant,
     positive_triangular,
     unit_scale,
@@ -135,6 +136,20 @@ class TestSizeReduceEntry:
             size_reduce_entry(R_4_9, [[0.5, 0.0], [0.0, 1.0]], 0, 1)
         _, z, _ = size_reduce_entry(R_4_9, [[1.0, 0.0], [0.0, 1.0]], 0, 1)
         np.testing.assert_array_equal(z, [[1, -2], [0, 1]])
+
+    @pytest.mark.parametrize("pivot", [1.0, 1.25, 1.5, math.nextafter(2.0, 0.0), 0.7316, -1.0])
+    @pytest.mark.parametrize("exponent", [-1, -20, -46])
+    def test_one_ulp_above_half_a_pivot_applies_one(self, pivot, exponent):
+        # the quotient is at least 1/2 + 2**-53 for a normal pivot, so mu is +-1, never 0;
+        # r0 is at unit scale, and 2**-46 * 0.7316 clears the relative pivot floor
+        pivot = math.ldexp(pivot, exponent)
+        for sign in (1.0, -1.0):
+            entry = sign * math.nextafter(abs(pivot) / 2, math.inf)
+            r0 = np.array([[pivot, entry], [0.0, 0.5]])
+            r, z, applied = size_reduce_entry(r0, EYE2, 0, 1)
+            mu = -int(z[0, 1])
+            assert applied and abs(mu) == 1
+            assert r[0, 1] == entry - mu * pivot
 
 
 class TestLovaszHolds:
@@ -657,7 +672,7 @@ def test_every_returned_result_passes_its_contract():
                 continue
             result.check(r)
             positive_triangular(result.r_bar)
-            assert _contract(r, check_upper_triangular(r), result.r_bar, result.z,
+            assert _contract(r, result.r_bar, result.z,
                              result.q_bar) == (result.reconstruction_error, result.det_drift)
     # here the loop loses z on 161 factors; sqrd's reordered factor fails the
     # gate on 44 and its factorization drifts on 30, and vblast returns all
@@ -682,6 +697,19 @@ def test_refusal_names_the_failed_test(reduce, index, failed):
         reduce(ill_conditioned(index))
 
 
+def test_check_refuses_a_broken_result():
+    result = lll_reduce(R_4_9)
+    with pytest.raises(NotUnimodularError, match=r"^transform determinant is -?4, expected \+-1$"):
+        dataclasses.replace(result, z=2 * result.z).check(R_4_9)
+    flipped = result.r_bar * np.array([[1.0], [-1.0]])
+    with pytest.raises(SingularDiagonalError, match="^reduced matrix has a non-positive pivot$"):
+        dataclasses.replace(result, r_bar=flipped).check(R_4_9)
+    # an input that differs by 1e-12 passes the reconstruction test, then its zero pivot is refused
+    near = lll_reduce([[1.0, 0.0], [0.0, 1e-12]])
+    with pytest.raises(SingularMatrixError, match="^input factor has a zero pivot$"):
+        near.check([[1.0, 0.0], [0.0, 0.0]])
+
+
 @pytest.mark.parametrize("reduce", [lll_reduce, sqrd, vblast])
 def test_fields_are_what_check_measures(reduce):
     for i in range(10):
@@ -690,5 +718,5 @@ def test_fields_are_what_check_measures(reduce):
         for factor in (r, flipped):
             result = reduce(factor)
             result.check(factor)
-            assert _contract(factor, check_upper_triangular(factor), result.r_bar, result.z,
+            assert _contract(factor, result.r_bar, result.z,
                              result.q_bar) == (result.reconstruction_error, result.det_drift)
