@@ -371,11 +371,11 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
     # case 2: decoder residual before and after the reduction
     r2 = np.array(REFERENCE_2_R)
     y2 = np.array(REFERENCE_2_Y)
-    inst = ILSInstance(r=r2, y_tilde=y2, sigma=1.0)
+    inst = ILSInstance(r=r2, y_tilde=y2)
     before = zf_decode(inst)
     red = lll_reduce(r2, LLLParams(delta=config.delta))
     y_bar = red.q_bar.T @ y2
-    after = zf_decode(ILSInstance(r=red.r_bar, y_tilde=y_bar, sigma=1.0))
+    after = zf_decode(ILSInstance(r=red.r_bar, y_tilde=y_bar))
     lifted = lift_estimate(red.z, after.estimate)
     report.cases.append({
         "case": "reference-2",
@@ -482,7 +482,7 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
     if y.shape[0] != matrix.shape[0]:
         raise DimensionMismatchError(
             f"observation length {y.shape[0]} does not match {matrix.shape[0]} rows")
-    inst = ILSInstance(r=r, y_tilde=y if q1 is None else q1.T @ y, sigma=1.0)
+    inst = ILSInstance(r=r, y_tilde=y if q1 is None else q1.T @ y)
     zf = zf_decode(inst)
     sic = sic_decode(inst)
     case = {
@@ -576,7 +576,7 @@ def _invariance_case(config: ExperimentConfig, index: int) -> dict:
     for name, strategy in (("sqrd", sqrd), ("vblast", vblast)):
         red = strategy(inst.r)
         y_bar = red.q_bar.T @ inst.y_tilde
-        reduced = zf_decode(ILSInstance(r=red.r_bar, y_tilde=y_bar, sigma=inst.sigma))
+        reduced = zf_decode(ILSInstance(r=red.r_bar, y_tilde=y_bar))
         lifted = lift_estimate(red.z, reduced.estimate)
         p_red = pzf_quadrature(red.r_bar, inst.sigma)
         case[name] = {

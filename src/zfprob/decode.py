@@ -44,13 +44,14 @@ BOX_RADIUS = 3
 
 @dataclass(frozen=True)
 class ILSInstance:
-    """One decoding problem: triangular matrix, observation, noise level.
+    """One decoding problem: triangular matrix, observation and, optionally,
+    the noise level it was drawn at, which no decoder reads.
     A negative-pivot row of R is flipped together with its entry of y_tilde,
     which leaves R^{-1} y_tilde and every residual unchanged."""
 
     r: np.ndarray
     y_tilde: np.ndarray
-    sigma: float
+    sigma: float | None = None
 
     def __post_init__(self):
         r, signs = positive_triangular(self.r)
@@ -60,7 +61,8 @@ class ILSInstance:
                 f"observation has length {y.shape[0]}, expected {r.shape[0]}")
         # a row flip of R with the same flip of y_tilde is the same problem
         y = signs * y
-        check_sigma(self.sigma)
+        if self.sigma is not None:
+            check_sigma(self.sigma)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "y_tilde", y)
 

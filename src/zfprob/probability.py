@@ -53,6 +53,10 @@ __all__ = [
 
 MIN_SAMPLES = 1000
 _EMPIRICAL_BLOCK = 2048  # trials per noise block: a block at n = 16 is 256 KB
+# points per dot in _outer_value's sum, whose blocks are added in order:
+# OpenBLAS splits a dot longer than 10,000 across its threads, and then its
+# bits depend on the thread count
+_DOT_BLOCK = 8192
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(QUADRATURE_NODES_PER_PANEL)
 
@@ -178,7 +182,10 @@ def _outer_value(r, sigma, pref, panels):
     shift = xi @ r[0, 1:]
     outer = _density(sigma, xi @ r[1:, 1:].T)
     vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer
-    return pref * float(weights @ vals), xi.shape[0]
+    total = float(weights[:_DOT_BLOCK] @ vals[:_DOT_BLOCK])
+    for start in range(_DOT_BLOCK, weights.size, _DOT_BLOCK):
+        total += float(weights[start:start + _DOT_BLOCK] @ vals[start:start + _DOT_BLOCK])
+    return pref * total, xi.shape[0]
 
 
 def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:

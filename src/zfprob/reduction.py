@@ -187,7 +187,8 @@ def _in_range(x: float, what: str) -> float:
 
 def _size_reduce_inplace(r, z, i, k) -> bool:
     """Column k minus the nearest integer multiple of column i in unit-scaled
-    r and in z, a list of columns of Python ints, which cannot wrap."""
+    r and in z, a list of sparse columns {row: Python int} that hold only
+    their nonzero entries; Python ints cannot wrap."""
     pivot, entry = r.item(i, i), r.item(i, k)
     if abs(pivot) < SOLVE_DIAG_MIN:
         raise SingularDiagonalError(f"pivot {i} has relative magnitude {abs(pivot)!r}")
@@ -198,14 +199,25 @@ def _size_reduce_inplace(r, z, i, k) -> bool:
     mu = round_nearest(entry / pivot)
     # rows above i only, r is triangular
     r[: i + 1, k] -= mu * r[: i + 1, i]
-    z[k] = [a - mu * b for a, b in zip(z[k], z[i])]
+    zk = z[k]
+    for row, b in z[i].items():
+        a = zk.get(row, 0) - mu * b
+        if a:
+            zk[row] = a
+        else:
+            del zk[row]
     return True
 
 
 def _transform(z) -> np.ndarray:
-    """The int64 matrix whose columns are z, through the one int64 boundary."""
+    """The int64 matrix whose columns are the sparse columns z, made dense
+    once and passed through the one int64 boundary."""
     n = len(z)
-    return int64_entries(z, "transform entry").reshape(n, n).T.copy()
+    dense = [[0] * n for _ in range(n)]
+    for col, entries in zip(dense, z):
+        for row, v in entries.items():
+            col[row] = v
+    return int64_entries(dense, "transform entry").reshape(n, n).T.copy()
 
 
 def size_reduce_entry(r, z, i: int, k: int):
@@ -223,7 +235,7 @@ def size_reduce_entry(r, z, i: int, k: int):
     z = integer_entries(z)
     if z.shape != (n, n):
         raise DimensionMismatchError(f"Z must be {n}x{n}, got {z.shape}")
-    z = z.T.tolist()
+    z = [{row: v for row, v in enumerate(col) if v} for col in z.T.tolist()]
     applied = _size_reduce_inplace(r, z, i, k)
     return np.ldexp(r, e), _transform(z), applied
 
@@ -278,8 +290,8 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     # unit scale: the pair test squares entries, the pivot floors compare them
     u, e = unit_scale(gated)
     n = u.shape[0]
-    # z is kept as columns of Python ints and leaves through _transform
-    z = [[int(i == j) for i in range(n)] for j in range(n)]
+    # z is kept as sparse columns of Python ints and leaves through _transform
+    z = [{j: 1} for j in range(n)]
     q = np.diag(signs)
     limit = MAX_ITERATIONS_PER_N2 * max(n, 1) ** 2
     size_reductions = 0

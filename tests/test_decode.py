@@ -193,6 +193,12 @@ class TestILSInstance:
         with pytest.raises(DimensionMismatchError):
             ILSInstance(r=np.eye(2), y_tilde=[0.0, 0.0, 0.0], sigma=1.0)
 
+    def test_sigma_is_optional(self):
+        # no decoder reads sigma, so an instance without one decodes the same
+        inst = ILSInstance(r=np.eye(2), y_tilde=[2.2, -3.4])
+        assert inst.sigma is None
+        np.testing.assert_array_equal(zf_decode(inst).estimate, [2, -3])
+
     @pytest.mark.parametrize("y, message", [
         ([0.0, 0.0, 0.0], "observation has length 3, expected 2"),
         ([[0.0, 0.0]], r"observation must be 1-dimensional, got shape \(1, 2\)"),

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import nquad
 from scipy.linalg import solve_triangular
 
+import zfprob
 from zfprob.ensembles import _ROLE_MEASUREMENT, case_spec, random_triangular, role_spec
 from zfprob.errors import (
     DimensionMismatchError,
@@ -304,7 +309,10 @@ def per_call_outer_value(r, sigma, pref, panels):
     shift = xi @ r[0, 1:]
     outer = _density(sigma, xi @ r[1:, 1:].T)
     vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer
-    return pref * float(weights @ vals), xi.shape[0]
+    total = float(weights[:8192] @ vals[:8192])
+    for start in range(8192, weights.size, 8192):
+        total += float(weights[start:start + 8192] @ vals[start:start + 8192])
+    return pref * total, xi.shape[0]
 
 
 def quadrature_census(n, count):
@@ -355,6 +363,33 @@ class TestPanelGrid:
             assert not xi.flags.writeable and not weights.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 weights[0] = 0.0
+
+
+# prints value.hex() and evaluations of an n = 3 and an n = 4 quadrature
+THREAD_PROBE = """
+from zfprob.ensembles import case_spec, random_triangular
+from zfprob.probability import pzf_quadrature
+for n, i, sigma in ((3, 5, 0.1), (4, 0, 0.2)):
+    est = pzf_quadrature(random_triangular(case_spec(11, i), n), sigma)
+    print(est.value.hex(), est.evaluations)
+"""
+
+
+def test_quadrature_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot longer than 10,000 across its threads; these grids
+    # double (n = 3) or octuple (n = 4) in size, so a total above 20,000 means
+    # the last grid passed 10,000 points
+    src = str(Path(zfprob.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True,
+                              text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout.split())
+    assert outs[0] == outs[1]
+    assert all(int(evaluations) > 20_000 for evaluations in outs[0][1::2])
 
 
 class TestMonteCarlo:

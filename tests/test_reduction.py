@@ -17,8 +17,10 @@ from zfprob.errors import (
     SingularMatrixError,
 )
 from zfprob.linalg import (
+    int64_entries,
     int_determinant,
     positive_triangular,
+    round_nearest,
     unit_scale,
 )
 from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
@@ -281,6 +283,95 @@ def test_lll_reduce_matches_the_full_width_swap_bit_for_bit(delta, monkeypatch):
     # both results and refusals are compared
     assert sum(isinstance(o[0], bytes) for o in got) > 100
     assert sum(isinstance(o[0], type) for o in got) > 100
+
+
+def dense_column(col, n):
+    """A column of z as a list of n Python ints; a sparse {row: value}
+    column, as lll_reduce and size_reduce_entry make them, is filled out."""
+    return col if isinstance(col, list) else [col.get(row, 0) for row in range(n)]
+
+
+def dense_size_reduce(r, z, i, k):
+    """_size_reduce_inplace as it was when z was a list of dense columns: it
+    rewrites all n Python ints of column k, zeros included.  The reference
+    for the bits of the update that touches only the nonzero entries."""
+    pivot, entry = r.item(i, i), r.item(i, k)
+    if abs(pivot) < SOLVE_DIAG_MIN:
+        raise SingularDiagonalError(f"pivot {i} has relative magnitude {abs(pivot)!r}")
+    if abs(entry) <= 0.5 * abs(pivot):
+        return False
+    mu = round_nearest(entry / pivot)
+    r[: i + 1, k] -= mu * r[: i + 1, i]
+    n = len(z)
+    z[k] = [a - mu * b for a, b in zip(dense_column(z[k], n), dense_column(z[i], n))]
+    return True
+
+
+def dense_transform(z):
+    """_transform as it was when z was a list of dense columns."""
+    n = len(z)
+    z = [dense_column(col, n) for col in z]
+    return int64_entries(z, "transform entry").reshape(n, n).T.copy()
+
+
+def falling_pivots(seed, rate):
+    """A 32x32 factor whose pivots fall by exp(-rate) a column: at rate 0.03
+    LLL leaves a Z that is about half nonzero, at 0.2 one that leaves int64."""
+    rng = np.random.default_rng([seed, 32])
+    r = np.triu(rng.standard_normal((32, 32)))
+    np.fill_diagonal(r, np.exp(-rate * np.arange(32)) * (0.5 + rng.random(32)))
+    return r
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.75, 0.99, 1.0])
+def test_lll_reduce_matches_the_dense_transform_bit_for_bit(delta, monkeypatch):
+    factors = ([ill_conditioned(i) for i in range(500)] + [scrambled_n48(s) for s in (1, 2, 3)]
+               + [falling_pivots(s, 0.03) for s in range(3)] + [falling_pivots(0, 0.2)])
+    got = [lll_outcome(r, delta) for r in factors]
+    monkeypatch.setattr(reduction_module, "_size_reduce_inplace", dense_size_reduce)
+    monkeypatch.setattr(reduction_module, "_transform", dense_transform)
+    want = [lll_outcome(r, delta) for r in factors]
+    assert got == want
+    # both results and refusals are compared, a dense Z and an int64 refusal among them
+    assert sum(isinstance(o[0], bytes) for o in got) > 100
+    assert sum(isinstance(o[0], type) for o in got) > 100
+    assert any(isinstance(o[0], bytes) and np.count_nonzero(np.frombuffer(o[1], np.int64))
+               > 0.45 * 32 * 32 for o in got[-4:])
+    assert "int64" in got[-1][1]
+
+
+def test_size_reduce_entry_matches_the_dense_transform_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        r = np.triu(rng.standard_normal((n, n)) * 10.0 ** rng.integers(-1, 3))
+        r[np.diag_indices(n)] = 0.05 + np.abs(rng.standard_normal(n))
+        # mostly zeros, some entries near the int64 edge
+        z = np.where(rng.random((n, n)) < 0.6, 0, rng.integers(-5, 6, (n, n))).tolist()
+        if rng.random() < 0.2:
+            z[int(rng.integers(n))][int(rng.integers(n))] = int(rng.choice((-1, 1))) * 2 ** 62
+        i, k = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+        cases.append((r, z, i, k))
+
+    def outcomes():
+        out = []
+        for r, z, i, k in cases:
+            try:
+                r_out, z_out, applied = size_reduce_entry(r, z, i, k)
+            except LatticeError as exc:
+                out.append((type(exc), str(exc)))
+            else:
+                out.append((r_out.tobytes(), z_out.tobytes(), applied))
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(reduction_module, "_size_reduce_inplace", dense_size_reduce)
+    monkeypatch.setattr(reduction_module, "_transform", dense_transform)
+    assert got == outcomes()
+    assert sum(o[-1] is True for o in got) > 50
+    assert sum(o[-1] is False for o in got) > 20
+    assert sum(isinstance(o[0], type) for o in got) > 5
 
 
 class TestLLLReduce:
