@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -44,7 +44,6 @@ from .errors import (
 )
 from .linalg import check_sigma, check_upper_triangular, qr_factorize
 from .probability import (
-    ProbabilityEstimate,
     _empirical_estimates,
     pzf_diagonal,
     pzf_monte_carlo,
@@ -61,10 +60,13 @@ from .reduction import (
 )
 from .rng import ALGORITHM_ID, RngSpec
 from .tolerances import (
+    BRUTE_FORCE_RESIDUAL_SLACK,
     DEFAULT_DELTA,
     DEFECT_INVARIANCE_TOL,
     QUADRATURE_MAX_DIM,
+    REFERENCE_CLOSED_FORM_TOL,
     REFERENCE_VALUE_TOL,
+    RESIDUAL_INVARIANCE_TOL,
 )
 
 __all__ = [
@@ -152,9 +154,6 @@ class ExperimentConfig:
             raise DimensionTooLargeError(
                 f"deterministic quadrature supports n <= {QUADRATURE_MAX_DIM}, got {self.n}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)  # the report's JSON encoding turns delta_grid into a list
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -176,23 +175,15 @@ class ExperimentReport:
         return [v for v in self.verdicts if not v.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": _jsonable(self.config),
-            "cases": _jsonable(self.cases),
-            "verdicts": [asdict(v) for v in self.verdicts],
-            "duration_seconds": self.duration_seconds,
-            "rng_algorithm": self.rng_algorithm,
-        }
+        """What the JSON text holds, in field order."""
+        return json.loads(json.dumps(vars(self), default=_plain))
 
     def replay_dict(self) -> dict:
         """Everything that must match bit-exactly on a reseeded re-run."""
-        d = self.to_dict()
-        d.pop("duration_seconds")
-        return d
+        return {k: v for k, v in self.to_dict().items() if k != "duration_seconds"}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), default=_plain, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
@@ -205,7 +196,7 @@ class ExperimentReport:
     def to_csv(self) -> str:
         """One row per case; nested fields get dotted column names and
         list values are embedded as JSON."""
-        rows = [_flatten(case) for case in _jsonable(self.cases)]
+        rows = [_flatten(case) for case in self.to_dict()["cases"]]
         columns = sorted({k for row in rows for k in row})
         out = [",".join(columns)]
         for row in rows:
@@ -213,21 +204,14 @@ class ExperimentReport:
         return "\n".join(out) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        # tolist() already yields plain bools, ints and floats for these kinds
-        if obj.dtype.kind in "biuf":
-            return obj.tolist()
-        return _jsonable(obj.tolist())
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, (Verdict, ProbabilityEstimate)):
-        return _jsonable(asdict(obj))
-    return obj
+def _plain(obj):
+    """json.dumps' default hook: the one place a numpy value or a dataclass
+    in a report becomes a JSON type."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return asdict(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _flatten(obj, prefix=""):
@@ -333,7 +317,7 @@ def _dispatch_estimator(factors, sigma, method, trials, spec: RngSpec) -> list:
 def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
     """Run the three bundled reference cases end to end and compare every
     computed number against its pinned expected value."""
-    report = ExperimentReport(command="reproduce", config=config.to_dict())
+    report = ExperimentReport(command="reproduce", config=asdict(config))
     verdicts = report.verdicts
 
     # case 1: success probability before/after each reduction flavor
@@ -354,7 +338,7 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
         "r_size_reduced": r_size_reduced,
         "r_reduced": full.r_bar,
         "size_reduction_applied": applied,
-        "stats": asdict(full.stats),
+        "stats": full.stats,
         "estimates": list(computed),
         "diagonal_estimate": p_diagonal,
         "expected": list(REFERENCE_1_EXPECTED),
@@ -365,7 +349,7 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
     verdicts.append(Verdict(
         name="reference-1-diagonal-closed-form",
         passed=abs(p_diagonal.value - REFERENCE_1_EXPECTED[2]) <= REFERENCE_VALUE_TOL
-        and abs(p_diagonal.value - p_reduced.value) <= 1e-6,
+        and abs(p_diagonal.value - p_reduced.value) <= REFERENCE_CLOSED_FORM_TOL,
         detail=f"closed form {p_diagonal.value:.8f} vs quadrature {p_reduced.value:.8f}"))
 
     # case 2: decoder residual before and after the reduction
@@ -412,7 +396,7 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
         "r": r3,
         "r_reduced": red3.r_bar,
         "z": red3.z,
-        "stats": asdict(red3.stats),
+        "stats": red3.stats,
         "estimates": [p3_before, p3_after],
         "expected": list(REFERENCE_3_EXPECTED),
     })
@@ -437,7 +421,7 @@ def _match_verdict(name, got, want) -> Verdict:
 def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
     """Reduce a matrix from file and report the transform, its statistics,
     and the structural checks."""
-    report = ExperimentReport(command="reduce", config=config.to_dict())
+    report = ExperimentReport(command="reduce", config=asdict(config))
     r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     result = lll_reduce(r, LLLParams(delta=config.delta))
     check = is_lll_reduced(result.r_bar, config.delta)
@@ -449,7 +433,7 @@ def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
         "r_bar": result.r_bar,
         "z": result.z,
         "q_bar": result.q_bar,
-        "stats": asdict(result.stats),
+        "stats": result.stats,
         "delta": config.delta,
         "reconstruction_error": result.reconstruction_error,
         "det_drift": result.det_drift,
@@ -475,7 +459,7 @@ def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
 def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
     """Decode an observation with every available decoder and check the
     brute-force optimality bound where feasible."""
-    report = ExperimentReport(command="decode", config=config.to_dict())
+    report = ExperimentReport(command="decode", config=asdict(config))
     matrix = load_matrix_csv(config.matrix_path)
     y = load_vector_csv(config.y_path)
     r, q1 = _triangular_from(matrix)
@@ -500,8 +484,8 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
         case["optimal_residual"] = best.residual
         report.verdicts.append(Verdict(
             name="decode-brute-force-lower-bound",
-            passed=best.residual <= zf.residual + 1e-12
-            and best.residual <= sic.residual + 1e-12,
+            passed=best.residual <= zf.residual + BRUTE_FORCE_RESIDUAL_SLACK
+            and best.residual <= sic.residual + BRUTE_FORCE_RESIDUAL_SLACK,
             detail=f"optimal {best.residual:.6f}, zf {zf.residual:.6f}, "
                    f"sic {sic.residual:.6f}"))
     report.cases.append(case)
@@ -510,7 +494,7 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
 
 def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
     """Estimate the success probability of one matrix with one method."""
-    report = ExperimentReport(command="pzf", config=config.to_dict())
+    report = ExperimentReport(command="pzf", config=asdict(config))
     r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     sigma = config.sigma if config.sigma is not None else 1.0
     [est] = _dispatch_estimator((r,), sigma, config.method, config.trials,
@@ -554,7 +538,7 @@ def cmd_sweep_delta(config: ExperimentConfig) -> ExperimentReport:
     a per-instance monotonicity verdict."""
     count = 1 if config.matrix_path else config.trials if config.trials is not None else 200
     cases = _run_cases(_sweep_case, config, count)
-    report = ExperimentReport(command="sweep-delta", config=config.to_dict(), cases=cases)
+    report = ExperimentReport(command="sweep-delta", config=asdict(config), cases=cases)
     bad = [c["index"] for c in cases if not c["monotone"]]
     report.verdicts.append(Verdict(
         name="sweep-delta-monotone",
@@ -596,10 +580,10 @@ def cmd_invariance(config: ExperimentConfig) -> ExperimentReport:
     unchanged on a random ensemble."""
     count = config.trials if config.trials is not None else 1000
     cases = _run_cases(_invariance_case, config, count)
-    report = ExperimentReport(command="invariance", config=config.to_dict(), cases=cases)
+    report = ExperimentReport(command="invariance", config=asdict(config), cases=cases)
     checks = {
         "estimate-identity": lambda c, s: c[s]["estimate_identical"],
-        "residual-invariant": lambda c, s: c[s]["residual_delta"] <= 1e-9,
+        "residual-invariant": lambda c, s: c[s]["residual_delta"] <= RESIDUAL_INVARIANCE_TOL,
         "defect-invariant": lambda c, s: c[s]["defect_delta"] <= DEFECT_INVARIANCE_TOL,
         "probability-invariant": lambda c, s: c[s]["p_delta"] <= c[s]["p_budget"],
     }
@@ -639,7 +623,7 @@ def _ensemble_case(config: ExperimentConfig, index: int) -> dict:
     return {"index": index, "sigma": sigma, "matrix_digest": matrix_digest(r),
             "p_before": before.value, "p_after": after.value,
             "error_budget": budget, "outcome": outcome,
-            "stats": asdict(red.stats)}
+            "stats": red.stats}
 
 
 def cmd_ensemble(config: ExperimentConfig) -> ExperimentReport:
@@ -650,7 +634,7 @@ def cmd_ensemble(config: ExperimentConfig) -> ExperimentReport:
     if n > QUADRATURE_MAX_DIM:  # past the quadrature's reach the run samples, and echoes it
         config = replace(config, method="empirical")
     cases = _run_cases(_ensemble_case, config, len(sigmas) * count)  # case i has sigmas[i // count]
-    report = ExperimentReport(command="ensemble", config=config.to_dict(), cases=list(cases))
+    report = ExperimentReport(command="ensemble", config=asdict(config), cases=list(cases))
     summary = []
     for k, sigma in enumerate(sigmas):
         outcomes = [c["outcome"] for c in cases[k * count:(k + 1) * count]]

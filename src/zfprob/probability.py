@@ -79,7 +79,7 @@ class ProbabilityEstimate:
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
             raise ValueError(f"probability {self.value!r} outside [0, 1]")
-        if self.error_bound < 0.0:
+        if not self.error_bound >= 0.0:
             raise ValueError("error_bound must be nonnegative")
 
 

@@ -19,6 +19,11 @@ LLL_CHECK_SLACK = 1e-12              # boundary slack in reduced-form checks
 ORDERING_TIE_TOL = 1e-12             # relative tie window in sqrd / vblast: a norm must
                                      # fall below best * (1 - tol) to win
 DEFECT_INVARIANCE_TOL = 1e-9         # orthogonality-defect drift under permutations
+RESIDUAL_INVARIANCE_TOL = 1e-9       # ZF residual drift under permutations
+
+# --- Decoders ----------------------------------------------------------------
+BRUTE_FORCE_RESIDUAL_SLACK = 1e-12  # the exhaustive optimum may exceed a heuristic
+                                    # decoder's residual by this much
 
 # --- Probability estimators --------------------------------------------------
 DIAGONAL_OFFDIAG_TOL = 1e-14     # off-diagonal magnitude tolerated by pzf_diagonal,
@@ -37,3 +42,4 @@ MAX_ITERATIONS_PER_N2 = 10_000   # reduction-loop pass cap is this times n**2
 
 # --- Reference worked examples ----------------------------------------------
 REFERENCE_VALUE_TOL = 5e-4       # match window for 4-decimal reference values
+REFERENCE_CLOSED_FORM_TOL = 1e-6  # reference-1 diagonal closed form against the quadrature

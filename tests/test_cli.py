@@ -24,7 +24,7 @@ from zfprob.cli import (
     Verdict,
     _ensemble_case,
     _invariance_case,
-    _jsonable,
+    _plain,
     _sweep_case,
     cmd_reproduce,
     load_matrix_csv,
@@ -42,7 +42,7 @@ from zfprob.errors import (
 )
 from zfprob.linalg import qr_factorize
 from zfprob.probability import ProbabilityEstimate
-from zfprob.reduction import LLLParams, orthogonality_defect
+from zfprob.reduction import LLLParams, ReductionStats, orthogonality_defect
 
 
 def write(tmp_path, name, text):
@@ -521,7 +521,7 @@ class TestCaseFunctions:
         assert cases
         config = ExperimentConfig(**payload["config"])
         for i, want in enumerate(cases):
-            assert json.loads(json.dumps(_jsonable(case(config, i)))) == want
+            assert json.loads(json.dumps(case(config, i), default=_plain)) == want
 
     def test_matrix_sweep_checks_its_file_in_the_run(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "3,1.5,0\n0,3,-1.51\n0,0,3\n")
@@ -552,7 +552,7 @@ class TestReportSerialization:
         import zfprob.cli as cli_module
 
         def stub(config):
-            return ExperimentReport(command="reduce", config=config.to_dict(),
+            return ExperimentReport(command="reduce", config=dataclasses.asdict(config),
                                     verdicts=[Verdict(name="stub-check", passed=False,
                                                       detail="forced")])
 
@@ -596,6 +596,30 @@ class TestReportSerialization:
         text = report.to_json()
         assert text == json.dumps(expected, sort_keys=True, separators=(",", ":"))
         assert plain(report.to_dict()) and plain(json.loads(text))
+
+    def test_dataclasses_in_a_case_encode_without_to_json(self, monkeypatch):
+        case = {"stats": ReductionStats(size_reductions=1, swaps=2, iterations=3),
+                "estimate": ProbabilityEstimate(value=0.5, method="x", error_bound=0.0,
+                                                evaluations=1)}
+        report = ExperimentReport(command="reduce", config={}, cases=[case],
+                                  verdicts=[Verdict(name="v", passed=True)])
+        text = report.to_json()
+        assert json.loads(text)["cases"][0]["stats"] == {
+            "size_reductions": 1, "swaps": 2, "iterations": 3}
+
+        def refuse(self):
+            raise AssertionError("to_json called")
+
+        # the tracer counts to_json's calls, so the other encodings must not make one
+        monkeypatch.setattr(ExperimentReport, "to_json", refuse)
+        assert report.to_dict() == json.loads(text)
+        assert "duration_seconds" not in report.replay_dict()
+        assert "stats.swaps" in report.to_csv()
+
+    def test_unknown_objects_are_refused(self):
+        report = ExperimentReport(command="reduce", config={}, cases=[{"x": {1, 2}}])
+        with pytest.raises(TypeError, match="set"):
+            report.to_json()
 
     def test_digest_depends_on_entries(self):
         a = matrix_digest(np.array([[1.0, 2.0], [0.0, 1.0]]))

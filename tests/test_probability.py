@@ -110,6 +110,18 @@ def assert_in_bracket(est, r, sigma, bounds=1):
     assert lower - slack <= est.value <= upper + slack, (est, lower, upper)
 
 
+class TestEstimateRefusals:
+    @pytest.mark.parametrize("value", [1.5, -0.1, math.nan])
+    def test_value_outside_the_unit_interval_refused(self, value):
+        with pytest.raises(ValueError, match="outside"):
+            ProbabilityEstimate(value=value, method="x", error_bound=0.0, evaluations=1)
+
+    @pytest.mark.parametrize("bound", [-1.0, math.nan])
+    def test_negative_or_nan_error_bound_refused(self, bound):
+        with pytest.raises(ValueError, match="error_bound"):
+            ProbabilityEstimate(value=0.5, method="x", error_bound=bound, evaluations=1)
+
+
 class TestErf:
     def test_zero(self):
         assert erf(0.0) == 0.0

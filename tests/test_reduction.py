@@ -132,6 +132,10 @@ class TestSizeReduceEntry:
         with pytest.raises(DimensionMismatchError):
             size_reduce_entry(R_4_9, EYE2, 1, 1)
 
+    def test_transform_of_another_size_refused(self):
+        with pytest.raises(DimensionMismatchError, match=r"Z must be 2x2, got \(3, 3\)"):
+            size_reduce_entry(R_4_9, np.eye(3, dtype=np.int64), 0, 1)
+
     def test_non_integer_transform_refused(self):
         # an int64 cast would truncate 0.5 to 0 and return a singular z
         with pytest.raises(DimensionMismatchError):

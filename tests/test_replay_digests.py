@@ -1,5 +1,10 @@
+import contextlib
+import hashlib
 import importlib.util
+import io
 from pathlib import Path
+
+import pytest
 
 import zfprob.cli
 
@@ -34,3 +39,30 @@ def test_replay_digests_match_the_committed_file(capsys):
     assert len(golden) == 33
     assert load_tool().main([]) == 0
     assert capsys.readouterr().out.splitlines() == golden
+
+
+# sha256 of report.to_csv().  The replay digests hash the report's JSON with
+# sorted keys, so they miss a change in the order of the keys of the dicts
+# that these commands embed in CSV cells (estimates, points, summary).
+CSV_DIGESTS = {
+    ("reproduce", "--format", "csv"):
+        "3fad7a76c35c6080fa67d3753054da53aabbeed4305a6e4beab803efd131cc85",
+    ("sweep-delta", "--trials", "10", "--format", "csv"):
+        "c7575abddacd1bb31d3e962738707ae613772e3283c102656abf707d559b92fd",
+    ("ensemble", "--n", "2", "--delta", "0.9", "--trials", "5", "--format", "csv"):
+        "bdb61881196884a81973c25377d1940ea7c13ed9b3e20c664300106d72f46414",
+}
+
+
+@pytest.mark.parametrize("argv", CSV_DIGESTS, ids=lambda argv: argv[0])
+def test_csv_text_is_pinned(argv, tmp_path, monkeypatch):
+    tool = load_tool()
+    assert argv in tool.INVOCATIONS
+    tool.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    run = zfprob.cli.run
+    monkeypatch.setattr(zfprob.cli, "run", lambda config: reports.append(run(config)) or reports[-1])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert zfprob.cli.main(list(argv)) == 0
+    assert hashlib.sha256(reports[0].to_csv().encode()).hexdigest() == CSV_DIGESTS[argv]
