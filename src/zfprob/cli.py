@@ -42,7 +42,7 @@ from .errors import (
     LatticeError,
     ParseError,
 )
-from .linalg import check_sigma, check_upper_triangular, qr_factorize
+from .linalg import _gate, check_sigma, check_upper_triangular, qr_factorize
 from .probability import (
     _empirical_estimates,
     pzf_diagonal,
@@ -517,9 +517,10 @@ def _sweep_case(config: ExperimentConfig, index: int) -> dict:
         sigma = config.sigma if config.sigma is not None else 1.0
     else:
         r, sigma = random_unreduced_2x2(case_spec(config.seed, index))
+    gated = _gate(r)  # once for the whole grid
     points = []
     for delta in config.delta_grid or DEFAULT_DELTA_GRID:
-        red = lll_reduce(r, LLLParams(delta=delta))
+        red = lll_reduce(gated, LLLParams(delta=delta))
         est = pzf_quadrature(red.r_bar, sigma)
         points.append({"delta": delta, "value": est.value,
                        "error_bound": est.error_bound,
@@ -552,21 +553,24 @@ def _invariance_case(config: ExperimentConfig, index: int) -> dict:
     n = config.n or (2 if index % 2 == 0 else 3)
     inst = random_instance(case_spec(config.seed, index), n)
     base = zf_decode(inst)
-    p_base = pzf_quadrature(inst.r, inst.sigma)
-    defect_base = orthogonality_defect(inst.r)
+    # each factor passes the gate once, and its _Gated value goes to every user
+    gated = _gate(inst.r)
+    p_base = pzf_quadrature(gated, inst.sigma)
+    defect_base = orthogonality_defect(gated)
     case = {"index": index, "n": n, "sigma": inst.sigma,
             "matrix_digest": matrix_digest(inst.r),
             "residual": base.residual, "p": p_base.value}
     for name, strategy in (("sqrd", sqrd), ("vblast", vblast)):
-        red = strategy(inst.r)
+        red = strategy(gated)
+        gated_bar = _gate(red.r_bar)
         y_bar = red.q_bar.T @ inst.y_tilde
-        reduced = zf_decode(ILSInstance(r=red.r_bar, y_tilde=y_bar))
+        reduced = zf_decode(ILSInstance(r=gated_bar, y_tilde=y_bar))
         lifted = lift_estimate(red.z, reduced.estimate)
-        p_red = pzf_quadrature(red.r_bar, inst.sigma)
+        p_red = pzf_quadrature(gated_bar, inst.sigma)
         case[name] = {
             "estimate_identical": bool(np.array_equal(lifted, base.estimate)),
             "residual_delta": abs(reduced.residual - base.residual),
-            "defect_delta": abs(orthogonality_defect(red.r_bar) - defect_base),
+            "defect_delta": abs(orthogonality_defect(gated_bar) - defect_base),
             "p_delta": abs(p_red.value - p_base.value),
             "p_budget": p_red.error_bound + p_base.error_bound,
             "swaps": red.stats.swaps,
@@ -610,8 +614,9 @@ def _ensemble_case(config: ExperimentConfig, index: int) -> dict:
     sigma = sigmas[index // count]
     spec = case_spec(config.seed, index)
     r = qr_factorize(random_model_matrix(spec, m, n)).r
-    red = lll_reduce(r, LLLParams(delta=config.delta))
-    before, after = _dispatch_estimator((r, red.r_bar), sigma, config.method, 50_000,
+    gated = _gate(r)  # ensemble runs quad or empirical, whose estimators take a _Gated
+    red = lll_reduce(gated, LLLParams(delta=config.delta))
+    before, after = _dispatch_estimator((gated, red.r_bar), sigma, config.method, 50_000,
                                         role_spec(spec, _ROLE_MEASUREMENT))
     budget = before.error_bound + after.error_bound
     if after.value > before.value + budget:

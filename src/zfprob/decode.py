@@ -19,11 +19,11 @@ from .errors import (
 )
 from .linalg import (
     _as_array,
+    _gate,
     check_sigma,
     int64_entries,
     int_determinant,
     integer_entries,
-    positive_triangular,
     round_nearest,
 )
 
@@ -47,23 +47,24 @@ class ILSInstance:
     """One decoding problem: triangular matrix, observation and, optionally,
     the noise level it was drawn at, which no decoder reads.
     A negative-pivot row of R is flipped together with its entry of y_tilde,
-    which leaves R^{-1} y_tilde and every residual unchanged."""
+    which leaves R^{-1} y_tilde and every residual unchanged; r is the
+    gate's read-only factor."""
 
     r: np.ndarray
     y_tilde: np.ndarray
     sigma: float | None = None
 
     def __post_init__(self):
-        r, signs = positive_triangular(self.r)
+        g = _gate(self.r)
         y = _as_array(self.y_tilde, 1, "observation")
-        if y.shape[0] != r.shape[0]:
+        if y.shape[0] != g.r.shape[0]:
             raise DimensionMismatchError(
-                f"observation has length {y.shape[0]}, expected {r.shape[0]}")
+                f"observation has length {y.shape[0]}, expected {g.r.shape[0]}")
         # a row flip of R with the same flip of y_tilde is the same problem
-        y = signs * y
+        y = g.signs * y
         if self.sigma is not None:
             check_sigma(self.sigma)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", g.r)
         object.__setattr__(self, "y_tilde", y)
 
     @property

@@ -37,11 +37,20 @@ __all__ = [
 
 
 def _as_array(a, ndim: int, name: str) -> np.ndarray:
-    """The one array check: a as float64, with ndim dimensions and finite entries."""
-    a = np.asarray(a, dtype=float)
+    """The one array check: a as float64, with ndim dimensions and finite entries.
+    A float64 ndarray is taken as is; anything else must hold real numbers,
+    which is checked before the cast, since the cast drops an imaginary part."""
+    if type(a) is not np.ndarray or a.dtype != np.float64:
+        try:
+            a = np.asarray(a)  # a ragged nesting raises ValueError here
+            if a.dtype.kind not in "biufO":  # an object array's casts are checked one by one
+                raise TypeError(f"got dtype {a.dtype}")
+            a = np.asarray(a, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatchError(f"{name} must hold real numbers: {exc}") from exc
     if a.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionMismatchError(f"{name} contains non-finite entries")
     return a
 
@@ -57,8 +66,9 @@ def check_upper_triangular(r) -> np.ndarray:
     if n != m:
         raise DimensionMismatchError(f"R must be square, got shape {r.shape}")
     lower = _strict_lower(n)
-    below = np.abs(r[lower])  # row-major, so argmax names the first largest entry
-    if below.size and np.max(below) > UPPER_TRIANGULAR_TOL * np.max(np.abs(r)):
+    a = np.abs(r)
+    below = a[lower]  # row-major, so argmax names the first largest entry
+    if below.size and below.max() > UPPER_TRIANGULAR_TOL * a.max():
         k = int(np.argmax(below))
         i, j = (int(index[k]) for index in np.nonzero(lower))
         raise DimensionMismatchError(
@@ -81,25 +91,57 @@ def check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
-def positive_triangular(r):
-    """The input gate for a triangular factor: returns (signs[:, None] * r, signs).
+@dataclass(frozen=True)
+class _Gated:
+    """A factor that has passed the gate, which alone makes one: source, the
+    caller's array as given, against which the reductions measure their
+    contract; r, the read-only factor with a positive diagonal; signs, the
+    row flips that made it; e, unit_scale's exponent of r."""
+
+    source: object
+    r: np.ndarray
+    signs: np.ndarray
+    e: int
+
+    @property
+    def unit(self) -> np.ndarray:
+        """unit_scale(r)[0], r / 2**e, as a new array."""
+        return np.ldexp(self.r, -self.e)
+
+
+def _gate(r) -> _Gated:
+    """The input gate for a triangular factor, which a _Gated has passed
+    already and so comes back as is.
 
     Validates r as square upper triangular, raises SingularDiagonalError
     naming the smallest pivot when a pivot of unit_scale(r) is below
-    SOLVE_DIAG_MIN, and flips each negative-pivot row so the returned factor
+    SOLVE_DIAG_MIN, and flips each negative-pivot row so the gated factor
     has a positive diagonal.  Row flips leave ||R xi|| unchanged; a caller
     that keeps an observation or an orthogonal factor must flip it too.
     """
-    r = check_upper_triangular(r)
-    u, e = unit_scale(r)
-    diag = np.abs(u.diagonal())
+    if isinstance(r, _Gated):
+        return r
+    t = check_upper_triangular(r)
+    # the flips keep |t|, and the cleared lower entries were never its max
+    a = np.abs(t)
+    e = math.frexp(float(a.max(initial=0.0)))[1]
+    diag = np.ldexp(a.diagonal(), -e)
     if diag.size and diag.min() < SOLVE_DIAG_MIN:
         i = int(diag.argmin())
         raise SingularDiagonalError(
-            f"R pivot {i} has magnitude {float(abs(r[i, i]))!r}, below {SOLVE_DIAG_MIN} * 2**{e}")
+            f"R pivot {i} has magnitude {float(a[i, i])!r}, below {SOLVE_DIAG_MIN} * 2**{e}")
     # the sign rule: +1 or -1 per row, whichever makes that row's pivot positive
-    signs = np.where(r.diagonal() < 0.0, -1.0, 1.0)
-    return signs[:, None] * r, signs
+    signs = np.where(t.diagonal() < 0.0, -1.0, 1.0)
+    gated = signs[:, None] * t
+    gated.flags.writeable = False  # a gated factor is never re-checked, so it cannot change
+    return _Gated(r, gated, signs, e)
+
+
+def positive_triangular(r):
+    """The input gate for a triangular factor (see _gate): returns
+    (signs[:, None] * r, signs), the first read-only."""
+    g = _gate(r)
+    return g.r, g.signs
 
 
 def unit_scale(a):

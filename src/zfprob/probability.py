@@ -29,7 +29,7 @@ from .errors import (
     NoConvergenceError,
     NotDiagonalError,
 )
-from .linalg import check_sigma, positive_triangular, roundable_abs, unit_scale
+from .linalg import _as_array, _gate, check_sigma, roundable_abs
 from .reduction import _dual_basis, _perm_result, _sorted_order
 from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
@@ -93,12 +93,12 @@ def _unit_model(r, sigma):
     factor's largest entry: P_ZF depends on R / sigma alone, and the
     division is exact."""
     check_sigma(sigma)
-    r, e = unit_scale(positive_triangular(r)[0])
+    g = _gate(r)
     with np.errstate(over="ignore"):
-        unit_sigma = float(np.ldexp(sigma, -e))
+        unit_sigma = float(np.ldexp(sigma, -g.e))
     if not 0.0 < unit_sigma < math.inf:
         raise ValueError(f"sigma {sigma!r} is out of floating-point range next to R")
-    return r, unit_sigma
+    return g.unit, unit_sigma
 
 
 def _slab_mass(shift, pivot, sigma):
@@ -127,9 +127,9 @@ def _sidak_bracket(r, sigma) -> tuple[float, float]:
 
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
     """Closed form for diagonal R: product over i of erf(r_ii / (2 sqrt2 sigma))."""
-    r = np.asarray(r, dtype=float)
+    r = _as_array(r, 2, "R")
     # lower entries count too, so look before the triangular gate does
-    if r.ndim == 2 and r.shape[0] == r.shape[1] and r.size:
+    if r.shape[0] == r.shape[1] and r.size:
         off = np.abs(r - np.diag(np.diag(r)))
         if np.max(off) > DIAGONAL_OFFDIAG_TOL * np.max(np.abs(r)):
             i, j = np.unravel_index(int(np.argmax(off)), off.shape)

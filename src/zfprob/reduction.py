@@ -28,11 +28,11 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
+    _gate,
     check_upper_triangular,
     int64_entries,
     int_determinant,
     integer_entries,
-    positive_triangular,
     qr_factorize,
     round_nearest,
     unit_scale,
@@ -286,13 +286,13 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     """
     if params is None:
         params = LLLParams()
-    gated, signs = positive_triangular(r)
+    g = _gate(r)
     # unit scale: the pair test squares entries, the pivot floors compare them
-    u, e = unit_scale(gated)
+    u = g.unit
     n = u.shape[0]
     # z is kept as sparse columns of Python ints and leaves through _transform
     z = [{j: 1} for j in range(n)]
-    q = np.diag(signs)
+    q = np.diag(g.signs)
     limit = MAX_ITERATIONS_PER_N2 * max(n, 1) ** 2
     size_reductions = 0
     swaps = 0
@@ -323,7 +323,7 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
             iterations += 1
     stats = ReductionStats(size_reductions=size_reductions, swaps=swaps,
                            iterations=iterations)
-    return _result(r, np.ldexp(u + 0.0, e), _transform(z), q, stats)
+    return _result(g.source, np.ldexp(u + 0.0, g.e), _transform(z), q, stats)
 
 
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
@@ -333,7 +333,7 @@ def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
     through the input gate, so a pivot below the floor is refused, and
     delta through LLLParams, so a delta outside (0.25, 1.0] is too."""
     delta = LLLParams(delta=delta).delta
-    r, _ = unit_scale(positive_triangular(r)[0])
+    r = _gate(r).unit
     d = np.diag(r)  # the gate's pivots are positive
     # |r_ik| against r_ii / 2 for i < k, held column-major as (k, i)
     size = np.argwhere(np.abs(np.triu(r, 1)).T > 0.5 * d + LLL_CHECK_SLACK * d)
@@ -413,9 +413,8 @@ def sqrd(r) -> ReductionResult:
     """Column reordering chosen first to last, each pick minimizing the
     next pivot magnitude; z is the corresponding permutation."""
     # row sign flips leave every residual norm, and so the order, unchanged
-    gated, signs = positive_triangular(r)
-    order = _sorted_order(unit_scale(gated)[0])
-    return _perm_result(r, gated, signs, order)
+    g = _gate(r)
+    return _perm_result(g.source, g.r, g.signs, _sorted_order(g.unit))
 
 
 def vblast(r) -> ReductionResult:
@@ -424,16 +423,16 @@ def vblast(r) -> ReductionResult:
 
     The column placed last gets pivot 1 / ||row c of R^-1||, so the picks
     are the sorted-QR picks on the dual basis R^-T, in reverse."""
-    gated, signs = positive_triangular(r)
-    tail = _sorted_order(_dual_basis(gated))
-    return _perm_result(r, gated, signs, tail[::-1])
+    g = _gate(r)
+    tail = _sorted_order(_dual_basis(g.r))
+    return _perm_result(g.source, g.r, g.signs, tail[::-1])
 
 
 def orthogonality_defect(r) -> float:
     """Product of column norms over |det|; 1 exactly when columns are
     orthogonal, larger otherwise."""
     # unit-scaled, so no squared entry overflows; the scale cancels in the ratio
-    r, _ = unit_scale(positive_triangular(r)[0])
+    r = _gate(r).unit
     norms, e_norms = _frexp_product(np.linalg.norm(r, axis=0))
     det, e_det = _frexp_product(r.diagonal())
     with np.errstate(over="ignore"):

@@ -18,11 +18,13 @@ from zfprob.errors import (
     SingularMatrixError,
 )
 from zfprob.linalg import (
+    _gate,
     check_upper_triangular,
     int_determinant,
     positive_triangular,
     qr_factorize,
     round_nearest,
+    unit_scale,
 )
 from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
 from zfprob.reduction import (
@@ -34,7 +36,12 @@ from zfprob.reduction import (
     vblast,
 )
 from zfprob.rng import RngSpec
-from zfprob.tolerances import ORTHONORMALITY_TOL, QR_RECONSTRUCTION_TOL, SOLVE_DIAG_MIN
+from zfprob.tolerances import (
+    ORTHONORMALITY_TOL,
+    QR_RECONSTRUCTION_TOL,
+    SOLVE_DIAG_MIN,
+    UPPER_TRIANGULAR_TOL,
+)
 
 
 class TestQRFactorize:
@@ -329,10 +336,17 @@ GATED = {
     "pzf_monte_carlo": (FACTOR, _estimate(pzf_monte_carlo, 1000, RngSpec(seed=3))),
     "pzf_empirical": (FACTOR, _estimate(pzf_empirical, 1000, RngSpec(seed=3))),
     "pzf_diagonal": (DIAGONAL, _estimate(pzf_diagonal)),
-    # the observation is made from the factor, so a row flip carries over to it
     "ILSInstance": (FACTOR, lambda r: astuple(zf_decode(ILSInstance(
-        r=r, y_tilde=r[:, :2] @ [1.3, -0.6], sigma=1.0)))),
+        r=r, y_tilde=_observation(r), sigma=1.0)))),
 }
+
+
+def _observation(r):
+    """An observation made from the factor, so a row flip carries over to it;
+    an input that is no real array gets a fixed one, since the gate refuses it."""
+    if isinstance(r, np.ndarray) and r.dtype == float:
+        return r[:, :2] @ [1.3, -0.6]
+    return np.zeros(2)
 
 
 def _set(i, j, value):
@@ -351,6 +365,13 @@ REFUSALS = {
     "below-diagonal entry": (_set(1, 0, 0.5), DimensionMismatchError),
     "non-square": (lambda r: np.hstack([r, [[0.0], [1.0]]]), DimensionMismatchError),
     "non-finite": (_set(0, 1, math.nan), DimensionMismatchError),
+    # a cast to float would drop the imaginary part, or fail with a bare error
+    "complex entry": (lambda r: r + np.array([[0.0, 2j], [0.0, 0.0]]), DimensionMismatchError),
+    "complex object entry": (lambda r: np.array([[r[0, 0], 1 + 2j], [0.0, r[1, 1]]], dtype=object),
+                             DimensionMismatchError),
+    "complex scalar": (lambda r: 1 + 2j, DimensionMismatchError),
+    "ragged rows": (lambda r: [list(r[0]), list(r[1, 1:])], DimensionMismatchError),
+    "string entries": (lambda r: r.astype(str), DimensionMismatchError),
 }
 EXCEPTIONS = {
     ("below-diagonal entry", "pzf_diagonal"): NotDiagonalError,
@@ -371,3 +392,123 @@ def test_gated_entry_points_share_one_refusal_table(row, entry):
         with pytest.raises(error) as raised:
             call(r)
         assert type(raised.value) is error
+
+
+# rows whose corruption keeps a float array of the factor's shape, so it can be
+# written into an array that has already passed an entry point
+IN_PLACE = ("below-diagonal entry", "non-finite", "pivot 1e-15")
+
+
+@pytest.mark.parametrize("entry", sorted(GATED))
+def test_entry_points_gate_a_plain_array_on_every_call(entry, gate_passes):
+    # a caller's array is gated at each call: one changed after a call that
+    # passed is refused, whatever a batch case passes along in between
+    factor, call = GATED[entry]
+    r = factor.copy()
+    call(r)
+    assert gate_passes[0] >= 1
+    for row in IN_PLACE:
+        corrupt, error = REFUSALS[row]
+        r[...] = corrupt(factor)
+        with pytest.raises(EXCEPTIONS.get((row, entry), error)):
+            call(r)
+        r[...] = factor
+
+
+def test_a_gated_factor_passes_through_unchanged_and_read_only(gate_passes):
+    r = np.array([[2.0, 1.3], [0.0, -0.5]])
+    g = _gate(r)
+    assert _gate(g) is g and g.source is r and gate_passes[0] == 1
+    assert not g.r.flags.writeable
+    assert not positive_triangular(r)[0].flags.writeable
+    assert not ILSInstance(r=g, y_tilde=[1.0, 2.0]).r.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g.r[0, 0] = 1.0
+
+
+def _reference_gate(r):
+    """The three-step gate as it stood before a gated factor was passed along:
+    check_upper_triangular, then unit_scale, then the pivot floor and signs.
+    Returns (factor, signs, exponent)."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2:
+        raise DimensionMismatchError(f"R must be 2-dimensional, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise DimensionMismatchError("R contains non-finite entries")
+    n, m = r.shape
+    if n != m:
+        raise DimensionMismatchError(f"R must be square, got shape {r.shape}")
+    lower = np.tri(n, k=-1, dtype=bool)
+    below = np.abs(r[lower])
+    if below.size and np.max(below) > UPPER_TRIANGULAR_TOL * np.max(np.abs(r)):
+        k = int(np.argmax(below))
+        i, j = (int(index[k]) for index in np.nonzero(lower))
+        raise DimensionMismatchError(
+            f"R is not upper triangular: entry ({i}, {j}) = {r[i, j]!r}")
+    r = np.where(lower, np.zeros(1, r.dtype), r)
+    e = math.frexp(float(np.max(np.abs(r), initial=0.0)))[1]
+    diag = np.abs(np.ldexp(r, -e).diagonal())
+    if diag.size and diag.min() < SOLVE_DIAG_MIN:
+        i = int(diag.argmin())
+        raise SingularDiagonalError(
+            f"R pivot {i} has magnitude {float(abs(r[i, i]))!r}, below {SOLVE_DIAG_MIN} * 2**{e}")
+    signs = np.where(r.diagonal() < 0.0, -1.0, 1.0)
+    return signs[:, None] * r, signs, e
+
+
+def _census_input(rng):
+    """One random or edge input for the gate: n from 0 to 6, scales to 1e+-300,
+    lower roundoff on both sides of the tolerance, pivots near the floor,
+    non-finite entries, wrong shapes, and lists, ints, float32 and F order."""
+    n = int(rng.integers(0, 7))
+    scale = 10.0 ** rng.uniform(-300, 300) if rng.random() < 0.5 else 1.0
+    r = np.triu(rng.standard_normal((n, n))) * scale
+    if n > 1 and rng.random() < 0.3:  # lower roundoff, up to 100x the tolerance
+        r[np.tri(n, k=-1, dtype=bool)] = (rng.standard_normal(n * (n - 1) // 2)
+                                          * scale * 10.0 ** rng.uniform(-16, -8))
+    if n and rng.random() < 0.2:  # a pivot near the floor
+        i = int(rng.integers(n))
+        r[i, i] = np.max(np.abs(r)) * 10.0 ** rng.uniform(-16, -12) * rng.choice([-1, 1])
+    if n and rng.random() < 0.05:
+        r.flat[int(rng.integers(r.size))] = rng.choice([math.nan, math.inf, -math.inf])
+    if rng.random() < 0.05:
+        r = np.zeros((n, n)) * rng.choice([1.0, -1.0])
+    kind = rng.random()
+    if kind < 0.05:
+        return r.ravel()
+    if kind < 0.10:
+        return np.hstack([r, np.ones((n, 1))])
+    if kind < 0.20:
+        return r.tolist()
+    if kind < 0.30 and np.all(np.isfinite(r)):
+        return np.round(r / scale * 4).astype(int)
+    if kind < 0.35 and scale == 1.0:
+        return r.astype(np.float32)
+    if kind < 0.50:
+        return np.asfortranarray(r)
+    return r
+
+
+def test_single_pass_gate_matches_the_three_step_gate():
+    rng = np.random.default_rng(26)
+    outcomes = set()
+    for _ in range(3000):
+        x = _census_input(rng)
+        try:
+            want = _reference_gate(x)
+        except (DimensionMismatchError, SingularDiagonalError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                _gate(x)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            outcomes.add(type(exc).__name__)
+            continue
+        g = _gate(x)
+        for got, ref in ((g.r, want[0]), (g.signs, want[1])):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes(order="A") == ref.tobytes(order="A")
+            assert got.flags.c_contiguous == ref.flags.c_contiguous
+            assert got.flags.f_contiguous == ref.flags.f_contiguous
+        assert g.e == want[2] == unit_scale(want[0])[1]
+        np.testing.assert_array_equal(g.unit, unit_scale(want[0])[0], strict=True)
+        outcomes.add("passed")
+    assert outcomes == {"passed", "DimensionMismatchError", "SingularDiagonalError"}
