@@ -7,6 +7,7 @@ triangular and square unless stated otherwise.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,10 @@ __all__ = [
 ]
 
 
-def _as_array(a, ndim: int, name: str) -> np.ndarray:
-    """The one array check: a as float64, with ndim dimensions and finite entries.
-    A float64 ndarray is taken as is; anything else must hold real numbers,
-    which is checked before the cast, since the cast drops an imaginary part."""
+def _real(a, name: str) -> np.ndarray:
+    """a as float64.  A float64 ndarray is taken as is; anything else must
+    hold real numbers, which is checked before the cast, since the cast
+    drops an imaginary part."""
     if type(a) is not np.ndarray or a.dtype != np.float64:
         try:
             a = np.asarray(a)  # a ragged nesting raises ValueError here
@@ -48,6 +49,13 @@ def _as_array(a, ndim: int, name: str) -> np.ndarray:
             a = np.asarray(a, dtype=float)
         except (TypeError, ValueError) as exc:
             raise DimensionMismatchError(f"{name} must hold real numbers: {exc}") from exc
+    return a
+
+
+def _as_array(a, ndim: int, name: str) -> np.ndarray:
+    """The one array check: a as float64 (see _real), with ndim dimensions and
+    finite entries."""
+    a = _real(a, name)
     if a.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -149,8 +157,9 @@ def unit_scale(a):
     the largest |entry|, so that entry lands in [0.5, 1); e = 0 for an
     all-zero a.  A power of two changes exponents, not mantissas: ratios and
     comparisons of entries survive exactly (short of entries that turn
-    subnormal), and no square of a scaled entry overflows."""
-    a = np.asarray(a, dtype=float)
+    subnormal), and no square of a scaled entry overflows.  An a that does
+    not hold real numbers raises DimensionMismatchError."""
+    a = _real(a, "A")
     e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
     return np.ldexp(a, -e), e
 
@@ -224,7 +233,8 @@ def roundable_abs(x) -> np.ndarray:
 def _whole(v) -> int:
     if isinstance(v, (int, np.integer)):
         return int(v)
-    if float(v).is_integer():
+    # a float() of a string parses it, and of a numpy complex drops its imaginary part
+    if isinstance(v, numbers.Real) and float(v).is_integer():
         return int(float(v))
     raise DimensionMismatchError(f"entries must be integers, found {v!r}")
 
@@ -232,8 +242,9 @@ def _whole(v) -> int:
 def integer_entries(a) -> np.ndarray:
     """The entries of a as Python ints, in an object array of a's shape.
 
-    The one integer test: an entry that is not a whole number, NaN and
-    infinities included, raises DimensionMismatchError.
+    The one integer test: an entry that is not a whole real number, NaN,
+    infinities, complex numbers and strings included, raises
+    DimensionMismatchError naming it.
     """
     a = np.asarray(a, dtype=object)
     return np.array([_whole(v) for v in a.flat], dtype=object).reshape(a.shape)

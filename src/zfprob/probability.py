@@ -329,21 +329,26 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
 def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> list:
     """pzf_empirical on each factor, all on the one noise stream of rng: each
     block of _EMPIRICAL_BLOCK trials is drawn once and tested on every factor
-    while it is in cache.  A block equals the same slice of one whole draw,
-    and a column's triangular solve does not depend on its neighbours, so
-    every estimate equals its own pzf_empirical call."""
+    while it is in cache.  A factor's trials go through its noise-to-coordinate
+    map sigma R^-1, formed once by one triangular solve.  A block equals the
+    same slice of one whole draw, and a trial's coordinates are its row of
+    the block times the map, independent of the other rows, so every
+    estimate equals its own pzf_empirical call."""
     models = [_unit_model(r, sigma) for r in factors]
     if trials < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
     n = models[0][0].shape[0]
+    # sigma R^-1; an entry past the float range makes a coordinate roundable_abs refuses
+    maps = [solve_triangular(r, unit_sigma * np.eye(n), lower=False, check_finite=False)
+            for r, unit_sigma in models]
     successes = [0] * len(models)
     for first in range(0, trials, _EMPIRICAL_BLOCK):
         count = min(_EMPIRICAL_BLOCK, trials - first)
         g = gaussian_block(rng, first * n, count * n).reshape(count, n)
-        for k, (r, unit_sigma) in enumerate(models):
-            # roundable_abs refuses a non-finite coordinate, so the solve need not look
-            coords = solve_triangular(r, (unit_sigma * g).T, lower=False, check_finite=False)
-            successes[k] += int(np.count_nonzero(np.all(roundable_abs(coords) <= 0.5, axis=0)))
+        for k, m in enumerate(maps):
+            with np.errstate(over="ignore", invalid="ignore"):
+                coords = g @ m.T
+            successes[k] += int(np.count_nonzero(np.all(roundable_abs(coords) <= 0.5, axis=1)))
     estimates = []
     for hits in successes:
         value = hits / trials
@@ -358,10 +363,12 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
 
     The success event is translation invariant in the true vector, so the
     zero vector stands in for it; a trial succeeds when every rounded
-    coordinate of R^{-1} noise is zero.  round_nearest takes ties toward
-    zero, so that is when every coordinate has magnitude at most 1/2; a
-    coordinate it would refuse raises its ValueError.  error_bound is the
-    binomial standard error, or 1 / (trials + 1) at no or every success,
+    coordinate of R^{-1} noise is zero.  A trial's coordinates are its
+    standard normal draws times the map sigma R^{-1}, which one triangular
+    solve forms before the first trial.  round_nearest takes ties toward
+    zero, so a trial succeeds when every coordinate has magnitude at most
+    1/2; a coordinate it would refuse raises its ValueError.  error_bound is
+    the binomial standard error, or 1 / (trials + 1) at no or every success,
     the reach of the z = 1 Wilson interval.  The trials stream through in
     blocks of _EMPIRICAL_BLOCK, so memory does not grow with trials; the
     value does not depend on the block size.

@@ -21,6 +21,7 @@ from zfprob.linalg import (
     _gate,
     check_upper_triangular,
     int_determinant,
+    integer_entries,
     positive_triangular,
     qr_factorize,
     round_nearest,
@@ -392,6 +393,52 @@ def test_gated_entry_points_share_one_refusal_table(row, entry):
         with pytest.raises(error) as raised:
             call(r)
         assert type(raised.value) is error
+
+
+# every entry point that takes integers through integer_entries: name -> a call
+# reading the 2 x 2 matrix m, or its first row
+INTEGER_GATED = {
+    "integer_entries": integer_entries,
+    "int_determinant": int_determinant,
+    "lift_estimate Z": lambda m: lift_estimate(m, [1, 2]),
+    "lift_estimate estimate": lambda m: lift_estimate(np.eye(2, dtype=np.int64), m[0]),
+    "size_reduce_entry Z": lambda m: size_reduce_entry([[4.0, 9.0], [0.0, 1.0]], m, 0, 1),
+}
+# entry that is no whole real number -> (the entry, how the refusal names it)
+INTEGER_REFUSALS = {
+    "complex": (1 + 2j, "(1+2j)"),  # float() raised a bare TypeError
+    "numpy complex": (np.complex128(1 + 0j), "(1+0j)"),  # float() dropped the imaginary part
+    "string": ("a", "'a'"),  # float() raised a bare ValueError
+    "numeric string": ("3", "'3'"),  # float() parsed it
+    "fraction": (0.5, "0.5"),
+    "NaN": (math.nan, "nan"),
+    "infinity": (-math.inf, "-inf"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_GATED))
+@pytest.mark.parametrize("row", sorted(INTEGER_REFUSALS))
+def test_integer_entry_points_share_one_refusal_table(row, entry):
+    bad, named = INTEGER_REFUSALS[row]
+    call = INTEGER_GATED[entry]
+    assert call([[1, 0], [0, 1]]) is not None
+    with pytest.raises(DimensionMismatchError, match="^entries must be integers, found ") as exc:
+        call([[bad, 0], [0, 1]])
+    assert type(exc.value) is DimensionMismatchError
+    assert named in str(exc.value)  # as given, or as the numpy scalar it became
+
+
+def test_integer_entries_take_whole_real_numbers_of_any_type():
+    got = integer_entries([[Fraction(4, 2), np.float32(3.0)], [True, np.int8(-1)]])
+    assert got.tolist() == [[2, 3], [1, -1]] and all(type(v) is int for v in got.flat)
+
+
+@pytest.mark.parametrize("a", [[[1 + 2j, 0.0], [0.0, 1.0]], np.array([1 + 2j], dtype=object),
+                               ["1.5"]], ids=["complex", "complex object", "string"])
+def test_unit_scale_refuses_what_is_not_real(a):
+    # a float cast would drop the imaginary part with only a ComplexWarning
+    with pytest.raises(DimensionMismatchError, match="must hold real numbers"):
+        unit_scale(a)
 
 
 # rows whose corruption keeps a float array of the factor's shape, so it can be

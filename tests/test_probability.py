@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -20,6 +21,7 @@ from zfprob.ensembles import _ROLE_MEASUREMENT, case_spec, random_triangular, ro
 from zfprob.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
+    LatticeError,
     NoConvergenceError,
     NotDiagonalError,
     SingularDiagonalError,
@@ -44,6 +46,8 @@ from zfprob.probability import (
 from zfprob.reduction import lll_reduce, sqrd, vblast
 from zfprob.rng import RngSpec, gaussian_block
 from zfprob.tolerances import QUADRATURE_NODES_PER_PANEL
+
+from test_reduction import ill_conditioned  # tests/ is on sys.path under pytest
 
 SQRT2 = math.sqrt(2.0)
 R1 = np.array([[4.0, 9.0], [0.0, 1.0]])
@@ -377,6 +381,21 @@ class TestPanelGrid:
                 weights[0] = 0.0
 
 
+def _thread_outputs(probe):
+    """The whitespace-split output of the script probe, run in a fresh
+    interpreter at OPENBLAS_NUM_THREADS=1 and at 2."""
+    src = str(Path(zfprob.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout.split())
+    return outs
+
+
 # prints value.hex() and evaluations of an n = 3 and an n = 4 quadrature
 THREAD_PROBE = """
 from zfprob.ensembles import case_spec, random_triangular
@@ -391,17 +410,31 @@ def test_quadrature_bits_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS splits a dot longer than 10,000 across its threads; these grids
     # double (n = 3) or octuple (n = 4) in size, so a total above 20,000 means
     # the last grid passed 10,000 points
-    src = str(Path(zfprob.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True,
-                              text=True, env=env)
-        assert done.returncode == 0, done.stderr
-        outs.append(done.stdout.split())
+    outs = _thread_outputs(THREAD_PROBE)
     assert outs[0] == outs[1]
     assert all(int(evaluations) > 20_000 for evaluations in outs[0][1::2])
+
+
+# prints value.hex() of an n = 16 and an n = 48 empirical estimate whose
+# widest coordinate has spread 1/2, so the count depends on every boundary
+EMPIRICAL_THREAD_PROBE = """
+import numpy as np
+from zfprob.ensembles import case_spec, random_triangular
+from zfprob.probability import pzf_empirical
+from zfprob.rng import RngSpec
+for n in (16, 48):
+    r = random_triangular(case_spec(16, n), n)
+    sigma = 0.5 / float(np.max(np.linalg.norm(np.linalg.inv(r), axis=1)))
+    print(pzf_empirical(r, sigma, 50_000, RngSpec(seed=n)).value.hex())
+"""
+
+
+def test_empirical_bits_do_not_depend_on_the_blas_thread_count():
+    # each block's coordinates are one GEMM against the factor's map, which
+    # OpenBLAS may split across its threads
+    outs = _thread_outputs(EMPIRICAL_THREAD_PROBE)
+    assert outs[0] == outs[1]
+    assert all(0.0 < float.fromhex(value) < 1.0 for value in outs[0])
 
 
 class TestMonteCarlo:
@@ -618,6 +651,28 @@ class TestEmpirical:
         assert 0.0 < est.value < 1.0
         assert est == _one_shot_empirical(r, sigma, trials, rng)
 
+    def test_map_equals_the_solve_reference_on_ill_conditioned_factors(self):
+        # the estimator multiplies each block by sigma R^-1, formed once;
+        # _one_shot_empirical solves the whole draw.  Factors with condition
+        # numbers up to 1e18, at two fixed sigmas and at the sigma that puts
+        # the widest coordinate's spread at 1/2
+        counts = Counter()
+        for i in range(200):
+            r = ill_conditioned(i)
+            edge = 0.5 / float(np.max(np.linalg.norm(np.linalg.inv(r), axis=1)))
+            for sigma in (0.03, 0.3, edge):
+                got, want = (_outcome(estimate, r, sigma, 2000, RngSpec(seed=i))
+                             for estimate in (pzf_empirical, _one_shot_empirical))
+                assert got == want, (i, sigma)
+                key = ("edge" if sigma == edge else sigma,
+                       got[0] if isinstance(got, tuple) else 0.0 < got.value < 1.0)
+                counts[key] += 1
+        assert counts == {
+            (0.03, False): 100, (0.03, True): 4, (0.03, ValueError): 96,
+            (0.3, False): 95, (0.3, True): 3, (0.3, ValueError): 102,
+            ("edge", True): 200,
+        }
+
     def test_shared_draws_equal_separate_calls(self):
         for i in range(6):  # the factors and measurement streams of ensemble --n 16 cases
             spec = case_spec(1, i)
@@ -651,6 +706,14 @@ class TestEmpirical:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20  # one whole 50,000 x 16 noise matrix alone is 6.4 MB
+
+
+def _outcome(estimate, *args):
+    """estimate(*args), or the class and message of the refusal it raised."""
+    try:
+        return estimate(*args)
+    except (ValueError, LatticeError) as exc:
+        return type(exc), str(exc)
 
 
 def _one_shot_empirical(r, sigma, trials, rng):
