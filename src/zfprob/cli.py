@@ -10,6 +10,7 @@ passed, 1 means at least one failed, 2 means a usage or input error.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -257,10 +258,14 @@ def load_matrix_csv(path) -> np.ndarray:
                 if not tok:
                     raise ParseError("empty field", line=lineno, column=colno)
                 try:
-                    vals.append(float(tok))
+                    v = float(tok)
                 except ValueError:
                     raise ParseError(f"not a number: {tok!r}", line=lineno,
                                      column=colno) from None
+                if not math.isfinite(v):
+                    raise ParseError(f"not a finite number: {tok!r}", line=lineno,
+                                     column=colno)
+                vals.append(v)
             rows.append((lineno, vals))
     if not rows:
         raise ParseError("no data rows", line=1)

@@ -25,7 +25,6 @@ _INT64_LIMIT = 2.0 ** 63  # the first magnitude an int64 cannot hold
 __all__ = [
     "QRFactorization",
     "qr_factorize",
-    "positive_triangular",
     "unit_scale",
     "round_nearest",
     "roundable_abs",
@@ -104,52 +103,43 @@ class _Gated:
     """A factor that has passed the gate, which alone makes one: source, the
     caller's array as given, against which the reductions measure their
     contract; r, the read-only factor with a positive diagonal; signs, the
-    row flips that made it; e, unit_scale's exponent of r."""
+    row flips that made it; unit and e, unit_scale(r), unit read-only."""
 
     source: object
     r: np.ndarray
     signs: np.ndarray
+    unit: np.ndarray
     e: int
-
-    @property
-    def unit(self) -> np.ndarray:
-        """unit_scale(r)[0], r / 2**e, as a new array."""
-        return np.ldexp(self.r, -self.e)
 
 
 def _gate(r) -> _Gated:
     """The input gate for a triangular factor, which a _Gated has passed
     already and so comes back as is.
 
-    Validates r as square upper triangular, raises SingularDiagonalError
-    naming the smallest pivot when a pivot of unit_scale(r) is below
-    SOLVE_DIAG_MIN, and flips each negative-pivot row so the gated factor
-    has a positive diagonal.  Row flips leave ||R xi|| unchanged; a caller
-    that keeps an observation or an orthogonal factor must flip it too.
+    Validates r as square upper triangular, flips each negative-pivot row so
+    the gated factor has a positive diagonal, and raises SingularDiagonalError
+    naming the smallest pivot when a pivot of its unit_scale is below
+    SOLVE_DIAG_MIN.  Row flips leave ||R xi|| unchanged; a caller that keeps
+    an observation or an orthogonal factor must flip it too.
     """
     if isinstance(r, _Gated):
         return r
     t = check_upper_triangular(r)
-    # the flips keep |t|, and the cleared lower entries were never its max
-    a = np.abs(t)
-    e = math.frexp(float(a.max(initial=0.0)))[1]
-    diag = np.ldexp(a.diagonal(), -e)
-    if diag.size and diag.min() < SOLVE_DIAG_MIN:
-        i = int(diag.argmin())
-        raise SingularDiagonalError(
-            f"R pivot {i} has magnitude {float(a[i, i])!r}, below {SOLVE_DIAG_MIN} * 2**{e}")
     # the sign rule: +1 or -1 per row, whichever makes that row's pivot positive
     signs = np.where(t.diagonal() < 0.0, -1.0, 1.0)
     gated = signs[:, None] * t
-    gated.flags.writeable = False  # a gated factor is never re-checked, so it cannot change
-    return _Gated(r, gated, signs, e)
-
-
-def positive_triangular(r):
-    """The input gate for a triangular factor (see _gate): returns
-    (signs[:, None] * r, signs), the first read-only."""
-    g = _gate(r)
-    return g.r, g.signs
+    unit, e = unit_scale(gated)
+    diag = unit.diagonal()
+    if diag.size and diag.min() < SOLVE_DIAG_MIN:
+        i = int(diag.argmin())
+        # abs: a -0.0 pivot is not flipped
+        raise SingularDiagonalError(
+            f"R pivot {i} has magnitude {abs(float(gated[i, i]))!r}, "
+            f"below {SOLVE_DIAG_MIN} * 2**{e}")
+    # a gated factor is never re-checked, so it cannot change
+    gated.flags.writeable = False
+    unit.flags.writeable = False
+    return _Gated(r, gated, signs, unit, e)
 
 
 def unit_scale(a):
@@ -177,9 +167,9 @@ class QRFactorization:
 
 
 def qr_factorize(a) -> QRFactorization:
-    """Householder QR with R passed through the triangular gate,
-    positive_triangular: its row flips, which make every pivot positive,
-    are folded into q1's columns.
+    """Householder QR with R passed through the triangular gate, _gate: its
+    row flips, which make every pivot positive, are folded into q1's
+    columns.
 
     Requires m >= n.  A factor the gate refuses, a pivot below SOLVE_DIAG_MIN
     relative to R's largest entry, is rank deficient: RankDeficientError.
@@ -192,11 +182,11 @@ def qr_factorize(a) -> QRFactorization:
     # complete, not reduced: the modes round q1 and r differently, and replays pin those bits
     q, r_full = np.linalg.qr(a, mode="complete")
     try:
-        r, signs = positive_triangular(np.ldexp(r_full[:n, :n], e))
+        g = _gate(np.ldexp(r_full[:n, :n], e))
     except SingularDiagonalError as exc:
         raise RankDeficientError(f"matrix is rank deficient: {exc}") from exc
     # adding 0.0 turns any -0.0 produced by the sign flips into plain 0.0
-    return QRFactorization(q1=q[:, :n] * signs[None, :], r=r + 0.0)
+    return QRFactorization(q1=q[:, :n] * g.signs[None, :], r=g.r + 0.0)
 
 
 def round_nearest(x) -> int:

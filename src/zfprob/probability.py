@@ -302,7 +302,7 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     n = r.shape[0]
     order = _sorted_order(_dual_basis(r), largest=True)
-    r = _perm_result(r, r, np.ones(n), order[::-1]).r_bar
+    r = _perm_result(_gate(r), order[::-1]).r_bar
     # sample i takes uniforms [i * n, (i + 1) * n); rows are coordinates, so
     # each step reads contiguous memory
     log_u = np.log(uniform_block(rng, 0, samples * n).reshape(samples, n).T.copy())

@@ -118,9 +118,9 @@ class ReductionResult:
 
     def check(self, r_input):
         """Raise unless every structural invariant holds against r_input."""
-        if int_determinant(self.z) not in (-1, 1):
-            raise NotUnimodularError(
-                f"transform determinant is {int_determinant(self.z)}, expected +-1")
+        det = int_determinant(self.z)
+        if det not in (-1, 1):
+            raise NotUnimodularError(f"transform determinant is {det}, expected +-1")
         if np.min(np.diag(self.r_bar), initial=np.inf) <= 0.0:
             raise SingularDiagonalError("reduced matrix has a non-positive pivot")
         check_upper_triangular(r_input)
@@ -287,8 +287,9 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     if params is None:
         params = LLLParams()
     g = _gate(r)
-    # unit scale: the pair test squares entries, the pivot floors compare them
-    u = g.unit
+    # unit scale: the pair test squares entries, the pivot floors compare them;
+    # a copy, as the loop works in place and the gated factor is read-only
+    u = g.unit.copy(order="K")
     n = u.shape[0]
     # z is kept as sparse columns of Python ints and leaves through _transform
     z = [{j: 1} for j in range(n)]
@@ -345,12 +346,12 @@ def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
     return LLLCheckReport(size_ok=not size.size, lovasz_ok=not pair.size, first_violation=first)
 
 
-def _perm_result(r, gated, signs, perm) -> ReductionResult:
-    """Permutation perm of r, which the gate turned into gated with row flips
-    signs; the flips are folded into q_bar."""
-    n = gated.shape[0]
+def _perm_result(g, perm) -> ReductionResult:
+    """Permutation perm of the gated factor g; the gate's row flips are
+    folded into q_bar, and the contract is measured against g.source."""
+    n = g.r.shape[0]
     z = np.eye(n, dtype=np.int64)[:, perm]
-    f = qr_factorize(gated[:, perm])
+    f = qr_factorize(g.r[:, perm])
     # swap count of the permutation: transpositions of its cycle decomposition
     seen = [False] * n
     cycles = 0
@@ -362,7 +363,7 @@ def _perm_result(r, gated, signs, perm) -> ReductionResult:
                 seen[j] = True
                 j = perm[j]
     stats = ReductionStats(size_reductions=0, swaps=n - cycles, iterations=0)
-    return _result(r, f.r, z, signs[:, None] * f.q1, stats)
+    return _result(g.source, f.r, z, g.signs[:, None] * f.q1, stats)
 
 
 def _dual_basis(r) -> np.ndarray:
@@ -414,7 +415,7 @@ def sqrd(r) -> ReductionResult:
     next pivot magnitude; z is the corresponding permutation."""
     # row sign flips leave every residual norm, and so the order, unchanged
     g = _gate(r)
-    return _perm_result(g.source, g.r, g.signs, _sorted_order(g.unit))
+    return _perm_result(g, _sorted_order(g.unit))
 
 
 def vblast(r) -> ReductionResult:
@@ -424,8 +425,9 @@ def vblast(r) -> ReductionResult:
     The column placed last gets pivot 1 / ||row c of R^-1||, so the picks
     are the sorted-QR picks on the dual basis R^-T, in reverse."""
     g = _gate(r)
-    tail = _sorted_order(_dual_basis(g.r))
-    return _perm_result(g.source, g.r, g.signs, tail[::-1])
+    # unit scale, as the other entry points: R^-1 of a tiny R leaves the float range
+    tail = _sorted_order(_dual_basis(g.unit))
+    return _perm_result(g, tail[::-1])
 
 
 def orthogonality_defect(r) -> float:

@@ -85,6 +85,20 @@ class TestLoaders:
         assert main(["reduce", "--matrix", path]) == 2
         assert "empty field (line 2, column 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--matrix", "--y"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_field_exits_2_naming_line_and_column(self, tmp_path, capsys, token, flag):
+        # float() parses each of these; the loader refuses them where they stand
+        matrix, y = "4,9\n0,1\n", "0.4\n-0.7\n"
+        if flag == "--matrix":
+            matrix, where = f"4,9\n0,{token}\n", "(line 2, column 2)"
+        else:
+            y, where = f"0.4\n{token}\n", "(line 2, column 1)"
+        argv = ["decode", "--matrix", write(tmp_path, "m.csv", matrix),
+                "--y", write(tmp_path, "y.csv", y)]
+        assert main(argv) == 2
+        assert f"error: not a finite number: {token!r} {where}" in capsys.readouterr().err
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "m.csv", "\n\n")
         with pytest.raises(ParseError):

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import astuple
+from dataclasses import astuple, fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +22,6 @@ from zfprob.linalg import (
     check_upper_triangular,
     int_determinant,
     integer_entries,
-    positive_triangular,
     qr_factorize,
     round_nearest,
     unit_scale,
@@ -89,14 +88,14 @@ class TestQRFactorize:
             for sign in (1.0, -1.0):
                 r = c * np.array([[0.75, 0.3], [0.0, sign * rel * SOLVE_DIAG_MIN]])
                 try:
-                    positive_triangular(r)
+                    _gate(r)
                 except SingularDiagonalError:
                     refused.add((rel, sign))
                     with pytest.raises(RankDeficientError, match="pivot 1"):
                         qr_factorize(r)
                     continue
                 f = qr_factorize(r)
-                np.testing.assert_array_equal(f.r, positive_triangular(r)[0])
+                np.testing.assert_array_equal(f.r, _gate(r).r)
         assert refused == {(rel, sign) for rel in (1.0 - 1e-6, 1.0 - 1e-12) for sign in (1.0, -1.0)}
 
     def test_wide_matrix_raises(self):
@@ -297,13 +296,13 @@ def test_structure_tests_do_not_depend_on_scale(c):
 
 def test_pivot_floor_is_relative():
     # a perfectly conditioned factor passes at any scale
-    np.testing.assert_array_equal(positive_triangular(1e-15 * np.eye(2))[0], 1e-15 * np.eye(2))
+    np.testing.assert_array_equal(_gate(1e-15 * np.eye(2)).r, 1e-15 * np.eye(2))
     big = random_triangular(case_spec(95, 0), 48)
     assert orthogonality_defect(2.0 ** -50 * big) == orthogonality_defect(big)
     # a pivot 1e-16 of the largest entry is refused at every scale, also by
     # the checker of reduced form
     for c in (1e-20, 1.0, 1e20):
-        for call in (positive_triangular, is_lll_reduced, lll_reduce, orthogonality_defect):
+        for call in (_gate, is_lll_reduced, lll_reduce, orthogonality_defect):
             with pytest.raises(SingularDiagonalError):
                 call(c * np.array([[1e-13, 1e3], [0.0, 1.0]]))
 
@@ -323,11 +322,12 @@ def _estimate(estimator, *args):
 FACTOR = np.array([[2.0, 1.3], [0.0, 0.5]])
 DIAGONAL = np.diag([2.0, 0.5])
 
-# every entry point that takes its factor through positive_triangular:
+# every entry point that takes its factor through the gate, _gate:
 # name -> (a valid factor, a call whose outputs must not change when the
-# factor's rows are sign-flipped)
+# factor's rows are sign-flipped); the gate's own row is named for what it
+# makes, the positive triangular factor
 GATED = {
-    "positive_triangular": (FACTOR, lambda r: positive_triangular(r)[:1]),
+    "positive_triangular": (FACTOR, lambda r: (_gate(r).r,)),
     "is_lll_reduced": (FACTOR, lambda r: astuple(is_lll_reduced(r))),
     "lll_reduce": (FACTOR, _reduced(lll_reduce)),
     "sqrd": (FACTOR, _reduced(sqrd)),
@@ -467,10 +467,34 @@ def test_a_gated_factor_passes_through_unchanged_and_read_only(gate_passes):
     g = _gate(r)
     assert _gate(g) is g and g.source is r and gate_passes[0] == 1
     assert not g.r.flags.writeable
-    assert not positive_triangular(r)[0].flags.writeable
+    assert not g.unit.flags.writeable
     assert not ILSInstance(r=g, y_tilde=[1.0, 2.0]).r.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         g.r[0, 0] = 1.0
+
+
+def _bits(x):
+    """x with every array as its dtype, shape and bytes and every float as
+    its hex form, so == compares bits."""
+    if is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in fields(x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    return x.hex() if isinstance(x, float) else x
+
+
+def test_one_gated_value_serves_every_entry_point_and_stays_unchanged():
+    # a row flip and a scale that is no power of two, so r and unit differ
+    r = 3.7 * random_triangular(case_spec(95, 1), 4) * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    g = _gate(r)
+    before = _bits(g)
+    calls = (lll_reduce, lll_reduce, sqrd, vblast, is_lll_reduced, orthogonality_defect,
+             lambda f: pzf_quadrature(f, 0.5))
+    for call in calls:
+        assert _bits(call(g)) == _bits(call(r.copy()))
+    assert _bits(g) == before and g.source is r
+    # lll_reduce's in-place loop works on a copy of the stored unit factor
+    assert not g.r.flags.writeable and not g.unit.flags.writeable
 
 
 def _reference_gate(r):

@@ -17,11 +17,10 @@ from zfprob.errors import (
     SingularMatrixError,
 )
 from zfprob.linalg import (
+    _gate,
     int64_entries,
     int_determinant,
-    positive_triangular,
     round_nearest,
-    unit_scale,
 )
 from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
 from zfprob.reduction import (
@@ -62,7 +61,7 @@ def assert_is_permutation(z):
 def scalar_lll_check(r, delta):
     """is_lll_reduced's report, one entry at a time: size violations before
     pair ones, each in column-major order."""
-    r, _ = unit_scale(positive_triangular(r)[0])
+    r = _gate(r).unit
     n = r.shape[0]
     size = [(i, k) for k in range(1, n) for i in range(k)
             if abs(r[i, k]) > 0.5 * r[i, i] + LLL_CHECK_SLACK * r[i, i]]
@@ -614,6 +613,16 @@ def test_orderings_and_reduced_check_are_scale_free(c):
     assert not is_lll_reduced(c * np.diag([1.0, 0.5]), 0.75).lovasz_ok
 
 
+def test_orderings_keep_their_transform_from_2_to_the_minus_1020_to_2_to_the_1000():
+    # vblast orders on the dual basis of the unit-scaled factor, as sqrd
+    # orders on that factor: R^-1 of 2**-1020 * R would leave the float range
+    r = np.array([[1.0, 0.3, -0.2], [0.0, 0.5, 0.7], [0.0, 0.0, 1e-5]])
+    want = {strategy: strategy(r).z for strategy in (sqrd, vblast)}
+    for p in range(-1020, 1001, 5):
+        for strategy, z in want.items():
+            np.testing.assert_array_equal(strategy(2.0 ** p * r).z, z, err_msg=f"p={p}")
+
+
 class TestOrthogonalityDefect:
     def test_identity(self):
         assert orthogonality_defect(np.eye(4)) == pytest.approx(1.0)
@@ -766,7 +775,7 @@ def test_every_returned_result_passes_its_contract():
                 assert reduce is sqrd
                 continue
             result.check(r)
-            positive_triangular(result.r_bar)
+            _gate(result.r_bar)
             assert _contract(r, result.r_bar, result.z,
                              result.q_bar) == (result.reconstruction_error, result.det_drift)
     # here the loop loses z on 161 factors; sqrd's reordered factor fails the
@@ -803,6 +812,16 @@ def test_check_refuses_a_broken_result():
     near = lll_reduce([[1.0, 0.0], [0.0, 1e-12]])
     with pytest.raises(SingularMatrixError, match="^input factor has a zero pivot$"):
         near.check([[1.0, 0.0], [0.0, 0.0]])
+
+
+def test_check_evaluates_the_determinant_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(reduction_module, "int_determinant",
+                        lambda z: calls.append(z) or int_determinant(z))
+    result = lll_reduce(R_4_9)
+    with pytest.raises(NotUnimodularError, match=r"^transform determinant is -?4, "):
+        dataclasses.replace(result, z=2 * result.z).check(R_4_9)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("reduce", [lll_reduce, sqrd, vblast])

@@ -1,7 +1,5 @@
-import contextlib
 import hashlib
 import importlib.util
-import io
 from pathlib import Path
 
 import pytest
@@ -60,9 +58,6 @@ def test_csv_text_is_pinned(argv, tmp_path, monkeypatch):
     assert argv in tool.INVOCATIONS
     tool.write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
-    reports = []
-    run = zfprob.cli.run
-    monkeypatch.setattr(zfprob.cli, "run", lambda config: reports.append(run(config)) or reports[-1])
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert zfprob.cli.main(list(argv)) == 0
-    assert hashlib.sha256(reports[0].to_csv().encode()).hexdigest() == CSV_DIGESTS[argv]
+    code, report = tool.run_invocation(zfprob.cli, argv)
+    assert code == 0
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == CSV_DIGESTS[argv]

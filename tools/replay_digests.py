@@ -86,9 +86,9 @@ def write_inputs(directory) -> None:
         Path(directory, name).write_text(text, encoding="utf-8")
 
 
-def replay_digest(cli, argv) -> tuple:
-    """(exit code, digest of the replayable report or None) of one
-    invocation, run in the current directory with its output discarded."""
+def run_invocation(cli, argv) -> tuple:
+    """(exit code, the report cli.run made or None) of one invocation, run
+    in the current directory with its output discarded."""
     reports = []
     run = cli.run
 
@@ -105,9 +105,16 @@ def replay_digest(cli, argv) -> tuple:
         code = exc.code
     finally:
         cli.run = run
-    if not reports:
+    return code, reports[0] if reports else None
+
+
+def replay_digest(cli, argv) -> tuple:
+    """(exit code, digest of the replayable report or None) of one
+    invocation, as run_invocation runs it."""
+    code, report = run_invocation(cli, argv)
+    if report is None:
         return code, None
-    payload = json.dumps(reports[0].replay_dict(), sort_keys=True)
+    payload = json.dumps(report.replay_dict(), sort_keys=True)
     return code, hashlib.sha256(payload.encode()).hexdigest()
 
 
