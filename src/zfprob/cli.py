@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -740,7 +740,11 @@ def _refuse_unread(config: ExperimentConfig, given=None):
             raise ValueError(f"{config.command} reads {_FLAGS[name][0]} {runs}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: its subcommands and
+    flags come from SUBCOMMANDS and _FLAGS, and run looks a subcommand's
+    function up at call time."""
     parser = argparse.ArgumentParser(
         prog="zfprob",
         description="Lattice reductions, integer least-squares decoders, and "

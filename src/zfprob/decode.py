@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatchError,
@@ -20,6 +19,7 @@ from .errors import (
 from .linalg import (
     _as_array,
     _gate,
+    _solve_upper,
     check_sigma,
     int64_entries,
     int_determinant,
@@ -87,7 +87,7 @@ def _result(inst: ILSInstance, estimate: np.ndarray) -> DecodeResult:
 def zf_decode(inst: ILSInstance) -> DecodeResult:
     """Round each coordinate of the unconstrained solution R^{-1} y_tilde."""
     # the instance's r and y_tilde already passed the input gate, flipped together
-    real_solution = solve_triangular(inst.r, inst.y_tilde, lower=False, check_finite=False)
+    real_solution = _solve_upper(inst.r, inst.y_tilde)
     return _result(inst, [round_nearest(v) for v in real_solution])
 
 

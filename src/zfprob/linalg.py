@@ -11,6 +11,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     DimensionMismatchError,
@@ -27,7 +28,6 @@ __all__ = [
     "qr_factorize",
     "unit_scale",
     "round_nearest",
-    "roundable_abs",
     "integer_entries",
     "int64_entries",
     "int_determinant",
@@ -154,6 +154,25 @@ def unit_scale(a):
     return np.ldexp(a, -e), e
 
 
+def _solve_upper(r, b) -> np.ndarray:
+    """R^-1 b for a float64 upper-triangular r and a float64 b of one or two
+    dimensions: LAPACK's dtrtrs, called with the arguments
+    scipy.linalg.solve_triangular(r, b, check_finite=False) passes it, so the
+    bits are that call's, without its per-call checks and wrapping.  An empty
+    b gives an empty result, as there; a zero pivot raises LinAlgError."""
+    if b.size == 0:  # dtrtrs refuses n = 0
+        return np.empty_like(b, dtype=float)
+    if r.flags.f_contiguous:
+        x, info = dtrtrs(r, b, lower=0, trans=0)
+    else:  # the transposed system, as dtrtrs reads Fortran order
+        x, info = dtrtrs(r.T, b, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 @dataclass(frozen=True)
 class QRFactorization:
     """Thin QR factorization A = q1 r.
@@ -208,16 +227,6 @@ def round_nearest(x) -> int:
     if a - m > 0.5:
         m += 1
     return -m if v < 0 else m
-
-
-def roundable_abs(x) -> np.ndarray:
-    """|x| as a new float64 array, refused entry by entry as round_nearest
-    refuses a scalar: an entry that is not finite, or of magnitude 2**63
-    or more, raises ValueError."""
-    a = np.abs(np.asarray(x, dtype=float))
-    if not a.max(initial=0.0) < _INT64_LIMIT:  # a NaN makes the max NaN
-        raise ValueError("cannot round values that are not finite or of magnitude 2**63 or more")
-    return a
 
 
 def _whole(v) -> int:

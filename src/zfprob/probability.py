@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import erf as _erf_array
 from scipy.special import log_ndtr, ndtri_exp
 
@@ -28,8 +27,9 @@ from .errors import (
     DimensionTooLargeError,
     NoConvergenceError,
     NotDiagonalError,
+    SingularMatrixError,
 )
-from .linalg import _as_array, _gate, check_sigma, roundable_abs
+from .linalg import _as_array, _gate, _solve_upper, check_sigma
 from .reduction import _dual_basis, _perm_result, _sorted_order
 from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
@@ -110,7 +110,12 @@ def _slab_mass(shift, pivot, sigma):
 
 def _density(sigma, t):
     """The Gaussian factor exp(-||t||^2 / (2 sigma^2)) for each row t of the points R xi."""
-    return np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
+    # column by column: the sum np.sum(t * t, axis=1) forms, left to right,
+    # without its per-row inner loop over a few columns
+    sq = t[:, 0] * t[:, 0]
+    for j in range(1, t.shape[1]):
+        sq += t[:, j] * t[:, j]
+    return np.exp(-sq / (2.0 * sigma * sigma))
 
 
 def _sidak_bracket(r, sigma) -> tuple[float, float]:
@@ -122,7 +127,7 @@ def _sidak_bracket(r, sigma) -> tuple[float, float]:
     n = 1."""
     with np.errstate(over="ignore"):  # an infinite argument: p_i = 1
         p = 0.5 * _slab_mass(0.0, 1.0 / np.hypot.reduce(_dual_basis(r), axis=0), sigma)
-    return float(np.prod(p)), float(np.min(p, initial=1.0))
+    return float(p.prod()), float(p.min(initial=1.0))
 
 
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
@@ -180,7 +185,8 @@ def _outer_value(r, sigma, pref, panels):
     r11 = r[0, 0]
     xi, weights = _panel_grid(panels, r.shape[0] - 1)
     shift = xi @ r[0, 1:]
-    outer = _density(sigma, xi @ r[1:, 1:].T)
+    # a contiguous operand takes numpy's fast matmul route, with the same bits
+    outer = _density(sigma, xi @ np.ascontiguousarray(r[1:, 1:].T))
     vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer
     total = float(weights[:_DOT_BLOCK] @ vals[:_DOT_BLOCK])
     for start in range(_DOT_BLOCK, weights.size, _DOT_BLOCK):
@@ -216,10 +222,13 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     except OverflowError:  # a finite base whose power leaves the float range
         volume = math.inf
     # an infinite prefactor keeps the panels off, and the bracket answers
-    pref = abs(float(np.prod(np.diag(r)))) / volume if 0.0 < volume < math.inf else math.inf
+    pref = abs(float(r.diagonal().prod())) / volume if 0.0 < volume < math.inf else math.inf
     # start fine enough that a panel cannot straddle the Gaussian ridge
-    # unnoticed: panel width about sigma per column-norm unit
-    col_scale = float(np.max(np.linalg.norm(r[:, 1:], axis=0), initial=0.0))
+    # unnoticed: panel width about sigma per column-norm unit.  The largest
+    # column norm is the root of the largest sum of squares, which
+    # np.linalg.norm(axis=0) forms the same way
+    cols = r[:, 1:]
+    col_scale = math.sqrt(float((cols * cols).sum(axis=0).max(initial=0.0)))
     panels = 1
     while panels * QUADRATURE_NODES_PER_PANEL * sigma < col_scale and panels < 512:
         panels *= 2
@@ -330,17 +339,18 @@ def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> li
     """pzf_empirical on each factor, all on the one noise stream of rng: each
     block of _EMPIRICAL_BLOCK trials is drawn once and tested on every factor
     while it is in cache.  A factor's trials go through its noise-to-coordinate
-    map sigma R^-1, formed once by one triangular solve.  A block equals the
-    same slice of one whole draw, and a trial's coordinates are its row of
-    the block times the map, independent of the other rows, so every
-    estimate equals its own pzf_empirical call."""
+    map sigma R^-1, formed once by one triangular solve; a map with an entry
+    past the float range raises SingularMatrixError before any draw.  A block
+    equals the same slice of one whole draw, and a trial's coordinates are
+    its row of the block times the map, independent of the other rows, so
+    every estimate equals its own pzf_empirical call."""
     models = [_unit_model(r, sigma) for r in factors]
     if trials < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
     n = models[0][0].shape[0]
-    # sigma R^-1; an entry past the float range makes a coordinate roundable_abs refuses
-    maps = [solve_triangular(r, unit_sigma * np.eye(n), lower=False, check_finite=False)
-            for r, unit_sigma in models]
+    maps = [_solve_upper(r, unit_sigma * np.eye(n)) for r, unit_sigma in models]
+    if not all(np.isfinite(m).all() for m in maps):
+        raise SingularMatrixError("sigma R^-1 is out of floating-point range")
     successes = [0] * len(models)
     for first in range(0, trials, _EMPIRICAL_BLOCK):
         count = min(_EMPIRICAL_BLOCK, trials - first)
@@ -348,7 +358,8 @@ def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> li
         for k, m in enumerate(maps):
             with np.errstate(over="ignore", invalid="ignore"):
                 coords = g @ m.T
-            successes[k] += int(np.count_nonzero(np.all(roundable_abs(coords) <= 0.5, axis=1)))
+            # a coordinate that overflowed, or turned NaN, fails the test
+            successes[k] += int(np.count_nonzero(np.all(np.abs(coords) <= 0.5, axis=1)))
     estimates = []
     for hits in successes:
         value = hits / trials
@@ -365,9 +376,10 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
     zero vector stands in for it; a trial succeeds when every rounded
     coordinate of R^{-1} noise is zero.  A trial's coordinates are its
     standard normal draws times the map sigma R^{-1}, which one triangular
-    solve forms before the first trial.  round_nearest takes ties toward
+    solve forms before the first trial; a map with an entry past the float
+    range raises SingularMatrixError.  round_nearest takes ties toward
     zero, so a trial succeeds when every coordinate has magnitude at most
-    1/2; a coordinate it would refuse raises its ValueError.  error_bound is
+    1/2; a coordinate that overflows or turns NaN fails.  error_bound is
     the binomial standard error, or 1 / (trials + 1) at no or every success,
     the reach of the z = 1 Wilson interval.  The trials stream through in
     blocks of _EMPIRICAL_BLOCK, so memory does not grow with trials; the

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatchError,
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .linalg import (
     _gate,
+    _solve_upper,
     check_upper_triangular,
     int64_entries,
     int_determinant,
@@ -371,8 +371,8 @@ def _dual_basis(r) -> np.ndarray:
     norm is 1 / (the pivot column c gets when placed last).  Raises
     SingularMatrixError when an entry leaves the float range."""
     # the gate has checked that r is finite
-    dual = solve_triangular(r, np.eye(r.shape[0]), lower=False, check_finite=False).T
-    if not np.all(np.isfinite(dual)):
+    dual = _solve_upper(r, np.eye(r.shape[0])).T
+    if not np.isfinite(dual).all():
         raise SingularMatrixError("R^-1 is out of floating-point range")
     return dual
 

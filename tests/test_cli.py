@@ -750,6 +750,15 @@ class TestOptionSets:
         assert main(["reduce", "--bogus"]) == 2
         assert "--bogus" in capsys.readouterr().err
 
+    def test_one_parser_answers_every_call_alike(self, capsys):
+        assert cli_module.build_parser() is cli_module.build_parser()
+        argvs = [["--help"], ["invariance", "--help"], ["reduce", "--bogus"], [],
+                 ["invariance", "--trials", "x"]]
+        first, second = ([(main(argv), *capsys.readouterr()) for argv in argvs]
+                         for _ in range(2))
+        assert [code for code, _, _ in first] == [0, 0, 2, 2, 2]
+        assert first == second
+
     @pytest.mark.parametrize("key", [(command, name) for command, (_, _, takes)
                                      in SUBCOMMANDS.items() for name in takes])
     def test_every_table_entry_names_a_flag_its_parser_takes(self, key, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from zfprob.decode import ILSInstance, lift_estimate, zf_decode
 from zfprob.ensembles import case_spec, random_triangular
@@ -19,6 +20,7 @@ from zfprob.errors import (
 )
 from zfprob.linalg import (
     _gate,
+    _solve_upper,
     check_upper_triangular,
     int_determinant,
     integer_entries,
@@ -42,6 +44,8 @@ from zfprob.tolerances import (
     SOLVE_DIAG_MIN,
     UPPER_TRIANGULAR_TOL,
 )
+
+from test_reduction import ill_conditioned  # tests/ is on sys.path under pytest
 
 
 class TestQRFactorize:
@@ -110,6 +114,52 @@ class TestQRFactorize:
         np.testing.assert_array_equal(sqrd(big * np.eye(3)).z, np.eye(3))
         with pytest.raises(RankDeficientError):
             qr_factorize(big * np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
+
+
+def _assert_solves_as_scipy(r, b):
+    got = _solve_upper(r, b)
+    want = solve_triangular(r, b, lower=False, check_finite=False)
+    assert (got.shape, got.dtype, got.flags.f_contiguous, got.tobytes()) == \
+        (want.shape, want.dtype, want.flags.f_contiguous, want.tobytes())
+
+
+def _right_hand_sides(n, rng):
+    return [rng.standard_normal(n), rng.standard_normal((n, 3)), np.eye(n),
+            np.asfortranarray(rng.standard_normal((n, 2)))]
+
+
+class TestSolveUpper:
+    """_solve_upper is solve_triangular(r, b, check_finite=False) without its
+    per-call checks: the same bits for C- and F-ordered factors and 1-D and
+    2-D right-hand sides."""
+
+    def test_gated_random_factors_from_0_to_64(self):
+        for n in range(65):
+            g = _gate(random_triangular(case_spec(29, n), n))
+            rng = np.random.default_rng(n)
+            for r in (g.r, g.unit, np.asfortranarray(g.r)):
+                for b in _right_hand_sides(n, rng):
+                    _assert_solves_as_scipy(r, b)
+
+    def test_ill_conditioned_factors(self):
+        for i in range(600):
+            r = ill_conditioned(i)
+            rng = np.random.default_rng(i)
+            for order in "CF":
+                for b in _right_hand_sides(r.shape[0], rng):
+                    _assert_solves_as_scipy(np.asarray(r, order=order), b)
+
+    @pytest.mark.parametrize("b", [np.zeros(0), np.zeros((0, 0)), np.zeros((0, 3))])
+    def test_empty_system(self, b):
+        _assert_solves_as_scipy(np.zeros((0, 0)), b)
+
+    def test_a_zero_pivot_raises_as_scipy_does(self):
+        r = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError) as scipy_error:
+            solve_triangular(r, np.ones(2), check_finite=False)
+        with pytest.raises(np.linalg.LinAlgError) as error:
+            _solve_upper(r, np.ones(2))
+        assert str(error.value) == str(scipy_error.value)
 
 
 class TestRoundNearest:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -17,6 +19,7 @@ from scipy.integrate import nquad
 from scipy.linalg import solve_triangular
 
 import zfprob
+import zfprob.cli
 from zfprob.ensembles import _ROLE_MEASUREMENT, case_spec, random_triangular, role_spec
 from zfprob.errors import (
     DimensionMismatchError,
@@ -25,11 +28,12 @@ from zfprob.errors import (
     NoConvergenceError,
     NotDiagonalError,
     SingularDiagonalError,
+    SingularMatrixError,
 )
-from zfprob.linalg import roundable_abs
 from zfprob.probability import (
     MIN_SAMPLES,
     ProbabilityEstimate,
+    _build_panel_grid,
     _conditional_step,
     _density,
     _empirical_estimates,
@@ -308,7 +312,8 @@ class TestQuadrature:
 
 
 def per_call_outer_value(r, sigma, pref, panels):
-    """Reference: _outer_value with its tensor grid built on every call."""
+    """Reference: _outer_value with its tensor grid built on every call, the
+    strided matmul operand and the density's squares summed by np.sum."""
     d = r.shape[0] - 1
     r11 = r[0, 0]
     nodes, node_weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES_PER_PANEL)
@@ -323,7 +328,8 @@ def per_call_outer_value(r, sigma, pref, panels):
     for a in np.meshgrid(*([w] * d), indexing="ij"):
         weights *= a.ravel()
     shift = xi @ r[0, 1:]
-    outer = _density(sigma, xi @ r[1:, 1:].T)
+    t = xi @ r[1:, 1:].T
+    outer = np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
     vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer
     total = float(weights[:8192] @ vals[:8192])
     for start in range(8192, weights.size, 8192):
@@ -379,6 +385,48 @@ class TestPanelGrid:
             assert not xi.flags.writeable and not weights.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 weights[0] = 0.0
+
+
+def invariance_quadrature_calls(seed):
+    """The (factor, sigma) of every pzf_quadrature call of invariance --trials 40."""
+    calls = []
+
+    def record(r, sigma):
+        calls.append((r, sigma))
+        return pzf_quadrature(r, sigma)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zfprob.cli, "pzf_quadrature", record)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert zfprob.cli.main(["invariance", "--trials", "40", "--seed", str(seed)]) == 0
+    return calls
+
+
+class TestQuadratureBits:
+    """The column-by-column density and the contiguous matmul operand keep
+    every bit of the np.sum density and the strided operand."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_density_equals_the_np_sum_form_on_every_kept_grid(self, d):
+        rng = np.random.default_rng(d)
+        panels = 1
+        while (QUADRATURE_NODES_PER_PANEL * panels) ** d <= QUADRATURE_NODES_PER_PANEL ** 3:
+            xi, _ = _build_panel_grid(panels, d)
+            for scale in (1e-3, 1.0, 40.0):
+                t = xi @ (scale * np.triu(rng.standard_normal((d, d)))).T
+                for sigma in (0.01, 0.3, 3.0):
+                    want = np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
+                    assert _density(sigma, t).tobytes() == want.tobytes(), (panels, scale, sigma)
+            panels *= 2
+        assert panels > 1
+
+    @pytest.mark.parametrize("seed", [1, 20181])
+    def test_invariance_factors_give_the_reference_bits(self, seed, monkeypatch):
+        calls = invariance_quadrature_calls(seed)
+        assert len(calls) == 120 and {_unit_model(r, 1.0)[0].shape[0] for r, _ in calls} == {2, 3}
+        got = [(e.value.hex(), e.evaluations) for e in (pzf_quadrature(*c) for c in calls)]
+        monkeypatch.setattr("zfprob.probability._outer_value", per_call_outer_value)
+        assert got == [(e.value.hex(), e.evaluations) for e in (pzf_quadrature(*c) for c in calls)]
 
 
 def _thread_outputs(probe):
@@ -630,12 +678,13 @@ class TestEmpirical:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 63])
     def test_coordinates_beyond_rounding_are_refused(self, bad, monkeypatch):
+        # a coordinate round_nearest refuses is refused as a success: its
+        # trial fails, whatever its value, and the other trials still count
         noise = np.zeros((1000, 2))
         noise[7, 1] = bad
         monkeypatch.setattr("zfprob.probability.gaussian_block",
                             lambda spec, start, count: noise.ravel()[start:start + count])
-        with pytest.raises(ValueError, match="cannot round"):
-            pzf_empirical(np.eye(2), 1.0, 1000, RngSpec(seed=1))
+        assert pzf_empirical(np.eye(2), 1.0, 1000, RngSpec(seed=1)).value == 999 / 1000
 
     def test_minimum_trial_count(self):
         with pytest.raises(ValueError):
@@ -667,9 +716,11 @@ class TestEmpirical:
                 key = ("edge" if sigma == edge else sigma,
                        got[0] if isinstance(got, tuple) else 0.0 < got.value < 1.0)
                 counts[key] += 1
+        # a trial whose coordinate overflows fails rather than refusing the
+        # factor, so every one of these calls answers
         assert counts == {
-            (0.03, False): 100, (0.03, True): 4, (0.03, ValueError): 96,
-            (0.3, False): 95, (0.3, True): 3, (0.3, ValueError): 102,
+            (0.03, False): 196, (0.03, True): 4,
+            (0.3, False): 197, (0.3, True): 3,
             ("edge", True): 200,
         }
 
@@ -695,6 +746,16 @@ class TestEmpirical:
         monkeypatch.setattr("zfprob.probability.gaussian_block", no_draw)
         with pytest.raises(error, match=match):
             _empirical_estimates((R1, bad), 0.5, trials, RngSpec(seed=1))
+
+    def test_a_map_past_the_float_range_is_refused_before_any_draw(self, monkeypatch):
+        # unit off-diagonal entries over pivots 2**-44: R^-1 passes 1e308 by n = 30
+        r = 2.0 ** -44 * np.eye(30) + np.triu(np.ones((30, 30)), 1)
+
+        def no_draw(spec, start, count):
+            raise AssertionError("drew noise for a refused call")
+        monkeypatch.setattr("zfprob.probability.gaussian_block", no_draw)
+        with pytest.raises(SingularMatrixError, match="out of floating-point range"):
+            pzf_empirical(r, 0.5, 1000, RngSpec(seed=1))
 
     def test_memory_does_not_grow_with_trials(self):
         r = random_triangular(case_spec(16, 16), 16)
@@ -722,8 +783,12 @@ def _one_shot_empirical(r, sigma, trials, rng):
     r, sigma = _unit_model(r, sigma)
     n = r.shape[0]
     noise = sigma * gaussian_block(rng, 0, trials * n).reshape(trials, n)
-    coords = solve_triangular(r, noise.T, lower=False, check_finite=False)
-    successes = int(np.count_nonzero(np.all(roundable_abs(coords) <= 0.5, axis=0)))
+    if not np.isfinite(solve_triangular(r, sigma * np.eye(n), lower=False,
+                                        check_finite=False)).all():
+        raise SingularMatrixError("sigma R^-1 is out of floating-point range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = solve_triangular(r, noise.T, lower=False, check_finite=False)
+    successes = int(np.count_nonzero(np.all(np.abs(coords) <= 0.5, axis=0)))
     value = successes / trials
     stderr = math.sqrt(value * (1.0 - value) / trials) or 1.0 / (trials + 1)
     return ProbabilityEstimate(value=value, method="Empirical", error_bound=stderr,
