@@ -558,8 +558,9 @@ def _invariance_case(config: ExperimentConfig, index: int) -> dict:
     n = config.n or (2 if index % 2 == 0 else 3)
     inst = random_instance(case_spec(config.seed, index), n)
     base = zf_decode(inst)
-    # each factor passes the gate once, and its _Gated value goes to every user
-    gated = _gate(inst.r)
+    # each factor passes the gate once, in its qr_factorize call, and its
+    # _Gated value goes to every user
+    gated = inst._gated
     p_base = pzf_quadrature(gated, inst.sigma)
     defect_base = orthogonality_defect(gated)
     case = {"index": index, "n": n, "sigma": inst.sigma,
@@ -567,7 +568,7 @@ def _invariance_case(config: ExperimentConfig, index: int) -> dict:
             "residual": base.residual, "p": p_base.value}
     for name, strategy in (("sqrd", sqrd), ("vblast", vblast)):
         red = strategy(gated)
-        gated_bar = _gate(red.r_bar)
+        gated_bar = red._gated
         y_bar = red.q_bar.T @ inst.y_tilde
         reduced = zf_decode(ILSInstance(r=gated_bar, y_tilde=y_bar))
         lifted = lift_estimate(red.z, reduced.estimate)

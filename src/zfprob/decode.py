@@ -48,7 +48,7 @@ class ILSInstance:
     the noise level it was drawn at, which no decoder reads.
     A negative-pivot row of R is flipped together with its entry of y_tilde,
     which leaves R^{-1} y_tilde and every residual unchanged; r is the
-    gate's read-only factor."""
+    gate's read-only factor, and the private _gated the gate's value for it."""
 
     r: np.ndarray
     y_tilde: np.ndarray
@@ -66,6 +66,7 @@ class ILSInstance:
             check_sigma(self.sigma)
         object.__setattr__(self, "r", g.r)
         object.__setattr__(self, "y_tilde", y)
+        object.__setattr__(self, "_gated", g.own())
 
     @property
     def n(self) -> int:

@@ -57,13 +57,14 @@ def _uniform_in(spec: RngSpec, role: int, count: int, lo: float, hi: float) -> n
 def random_instance(spec: RngSpec, n: int) -> ILSInstance:
     """Full decoding problem: random triangular R, integer truth in
     [-4, 4], Gaussian noise at a sigma drawn from INSTANCE_SIGMA_RANGE."""
-    r = random_triangular(spec, n)
+    f = qr_factorize(random_model_matrix(spec, n, n))  # random_triangular's factor
     sigma = float(_uniform_in(spec, _ROLE_PARAMS, 1, *INSTANCE_SIGMA_RANGE)[0])
     truth = np.floor(
         _uniform_in(spec, _ROLE_TRUTH, n, 0.0, 9.0)).astype(np.int64) - 4
     noise = gaussian_block(role_spec(spec, _ROLE_NOISE), 0, n)
-    y = r @ truth + sigma * noise
-    return ILSInstance(r=r, y_tilde=y, sigma=sigma)
+    y = f.r @ truth + sigma * noise
+    # the factor's gated value, so the instance does not gate it again
+    return ILSInstance(r=f._gated, y_tilde=y, sigma=sigma)
 
 
 def random_unreduced_2x2(spec: RngSpec):

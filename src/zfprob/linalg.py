@@ -100,16 +100,23 @@ def check_sigma(sigma) -> None:
 
 @dataclass(frozen=True)
 class _Gated:
-    """A factor that has passed the gate, which alone makes one: source, the
-    caller's array as given, against which the reductions measure their
-    contract; r, the read-only factor with a positive diagonal; signs, the
-    row flips that made it; unit and e, unit_scale(r), unit read-only."""
+    """A factor that has passed the gate, which alone makes one, save for
+    qr_factorize's value for its own R: source, the caller's array as given,
+    against which the reductions measure their contract; r, the read-only
+    factor with a positive diagonal; signs, the row flips that made it;
+    unit and e, unit_scale(r), unit read-only."""
 
     source: object
     r: np.ndarray
     signs: np.ndarray
     unit: np.ndarray
     e: int
+
+    def own(self) -> "_Gated":
+        """The gate's value for r itself, without a second pass: r has a
+        positive diagonal, so its signs are +1 and its unit and e are these.
+        It equals _gate(r) but for the sign of zeros below the diagonal."""
+        return _Gated(self.r, self.r, np.ones_like(self.signs), self.unit, self.e)
 
 
 def _gate(r) -> _Gated:
@@ -179,10 +186,14 @@ class QRFactorization:
 
     q1 : (m, n) orthonormal columns spanning range(A)
     r  : (n, n) upper triangular with positive diagonal
+
+    qr_factorize also leaves the gate's value for r on the private _gated,
+    so a caller can pass r on without a second gate pass.
     """
 
     q1: np.ndarray
     r: np.ndarray
+    _gated = None  # not a field: dataclasses.replace drops it
 
 
 def qr_factorize(a) -> QRFactorization:
@@ -205,7 +216,16 @@ def qr_factorize(a) -> QRFactorization:
     except SingularDiagonalError as exc:
         raise RankDeficientError(f"matrix is rank deficient: {exc}") from exc
     # adding 0.0 turns any -0.0 produced by the sign flips into plain 0.0
-    return QRFactorization(q1=q[:, :n] * g.signs[None, :], r=g.r + 0.0)
+    r = g.r + 0.0
+    f = QRFactorization(q1=q[:, :n] * g.signs[None, :], r=r)
+    # _gate(r) without the pass: r is upper triangular with g's positive
+    # pivots, so its signs are +1 and its exponent is g.e; the gated factor
+    # is a read-only copy, as the caller may write into r
+    own = r.copy()
+    unit = np.ldexp(own, -g.e)
+    own.flags.writeable = unit.flags.writeable = False
+    object.__setattr__(f, "_gated", _Gated(r, own, np.ones(n), unit, g.e))
+    return f
 
 
 def round_nearest(x) -> int:

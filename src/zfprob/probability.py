@@ -27,6 +27,7 @@ from .errors import (
     DimensionTooLargeError,
     NoConvergenceError,
     NotDiagonalError,
+    RankDeficientError,
     SingularMatrixError,
 )
 from .linalg import _as_array, _gate, _solve_upper, check_sigma
@@ -295,12 +296,14 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     A column permutation leaves P_ZF unchanged, so the columns are first
     ordered, largest conditional spread outermost: the sorted QR on the dual
     basis R^-T, largest residual first, picks reversed.  The reordered
-    columns are re-triangularized as sqrd and vblast do theirs: a factor the
-    gate refuses raises RankDeficientError, and one that fails the
-    reductions' reconstruction or determinant contract raises
-    SingularMatrixError naming the failed test.  Each coordinate takes one
-    uniform_block value.  error_bound is one standard error of the
-    mean weight, floored at n * ERF_ABS_ERROR as the closed form's is.
+    columns are re-triangularized as sqrd and vblast do theirs.  The order
+    only lowers the variance, so where it cannot be formed, or the gate or
+    the reductions' reconstruction and determinant contract refuses the
+    reordered factor, the sampler samples in the gated order: every factor
+    the gate accepts is answered, or refused for its effective sample
+    size.  Each coordinate takes one uniform_block value.  error_bound is
+    one standard error of the mean weight, floored at n * ERF_ABS_ERROR as
+    the closed form's is.
     Bit-reproducible for a fixed RngSpec.  Raises NoConvergenceError when
     the Kish effective sample size of the weights, (sum w)^2 / sum w^2, is
     below MC_MIN_ESS_FRACTION * samples: then a few draws carry the mean,
@@ -310,8 +313,11 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     n = r.shape[0]
-    order = _sorted_order(_dual_basis(r), largest=True)
-    r = _perm_result(_gate(r), order[::-1]).r_bar
+    try:
+        order = _sorted_order(_dual_basis(r), largest=True)
+        r = _perm_result(_gate(r), order[::-1]).r_bar
+    except (RankDeficientError, SingularMatrixError):
+        pass  # sample in the gated order
     # sample i takes uniforms [i * n, (i + 1) * n); rows are coordinates, so
     # each step reads contiguous memory
     log_u = np.log(uniform_block(rng, 0, samples * n).reshape(samples, n).T.copy())
@@ -340,10 +346,13 @@ def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> li
     block of _EMPIRICAL_BLOCK trials is drawn once and tested on every factor
     while it is in cache.  A factor's trials go through its noise-to-coordinate
     map sigma R^-1, formed once by one triangular solve; a map with an entry
-    past the float range raises SingularMatrixError before any draw.  A block
-    equals the same slice of one whole draw, and a trial's coordinates are
-    its row of the block times the map, independent of the other rows, so
-    every estimate equals its own pzf_empirical call."""
+    past the float range raises SingularMatrixError before any draw.  Per
+    block and factor one product, the map times the block's transpose, puts
+    trial t's coordinates in column t, and the trial passes when that
+    column's largest magnitude is at most 1/2.  A block equals the same
+    slice of one whole draw, so every estimate equals its own pzf_empirical
+    call.  A coordinate's low bits may change with the block's width; the
+    tests pin the counts against one solve over the whole draw."""
     models = [_unit_model(r, sigma) for r in factors]
     if trials < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
@@ -356,10 +365,13 @@ def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> li
         count = min(_EMPIRICAL_BLOCK, trials - first)
         g = gaussian_block(rng, first * n, count * n).reshape(count, n)
         for k, m in enumerate(maps):
+            # trial t's coordinates are column t, tested by its largest
+            # magnitude: an inf fails, as a NaN does, which max passes on;
+            # initial 0 is the vacuous pass at n = 0
             with np.errstate(over="ignore", invalid="ignore"):
-                coords = g @ m.T
-            # a coordinate that overflowed, or turned NaN, fails the test
-            successes[k] += int(np.count_nonzero(np.all(np.abs(coords) <= 0.5, axis=1)))
+                coords = m @ g.T
+                np.abs(coords, out=coords)
+                successes[k] += int(np.count_nonzero(coords.max(axis=0, initial=0.0) <= 0.5))
     estimates = []
     for hits in successes:
         value = hits / trials
@@ -382,7 +394,6 @@ def pzf_empirical(r, sigma: float, trials: int, rng: RngSpec) -> ProbabilityEsti
     1/2; a coordinate that overflows or turns NaN fails.  error_bound is
     the binomial standard error, or 1 / (trials + 1) at no or every success,
     the reach of the z = 1 Wilson interval.  The trials stream through in
-    blocks of _EMPIRICAL_BLOCK, so memory does not grow with trials; the
-    value does not depend on the block size.
+    blocks of _EMPIRICAL_BLOCK, so memory does not grow with trials.
     """
     return _empirical_estimates([r], sigma, trials, rng)[0]

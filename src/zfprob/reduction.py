@@ -107,6 +107,8 @@ class ReductionResult:
     result is made: every reduction refuses, with SingularMatrixError
     naming the failed test, a result whose error or drift exceeds its
     tolerance.  check(r_input) re-verifies a result against a given input.
+    A reordering also leaves the gate's value for r_bar, from its
+    qr_factorize call, on the private _gated.
     """
 
     r_bar: np.ndarray
@@ -115,6 +117,7 @@ class ReductionResult:
     stats: ReductionStats
     reconstruction_error: float
     det_drift: float
+    _gated = None  # not a field: dataclasses.replace drops it
 
     def check(self, r_input):
         """Raise unless every structural invariant holds against r_input."""
@@ -348,7 +351,8 @@ def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
 
 def _perm_result(g, perm) -> ReductionResult:
     """Permutation perm of the gated factor g; the gate's row flips are
-    folded into q_bar, and the contract is measured against g.source."""
+    folded into q_bar, the contract is measured against g.source, and the
+    QR's gated value for r_bar goes on the result."""
     n = g.r.shape[0]
     z = np.eye(n, dtype=np.int64)[:, perm]
     f = qr_factorize(g.r[:, perm])
@@ -363,7 +367,9 @@ def _perm_result(g, perm) -> ReductionResult:
                 seen[j] = True
                 j = perm[j]
     stats = ReductionStats(size_reductions=0, swaps=n - cycles, iterations=0)
-    return _result(g.source, f.r, z, g.signs[:, None] * f.q1, stats)
+    result = _result(g.source, f.r, z, g.signs[:, None] * f.q1, stats)
+    object.__setattr__(result, "_gated", f._gated)
+    return result
 
 
 def _dual_basis(r) -> np.ndarray:

@@ -538,16 +538,16 @@ class TestCaseFunctions:
             assert json.loads(json.dumps(case(config, i), default=_plain)) == want
 
     @pytest.mark.parametrize("config,cases,most", [
-        (ExperimentConfig(command="invariance", n=2, trials=4), 4, 7),
-        (ExperimentConfig(command="invariance", n=3, trials=4), 4, 7),
+        (ExperimentConfig(command="invariance", n=2, trials=4), 4, 3),
+        (ExperimentConfig(command="invariance", n=3, trials=4), 4, 3),
         (ExperimentConfig(command="sweep-delta", trials=4), 4, 6),
         (ExperimentConfig(command="ensemble", n=2, trials=2), 6, 3),
     ], ids=["invariance-n2", "invariance-n3", "sweep-delta", "ensemble-n2"])
     def test_batch_cases_gate_each_factor_once(self, config, cases, most, gate_passes):
-        # invariance: qr_factorize's R in random_instance, ILSInstance, inst.r
-        # once, and per ordering the reordered factor's QR and its r_bar once;
-        # sweep-delta: r once, and each of the five r_bar once; ensemble: the
-        # QR, r once, and LLL's r_bar once
+        # invariance: qr_factorize's R in random_instance and, per ordering,
+        # the reordered factor's QR, whose gated values go on to the instance
+        # and the reductions' results; sweep-delta: r once, and each of the
+        # five r_bar once; ensemble: the QR, r once, and LLL's r_bar once
         case = {"invariance": _invariance_case, "sweep-delta": _sweep_case,
                 "ensemble": _ensemble_case}[config.command]
         for i in range(cases):

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import astuple, fields, is_dataclass
+from dataclasses import astuple, fields, is_dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from zfprob.decode import ILSInstance, lift_estimate, zf_decode
-from zfprob.ensembles import case_spec, random_triangular
+from zfprob.ensembles import case_spec, random_instance, random_triangular
 from zfprob.errors import (
     DimensionMismatchError,
     NotDiagonalError,
@@ -545,6 +545,52 @@ def test_one_gated_value_serves_every_entry_point_and_stays_unchanged():
     assert _bits(g) == before and g.source is r
     # lll_reduce's in-place loop works on a copy of the stored unit factor
     assert not g.r.flags.writeable and not g.unit.flags.writeable
+
+
+def test_qr_factorize_carries_the_gated_value_of_its_factor(gate_passes):
+    # random factors at scales 1e-200 .. 1e200: the carried value is
+    # _gate(f.r) field for field, bits included, at no gate pass of its own,
+    # and it shares no memory with f.r, which the caller may write into
+    rng = np.random.default_rng(30)
+    for k in range(3000):
+        n = 1 + k % 6
+        a = 10.0 ** rng.uniform(-200, 200) * rng.standard_normal((n + k % 3, n))
+        gate_passes[0] = 0
+        f = qr_factorize(a)
+        g = f._gated
+        assert gate_passes[0] == 1
+        assert g.source is f.r and _bits(g) == _bits(_gate(f.r))
+        assert not g.r.flags.writeable and not g.unit.flags.writeable
+        assert not np.shares_memory(g.r, f.r) and not np.shares_memory(g.unit, f.r)
+
+
+def test_reorderings_and_instances_carry_the_gated_value_of_their_factor():
+    for i in range(300):
+        r = ill_conditioned(i) if i % 2 else random_triangular(case_spec(30, i), 1 + i % 6)
+        for reduce in (sqrd, vblast):
+            try:
+                red = reduce(r)
+            except (SingularMatrixError, RankDeficientError, SingularDiagonalError):
+                continue
+            assert red._gated.source is red.r_bar
+            assert _bits(red._gated) == _bits(_gate(red.r_bar))
+            assert replace(red, r_bar=2.0 * red.r_bar)._gated is None
+        # an instance keeps the gate's value for its own, flipped, factor;
+        # only zeros below the diagonal may differ in sign from a fresh gate's
+        try:
+            inst = ILSInstance(r=-r, y_tilde=np.ones(r.shape[0]))
+        except SingularDiagonalError:
+            continue
+        g, fresh = inst._gated, _gate(inst.r)
+        assert g.source is inst.r and g.r is inst.r and g.e == fresh.e
+        assert all(np.array_equal(getattr(g, f), getattr(fresh, f)) for f in ("r", "signs", "unit"))
+        assert (g.signs == 1.0).all() and not g.unit.flags.writeable
+
+
+def test_a_random_instance_gates_its_factor_once(gate_passes):
+    inst = random_instance(case_spec(30, 0), 4)
+    assert gate_passes[0] == 1
+    assert _bits(inst._gated) == _bits(_gate(inst.r))
 
 
 def _reference_gate(r):

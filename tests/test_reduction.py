@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,14 +23,24 @@ from zfprob.linalg import (
     int_determinant,
     round_nearest,
 )
-from zfprob.probability import pzf_diagonal, pzf_empirical, pzf_monte_carlo, pzf_quadrature
+from zfprob.probability import (
+    _sidak_bracket,
+    _unit_model,
+    pzf_diagonal,
+    pzf_empirical,
+    pzf_monte_carlo,
+    pzf_quadrature,
+)
 from zfprob.reduction import (
     LLLCheckReport,
     LLLParams,
     ReductionStats,
     _contract,
     _det_drift,
+    _dual_basis,
     _lovasz_holds,
+    _perm_result,
+    _sorted_order,
     _swap_inplace,
     is_lll_reduced,
     lll_reduce,
@@ -785,11 +796,43 @@ def test_every_returned_result_passes_its_contract():
     assert contract_refusals[vblast] == 0
 
 
+def _inside_the_bracket(estimate, r, sigma):
+    """Whether estimate lies in Sidak's bracket for (r, sigma), give or take
+    three of its bounds."""
+    lower, upper = _sidak_bracket(*_unit_model(r, sigma))
+    slack = 3 * estimate.error_bound
+    return lower - slack <= estimate.value <= upper + slack
+
+
 def test_sampler_reorders_through_the_contract():
-    # the sampler's reordered factor drifts by 2e-9 here; it is refused as
-    # sqrd and vblast refuse theirs
-    with pytest.raises(SingularMatrixError, match="^determinant drift .* exceeds 1e-09$"):
-        pzf_monte_carlo(ill_conditioned(176), 0.3, 2000, RngSpec(seed=1))
+    # the reordered factor is refused by the contract, as sqrd and vblast
+    # refuse theirs: here it drifts by 2e-9 (176) or fails the gate's pivot
+    # floor (0); the order only lowers the variance, so the sampler answers
+    # in the gated order
+    for index, error, match in ((176, SingularMatrixError, "^determinant drift .* exceeds 1e-09$"),
+                                (0, RankDeficientError, "^matrix is rank deficient: ")):
+        r = ill_conditioned(index)
+        unit, _ = _unit_model(r, 0.3)
+        order = _sorted_order(_dual_basis(unit), largest=True)
+        with pytest.raises(error, match=match):
+            _perm_result(_gate(unit), order[::-1])
+        assert _inside_the_bracket(pzf_monte_carlo(r, 0.3, 2000, RngSpec(seed=1)), r, 0.3)
+
+
+def test_sampler_answers_every_factor_the_gate_accepts():
+    # in the dual order alone, 99 of these were answered: the reordered
+    # factor failed the gate on 488 and the determinant drift test on 11
+    counts = Counter()
+    for i in range(600):
+        r = ill_conditioned(i)
+        try:
+            estimate = pzf_monte_carlo(r, 0.3, 2000, RngSpec(seed=1))
+        except SingularDiagonalError:  # the gate, on the factor itself
+            counts["refused by the gate"] += 1
+            continue
+        assert _inside_the_bracket(estimate, r, 0.3), i
+        counts["answered"] += 1
+    assert counts == {"answered": 598, "refused by the gate": 2}
 
 
 @pytest.mark.parametrize("reduce, index, failed", [
