@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
 
@@ -619,8 +618,8 @@ def _ensemble_case(config: ExperimentConfig, index: int) -> dict:
     n, m, count, sigmas = _ensemble_plan(config)
     sigma = sigmas[index // count]
     spec = case_spec(config.seed, index)
-    r = qr_factorize(random_model_matrix(spec, m, n)).r
-    gated = _gate(r)  # ensemble runs quad or empirical, whose estimators take a _Gated
+    f = qr_factorize(random_model_matrix(spec, m, n))
+    r, gated = f.r, f._gated  # ensemble runs quad or empirical, whose estimators take a _Gated
     red = lll_reduce(gated, LLLParams(delta=config.delta))
     before, after = _dispatch_estimator((gated, red.r_bar), sigma, config.method, 50_000,
                                         role_spec(spec, _ROLE_MEASUREMENT))
@@ -665,6 +664,8 @@ def _run_cases(case, config: ExperimentConfig, count: int) -> list:
     work = partial(case, config)
     workers = min(config.parallel, count, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, range(count), chunksize=max(1, count // (4 * workers))))
     return [work(i) for i in range(count)]

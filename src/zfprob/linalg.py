@@ -11,7 +11,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     DimensionMismatchError,
@@ -161,6 +160,15 @@ def unit_scale(a):
     return np.ldexp(a, -e), e
 
 
+@functools.cache
+def _dtrtrs():
+    """LAPACK's dtrtrs, imported at the first solve: scipy.linalg takes most of
+    a process's start-up, and reduce and --help never solve.  Cached, as a
+    function-local import costs ten to twenty times this lookup per call."""
+    from scipy.linalg.lapack import dtrtrs
+    return dtrtrs
+
+
 def _solve_upper(r, b) -> np.ndarray:
     """R^-1 b for a float64 upper-triangular r and a float64 b of one or two
     dimensions: LAPACK's dtrtrs, called with the arguments
@@ -169,6 +177,7 @@ def _solve_upper(r, b) -> np.ndarray:
     b gives an empty result, as there; a zero pivot raises LinAlgError."""
     if b.size == 0:  # dtrtrs refuses n = 0
         return np.empty_like(b, dtype=float)
+    dtrtrs = _dtrtrs()
     if r.flags.f_contiguous:
         x, info = dtrtrs(r, b, lower=0, trans=0)
     else:  # the transposed system, as dtrtrs reads Fortran order

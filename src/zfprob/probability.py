@@ -16,12 +16,11 @@ masses; and an empirical decoder simulation that checks them from
 outside.  The first three, and the bracket, are built on one slab mass.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf_array
-from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import (
     DimensionTooLargeError,
@@ -102,11 +101,21 @@ def _unit_model(r, sigma):
     return g.unit, unit_sigma
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported at the first slab mass: scipy takes most of a
+    process's start-up, and reduce and --help never evaluate one.  Cached,
+    as a function-local import costs ten to twenty times this lookup per call."""
+    from scipy import special
+    return special
+
+
 def _slab_mass(shift, pivot, sigma):
     """erf((s + p/2) / (sqrt2 sigma)) - erf((s - p/2) / (sqrt2 sigma)): twice the
     mass of the slab |x| <= 1/2 for pivot p and the later coordinates' shift s."""
+    erf_array = _special().erf
     half, root2sig = 0.5 * pivot, math.sqrt(2.0) * sigma
-    return _erf_array((shift + half) / root2sig) - _erf_array((shift - half) / root2sig)
+    return erf_array((shift + half) / root2sig) - erf_array((shift - half) / root2sig)
 
 
 def _density(sigma, t):
@@ -268,6 +277,7 @@ def _conditional_step(shift, pivot, sigma, log_u):
     truncated there: the point that cuts off the fraction exp(log_u) of
     that mass, counted from the end of the slab farther from the mean.
     """
+    special = _special()
     # an end that overflows is a whole half-line, and a mass that rounds to 0 has log -inf
     with np.errstate(over="ignore", divide="ignore"):
         a, b = (shift - 0.5 * pivot) / sigma, (shift + 0.5 * pivot) / sigma
@@ -275,14 +285,14 @@ def _conditional_step(shift, pivot, sigma, log_u):
         # ndtri_exp keep their precision in the tail
         flip = shift > 0.0
         lo, hi = np.where(flip, -b, a), np.where(flip, -a, b)
-        log_lo = log_ndtr(lo)
+        log_lo = special.log_ndtr(lo)
         # floored, so that log_lo - log_hi is not inf - inf where both CDFs underflow
-        log_hi = np.maximum(log_ndtr(hi), -np.finfo(float).max)
+        log_hi = np.maximum(special.log_ndtr(hi), -np.finfo(float).max)
         # a slab that holds the mean can be too narrow for the log-CDFs to
         # differ (sigma 1e160), while the erf difference keeps its precision
         log_mass = np.where(hi >= 0.0, np.log(0.5 * _slab_mass(shift, pivot, sigma)),
                             log_hi + np.log(-np.expm1(log_lo - log_hi)))
-        z = np.clip(ndtri_exp(np.logaddexp(log_lo, log_u + log_mass)), lo, hi)
+        z = np.clip(special.ndtri_exp(np.logaddexp(log_lo, log_u + log_mass)), lo, hi)
         x = (sigma * np.where(flip, -z, z) - shift) / pivot
     return log_mass, np.clip(x, -0.5, 0.5)
 
@@ -361,6 +371,10 @@ def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> li
     if not all(np.isfinite(m).all() for m in maps):
         raise SingularMatrixError("sigma R^-1 is out of floating-point range")
     successes = [0] * len(models)
+    # every full block's product goes into this one buffer: a fresh one per
+    # block and factor is served from the heap or from a new mapping, and
+    # so page-faulted or not, as the process's earlier frees happen to leave it
+    buf = np.empty((n, _EMPIRICAL_BLOCK))
     for first in range(0, trials, _EMPIRICAL_BLOCK):
         count = min(_EMPIRICAL_BLOCK, trials - first)
         g = gaussian_block(rng, first * n, count * n).reshape(count, n)
@@ -369,7 +383,7 @@ def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> li
             # magnitude: an inf fails, as a NaN does, which max passes on;
             # initial 0 is the vacuous pass at n = 0
             with np.errstate(over="ignore", invalid="ignore"):
-                coords = m @ g.T
+                coords = np.matmul(m, g.T, out=buf) if count == _EMPIRICAL_BLOCK else m @ g.T
                 np.abs(coords, out=coords)
                 successes[k] += int(np.count_nonzero(coords.max(axis=0, initial=0.0) <= 0.5))
     estimates = []

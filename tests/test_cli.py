@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -440,7 +441,7 @@ class TestInvarianceCommand:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cores)
         argv = ["invariance", "--trials", "3", "--seed", "5"]
         assert main(argv + ["--parallel", "0"]) == 0
@@ -469,7 +470,7 @@ class TestEnsembleCommand:
                 opened.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         argv = ["ensemble", "--n", "2", "--trials", "3"]
         assert main(argv + ["--parallel", "0"]) == 0
         seq = json.loads(capsys.readouterr().out)
@@ -541,13 +542,14 @@ class TestCaseFunctions:
         (ExperimentConfig(command="invariance", n=2, trials=4), 4, 3),
         (ExperimentConfig(command="invariance", n=3, trials=4), 4, 3),
         (ExperimentConfig(command="sweep-delta", trials=4), 4, 6),
-        (ExperimentConfig(command="ensemble", n=2, trials=2), 6, 3),
+        (ExperimentConfig(command="ensemble", n=2, trials=2), 6, 2),
     ], ids=["invariance-n2", "invariance-n3", "sweep-delta", "ensemble-n2"])
     def test_batch_cases_gate_each_factor_once(self, config, cases, most, gate_passes):
         # invariance: qr_factorize's R in random_instance and, per ordering,
         # the reordered factor's QR, whose gated values go on to the instance
         # and the reductions' results; sweep-delta: r once, and each of the
-        # five r_bar once; ensemble: the QR, r once, and LLL's r_bar once
+        # five r_bar once; ensemble: the QR, whose gated value goes on to the
+        # estimators, and LLL's r_bar once
         case = {"invariance": _invariance_case, "sweep-delta": _sweep_case,
                 "ensemble": _ensemble_case}[config.command]
         for i in range(cases):
@@ -777,13 +779,54 @@ class TestOptionSets:
         assert len(config) == 14
 
     def test_import_leaves_cli_unloaded(self):
-        # numpy and scipy load argparse and concurrent.futures on their own,
-        # so the probe is the cli module itself
-        src = str(Path(zfprob.__file__).resolve().parents[1])
-        probe = "import sys, zfprob; assert 'zfprob.cli' not in sys.modules"
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src))
+        # the package's import path stops short of the cli; the tests below
+        # check that the cli's own path stops short of scipy and the pool
+        done = _fresh("import sys, zfprob; assert 'zfprob.cli' not in sys.modules")
         assert done.returncode == 0, done.stderr
+
+    def test_import_and_parser_leave_scipy_and_the_pool_unloaded(self):
+        done = _fresh("import sys, zfprob, zfprob.cli\n"
+                      "zfprob.cli.build_parser()\n" + _NOTHING_HEAVY)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("argv", [["reduce", "--matrix", "M"], ["reduce", "--help"]],
+                             ids=["matrix", "help"])
+    def test_reduce_leaves_scipy_unloaded(self, argv, tmp_path):
+        # reduce checks LLL on a factor: no solve, no slab mass, no pool
+        argv = [write(tmp_path, "m.csv", "4,9\n0,1\n") if a == "M" else a for a in argv]
+        done = _fresh("import sys\n"
+                      "from zfprob.cli import main\n"
+                      "try:\n"
+                      "    code = main(sys.argv[1:])\n"
+                      "except SystemExit as exc:\n"
+                      "    code = exc.code\n"
+                      "assert code == 0, code\n" + _NOTHING_HEAVY, *argv)
+        assert done.returncode == 0, done.stderr
+
+    def test_pzf_loads_scipy_and_prints_its_value(self, tmp_path):
+        matrix = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        done = _fresh("import sys\n"
+                      "from zfprob.cli import main\n"
+                      "assert main(sys.argv[1:]) == 0\n"
+                      "assert 'scipy.special' in sys.modules\n",
+                      "pzf", "--matrix", matrix, "--sigma", "0.5")
+        assert done.returncode == 0, done.stderr
+        estimate = json.loads(done.stdout)["cases"][0]["estimate"]
+        assert estimate["value"] == 0.3413125797751561
+        assert estimate["evaluations"] == 96
+
+
+# fails a probe that loaded what a CLI run need not: scipy, or the process pool's modules
+_NOTHING_HEAVY = ("heavy = sorted(m for m in sys.modules if m.split('.')[0] in "
+                  "('scipy', 'multiprocessing') or m == 'concurrent.futures.process')\n"
+                  "assert not heavy, heavy\n")
+
+
+def _fresh(probe, *args):
+    """probe run with args in a fresh interpreter that imports this zfprob."""
+    src = str(Path(zfprob.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestConfigValidation:
