@@ -619,7 +619,7 @@ def _ensemble_case(config: ExperimentConfig, index: int) -> dict:
     sigma = sigmas[index // count]
     spec = case_spec(config.seed, index)
     f = qr_factorize(random_model_matrix(spec, m, n))
-    r, gated = f.r, f._gated  # ensemble runs quad or empirical, whose estimators take a _Gated
+    gated = f._gated  # ensemble runs quad or empirical, whose estimators take a _Gated
     red = lll_reduce(gated, LLLParams(delta=config.delta))
     before, after = _dispatch_estimator((gated, red.r_bar), sigma, config.method, 50_000,
                                         role_spec(spec, _ROLE_MEASUREMENT))
@@ -630,7 +630,7 @@ def _ensemble_case(config: ExperimentConfig, index: int) -> dict:
         outcome = "decreased"
     else:
         outcome = "unchanged"
-    return {"index": index, "sigma": sigma, "matrix_digest": matrix_digest(r),
+    return {"index": index, "sigma": sigma, "matrix_digest": matrix_digest(f.r),
             "p_before": before.value, "p_after": after.value,
             "error_budget": budget, "outcome": outcome,
             "stats": red.stats}

@@ -371,10 +371,10 @@ def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> li
     if not all(np.isfinite(m).all() for m in maps):
         raise SingularMatrixError("sigma R^-1 is out of floating-point range")
     successes = [0] * len(models)
-    # every full block's product goes into this one buffer: a fresh one per
-    # block and factor is served from the heap or from a new mapping, and
-    # so page-faulted or not, as the process's earlier frees happen to leave it
-    buf = np.empty((n, _EMPIRICAL_BLOCK))
+    # every block's product goes into the front of this one buffer: a fresh
+    # one per block and factor is served from the heap or from a new mapping,
+    # and so page-faulted or not, as the process's earlier frees leave it
+    buf = np.empty(n * min(trials, _EMPIRICAL_BLOCK))
     for first in range(0, trials, _EMPIRICAL_BLOCK):
         count = min(_EMPIRICAL_BLOCK, trials - first)
         g = gaussian_block(rng, first * n, count * n).reshape(count, n)
@@ -383,7 +383,7 @@ def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> li
             # magnitude: an inf fails, as a NaN does, which max passes on;
             # initial 0 is the vacuous pass at n = 0
             with np.errstate(over="ignore", invalid="ignore"):
-                coords = np.matmul(m, g.T, out=buf) if count == _EMPIRICAL_BLOCK else m @ g.T
+                coords = np.matmul(m, g.T, out=buf[:n * count].reshape(n, count))
                 np.abs(coords, out=coords)
                 successes[k] += int(np.count_nonzero(coords.max(axis=0, initial=0.0) <= 0.5))
     estimates = []
