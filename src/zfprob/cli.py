@@ -558,8 +558,8 @@ def _invariance_case(config: ExperimentConfig, index: int) -> dict:
     inst = random_instance(case_spec(config.seed, index), n)
     base = zf_decode(inst)
     # each factor passes the gate once, in its qr_factorize call, and its
-    # _Gated value goes to every user
-    gated = inst._gated
+    # gated value goes to every user
+    gated = inst.gated
     p_base = pzf_quadrature(gated, inst.sigma)
     defect_base = orthogonality_defect(gated)
     case = {"index": index, "n": n, "sigma": inst.sigma,
@@ -567,7 +567,7 @@ def _invariance_case(config: ExperimentConfig, index: int) -> dict:
             "residual": base.residual, "p": p_base.value}
     for name, strategy in (("sqrd", sqrd), ("vblast", vblast)):
         red = strategy(gated)
-        gated_bar = red._gated
+        gated_bar = red.gated
         y_bar = red.q_bar.T @ inst.y_tilde
         reduced = zf_decode(ILSInstance(r=gated_bar, y_tilde=y_bar))
         lifted = lift_estimate(red.z, reduced.estimate)
@@ -619,7 +619,7 @@ def _ensemble_case(config: ExperimentConfig, index: int) -> dict:
     sigma = sigmas[index // count]
     spec = case_spec(config.seed, index)
     f = qr_factorize(random_model_matrix(spec, m, n))
-    gated = f._gated  # ensemble runs quad or empirical, whose estimators take a _Gated
+    gated = f.gated  # ensemble runs quad or empirical, whose estimators take a _Gated
     red = lll_reduce(gated, LLLParams(delta=config.delta))
     before, after = _dispatch_estimator((gated, red.r_bar), sigma, config.method, 50_000,
                                         role_spec(spec, _ROLE_MEASUREMENT))

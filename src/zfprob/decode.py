@@ -6,7 +6,7 @@ oracle for small n).  Estimates live in whatever coordinates R uses; going
 back through a reduction's Z is lift_estimate's job.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -17,6 +17,7 @@ from .errors import (
     NotUnimodularError,
 )
 from .linalg import (
+    _Gated,
     _as_array,
     _gate,
     _solve_upper,
@@ -48,11 +49,12 @@ class ILSInstance:
     the noise level it was drawn at, which no decoder reads.
     A negative-pivot row of R is flipped together with its entry of y_tilde,
     which leaves R^{-1} y_tilde and every residual unchanged; r is the
-    gate's read-only factor, and the private _gated the gate's value for it."""
+    gate's read-only factor, and gated the gate's value for it."""
 
     r: np.ndarray
     y_tilde: np.ndarray
     sigma: float | None = None
+    gated: _Gated = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _gate(self.r)
@@ -60,13 +62,13 @@ class ILSInstance:
         if y.shape[0] != g.r.shape[0]:
             raise DimensionMismatchError(
                 f"observation has length {y.shape[0]}, expected {g.r.shape[0]}")
-        # a row flip of R with the same flip of y_tilde is the same problem
-        y = g.signs * y
+        # a row flip of R and y_tilde is the same problem; + 0.0 as in the gate
+        y = g.signs * y + 0.0
         if self.sigma is not None:
             check_sigma(self.sigma)
         object.__setattr__(self, "r", g.r)
         object.__setattr__(self, "y_tilde", y)
-        object.__setattr__(self, "_gated", g.own())
+        object.__setattr__(self, "gated", g.own())
 
     @property
     def n(self) -> int:

@@ -46,7 +46,7 @@ def random_model_matrix(spec: RngSpec, m: int, n: int) -> np.ndarray:
 
 
 def random_triangular(spec: RngSpec, n: int) -> np.ndarray:
-    """Triangular factor of a random square Gaussian matrix."""
+    """Triangular factor of a random square Gaussian matrix, read-only."""
     return qr_factorize(random_model_matrix(spec, n, n)).r
 
 
@@ -64,7 +64,7 @@ def random_instance(spec: RngSpec, n: int) -> ILSInstance:
     noise = gaussian_block(role_spec(spec, _ROLE_NOISE), 0, n)
     y = f.r @ truth + sigma * noise
     # the factor's gated value, so the instance does not gate it again
-    return ILSInstance(r=f._gated, y_tilde=y, sigma=sigma)
+    return ILSInstance(r=f.gated, y_tilde=y, sigma=sigma)
 
 
 def random_unreduced_2x2(spec: RngSpec):

@@ -8,7 +8,7 @@ triangular and square unless stated otherwise.
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,11 +99,11 @@ def check_sigma(sigma) -> None:
 
 @dataclass(frozen=True)
 class _Gated:
-    """A factor that has passed the gate, which alone makes one, save for
-    qr_factorize's value for its own R: source, the caller's array as given,
-    against which the reductions measure their contract; r, the read-only
-    factor with a positive diagonal; signs, the row flips that made it;
-    unit and e, unit_scale(r), unit read-only."""
+    """A factor that has passed the gate, which makes one, as does own()
+    without a pass: source, the caller's array as given, against which the
+    reductions measure their contract; r, the read-only factor with a
+    positive diagonal and no -0.0; signs, the row flips that made it; unit
+    and e, unit_scale(r), unit read-only."""
 
     source: object
     r: np.ndarray
@@ -114,7 +114,7 @@ class _Gated:
     def own(self) -> "_Gated":
         """The gate's value for r itself, without a second pass: r has a
         positive diagonal, so its signs are +1 and its unit and e are these.
-        It equals _gate(r) but for the sign of zeros below the diagonal."""
+        It equals _gate(r) bit for bit."""
         return _Gated(self.r, self.r, np.ones_like(self.signs), self.unit, self.e)
 
 
@@ -131,16 +131,16 @@ def _gate(r) -> _Gated:
     if isinstance(r, _Gated):
         return r
     t = check_upper_triangular(r)
-    # the sign rule: +1 or -1 per row, whichever makes that row's pivot positive
+    # the sign rule: +1 or -1 per row, whichever makes that row's pivot positive;
+    # + 0.0 turns a flip's -0.0 into 0.0, so a row flip changes no bit
     signs = np.where(t.diagonal() < 0.0, -1.0, 1.0)
-    gated = signs[:, None] * t
+    gated = signs[:, None] * t + 0.0
     unit, e = unit_scale(gated)
     diag = unit.diagonal()
     if diag.size and diag.min() < SOLVE_DIAG_MIN:
         i = int(diag.argmin())
-        # abs: a -0.0 pivot is not flipped
         raise SingularDiagonalError(
-            f"R pivot {i} has magnitude {abs(float(gated[i, i]))!r}, "
+            f"R pivot {i} has magnitude {float(gated[i, i])!r}, "
             f"below {SOLVE_DIAG_MIN} * 2**{e}")
     # a gated factor is never re-checked, so it cannot change
     gated.flags.writeable = False
@@ -194,15 +194,17 @@ class QRFactorization:
     """Thin QR factorization A = q1 r.
 
     q1 : (m, n) orthonormal columns spanning range(A)
-    r  : (n, n) upper triangular with positive diagonal
-
-    qr_factorize also leaves the gate's value for r on the private _gated,
-    so a caller can pass r on without a second gate pass.
+    r  : (n, n) upper triangular with positive diagonal, read-only
+    gated : the gate's value for r, to pass r on without a second pass
     """
 
     q1: np.ndarray
     r: np.ndarray
-    _gated = None  # not a field: dataclasses.replace drops it
+    gated: _Gated = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.gated.source is not self.r:
+            raise ValueError("gated is the gate's value for another factor than r")
 
 
 def qr_factorize(a) -> QRFactorization:
@@ -224,17 +226,7 @@ def qr_factorize(a) -> QRFactorization:
         g = _gate(np.ldexp(r_full[:n, :n], e))
     except SingularDiagonalError as exc:
         raise RankDeficientError(f"matrix is rank deficient: {exc}") from exc
-    # adding 0.0 turns any -0.0 produced by the sign flips into plain 0.0
-    r = g.r + 0.0
-    f = QRFactorization(q1=q[:, :n] * g.signs[None, :], r=r)
-    # _gate(r) without the pass: r is upper triangular with g's positive
-    # pivots, so its signs are +1 and its exponent is g.e; the gated factor
-    # is a read-only copy, as the caller may write into r
-    own = r.copy()
-    unit = np.ldexp(own, -g.e)
-    own.flags.writeable = unit.flags.writeable = False
-    object.__setattr__(f, "_gated", _Gated(r, own, np.ones(n), unit, g.e))
-    return f
+    return QRFactorization(q1=q[:, :n] * g.signs[None, :], r=g.r, gated=g.own())
 
 
 def round_nearest(x) -> int:

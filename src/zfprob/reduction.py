@@ -13,7 +13,7 @@ Indices are 0-based throughout.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
+    _Gated,
     _gate,
     _solve_upper,
     check_upper_triangular,
@@ -107,8 +108,8 @@ class ReductionResult:
     result is made: every reduction refuses, with SingularMatrixError
     naming the failed test, a result whose error or drift exceeds its
     tolerance.  check(r_input) re-verifies a result against a given input.
-    A reordering also leaves the gate's value for r_bar, from its
-    qr_factorize call, on the private _gated.
+    gated: a reordering's r_bar is its qr_factorize call's read-only r, and
+    this is the gate's value for it; a value for another array is refused.
     """
 
     r_bar: np.ndarray
@@ -117,7 +118,11 @@ class ReductionResult:
     stats: ReductionStats
     reconstruction_error: float
     det_drift: float
-    _gated = None  # not a field: dataclasses.replace drops it
+    gated: _Gated | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.gated is not None and self.gated.source is not self.r_bar:
+            raise ValueError("gated is the gate's value for another factor than r_bar")
 
     def check(self, r_input):
         """Raise unless every structural invariant holds against r_input."""
@@ -166,12 +171,12 @@ def _contract(r_input, r_bar, z, q_bar) -> tuple[float, float]:
     return err, drift
 
 
-def _result(r_input, r_bar, z, q_bar, stats) -> ReductionResult:
+def _result(r_input, r_bar, z, q_bar, stats, gated=None) -> ReductionResult:
     """The result of reducing r_input, once it passes the contract.  z is
     unimodular by construction, so its determinant is not recomputed."""
     err, drift = _contract(r_input, r_bar, z, q_bar)
     return ReductionResult(r_bar=r_bar, z=z, q_bar=q_bar, stats=stats,
-                           reconstruction_error=err, det_drift=drift)
+                           reconstruction_error=err, det_drift=drift, gated=gated)
 
 
 def _frexp_product(v) -> tuple[float, int]:
@@ -367,9 +372,7 @@ def _perm_result(g, perm) -> ReductionResult:
                 seen[j] = True
                 j = perm[j]
     stats = ReductionStats(size_reductions=0, swaps=n - cycles, iterations=0)
-    result = _result(g.source, f.r, z, g.signs[:, None] * f.q1, stats)
-    object.__setattr__(result, "_gated", f._gated)
-    return result
+    return _result(g.source, f.r, z, g.signs[:, None] * f.q1, stats, f.gated)
 
 
 def _dual_basis(r) -> np.ndarray:

@@ -265,6 +265,29 @@ class TestDecodeCommand:
         assert "--matrix" in out and "--sigma" not in out
 
 
+def test_a_row_flip_changes_no_bit_of_decode_or_pzf(tmp_path, capsys):
+    # rows 0 and 1 have negative pivots and zeros; the flips once echoed
+    # -0.0 in decode's r and y_tilde, and moved pzf's mc estimate in its
+    # last bits (0.20430316550777744 against 0.20430316550777747)
+    negative = write(tmp_path, "neg.csv", "-3,0,-1,0\n0,-2,0,-1\n0,0,1,-1\n0,0,0,4\n")
+    positive = write(tmp_path, "pos.csv", "3,0,1,0\n0,2,0,1\n0,0,1,-1\n0,0,0,4\n")
+    y_path = write(tmp_path, "y.csv", "1.5\n0\n-0.5\n2.5\n")
+    assert main(["decode", "--matrix", negative, "--y", y_path]) == 0
+    case = json.loads(capsys.readouterr().out)["cases"][0]
+    assert case["r"] == [[3.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0],
+                         [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, 4.0]]
+    assert case["y_tilde"] == [-1.5, 0.0, -0.5, 2.5]
+    # == takes -0.0 for 0.0; the text does not
+    assert "-0.0" not in json.dumps([case["r"], case["y_tilde"]])
+    estimates = []
+    for path in (negative, positive):
+        assert main(["pzf", "--matrix", path, "--sigma", "1", "--method", "mc",
+                     "--trials", "20000", "--seed", "7"]) == 0
+        estimates.append(json.loads(capsys.readouterr().out)["cases"][0]["estimate"])
+    assert estimates[0] == estimates[1]
+    assert estimates[0]["value"].hex() == (0.20430316550777747).hex()
+
+
 class TestPzfCommand:
     def test_quad_reference_value(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "4,9\n0,1\n")
@@ -546,9 +569,9 @@ class TestCaseFunctions:
     ], ids=["invariance-n2", "invariance-n3", "sweep-delta", "ensemble-n2"])
     def test_batch_cases_gate_each_factor_once(self, config, cases, most, gate_passes):
         # invariance: qr_factorize's R in random_instance and, per ordering,
-        # the reordered factor's QR, whose gated values go on to the instance
+        # the reordered factor's QR, whose .gated values go on to the instance
         # and the reductions' results; sweep-delta: r once, and each of the
-        # five r_bar once; ensemble: the QR, whose gated value goes on to the
+        # five r_bar once; ensemble: the QR, whose .gated value goes on to the
         # estimators, and LLL's r_bar once
         case = {"invariance": _invariance_case, "sweep-delta": _sweep_case,
                 "ensemble": _ensemble_case}[config.command]

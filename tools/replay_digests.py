@@ -38,6 +38,9 @@ INPUT_FILES = {
         ",".join(str(17 - i if j == i else (3 * i + 5 * j) % 7 - 3 if j > i else 0)
                  for j in range(16)) + "\n"
         for i in range(16)),
+    # negative pivots in rows 0 and 1, whose flips meet zeros in R and in y
+    "negflip4.csv": "-3,0,-1,0\n0,-2,0,-1\n0,0,1,-1\n0,0,0,4\n",
+    "y4.csv": "1.5\n0\n-0.5\n2.5\n",
 }
 
 INVOCATIONS = (
@@ -78,6 +81,9 @@ INVOCATIONS = (
     ("ensemble", "--n", "2", "--delta", "0.9", "--trials", "5", "--format", "csv"),
     ("ensemble", "--n", "3", "--m", "2"),
     ("reduce", "--matrix", "tri16.csv"),
+    ("decode", "--matrix", "negflip4.csv", "--y", "y4.csv"),
+    ("pzf", "--matrix", "negflip4.csv", "--sigma", "1", "--method", "mc",
+     "--trials", "20000", "--seed", "7"),
 )
 
 
