@@ -331,7 +331,7 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
     r_size_reduced, _, applied = size_reduce_entry(r, np.eye(2, dtype=np.int64), 0, 1)
     p_size_reduced = pzf_quadrature(r_size_reduced, sigma)
     full = lll_reduce(r, LLLParams(delta=config.delta))
-    p_reduced = pzf_quadrature(full.r_bar, sigma)
+    p_reduced = pzf_quadrature(full.gated, sigma)
     diagonal_part = np.diag(np.diag(full.r_bar))
     p_diagonal = pzf_diagonal(diagonal_part, sigma)
     computed = (p_original, p_size_reduced, p_reduced)
@@ -363,7 +363,7 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
     before = zf_decode(inst)
     red = lll_reduce(r2, LLLParams(delta=config.delta))
     y_bar = red.q_bar.T @ y2
-    after = zf_decode(ILSInstance(r=red.r_bar, y_tilde=y_bar))
+    after = zf_decode(ILSInstance(r=red.gated, y_tilde=y_bar))
     lifted = lift_estimate(red.z, after.estimate)
     report.cases.append({
         "case": "reference-2",
@@ -393,7 +393,7 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
     r3 = np.array(REFERENCE_3_R)
     p3_before = pzf_quadrature(r3, REFERENCE_3_SIGMA)
     red3 = lll_reduce(r3, LLLParams(delta=config.delta))
-    p3_after = pzf_quadrature(red3.r_bar, REFERENCE_3_SIGMA)
+    p3_after = pzf_quadrature(red3.gated, REFERENCE_3_SIGMA)
     report.cases.append({
         "case": "reference-3",
         "sigma": REFERENCE_3_SIGMA,
@@ -427,10 +427,11 @@ def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
     and the structural checks."""
     report = ExperimentReport(command="reduce", config=asdict(config))
     r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
-    result = lll_reduce(r, LLLParams(delta=config.delta))
-    check = is_lll_reduced(result.r_bar, config.delta)
-    defect_before = orthogonality_defect(r)
-    defect_after = orthogonality_defect(result.r_bar)
+    gated = _gate(r)
+    result = lll_reduce(gated, LLLParams(delta=config.delta))
+    check = is_lll_reduced(result.gated, config.delta)
+    defect_before = orthogonality_defect(gated)
+    defect_after = orthogonality_defect(result.gated)
     report.cases.append({
         "matrix_digest": matrix_digest(r),
         "r": r,
@@ -525,7 +526,7 @@ def _sweep_case(config: ExperimentConfig, index: int) -> dict:
     points = []
     for delta in config.delta_grid or DEFAULT_DELTA_GRID:
         red = lll_reduce(gated, LLLParams(delta=delta))
-        est = pzf_quadrature(red.r_bar, sigma)
+        est = pzf_quadrature(red.gated, sigma)
         points.append({"delta": delta, "value": est.value,
                        "error_bound": est.error_bound,
                        "swaps": red.stats.swaps,
@@ -619,9 +620,8 @@ def _ensemble_case(config: ExperimentConfig, index: int) -> dict:
     sigma = sigmas[index // count]
     spec = case_spec(config.seed, index)
     f = qr_factorize(random_model_matrix(spec, m, n))
-    gated = f.gated  # ensemble runs quad or empirical, whose estimators take a _Gated
-    red = lll_reduce(gated, LLLParams(delta=config.delta))
-    before, after = _dispatch_estimator((gated, red.r_bar), sigma, config.method, 50_000,
+    red = lll_reduce(f.gated, LLLParams(delta=config.delta))
+    before, after = _dispatch_estimator((f.gated, red.gated), sigma, config.method, 50_000,
                                         role_spec(spec, _ROLE_MEASUREMENT))
     budget = before.error_bound + after.error_bound
     if after.value > before.value + budget:

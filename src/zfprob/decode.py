@@ -43,7 +43,7 @@ BRUTE_FORCE_MAX_DIM = 6
 BOX_RADIUS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ILSInstance:
     """One decoding problem: triangular matrix, observation and, optionally,
     the noise level it was drawn at, which no decoder reads.
@@ -54,7 +54,7 @@ class ILSInstance:
     r: np.ndarray
     y_tilde: np.ndarray
     sigma: float | None = None
-    gated: _Gated = field(init=False, repr=False, compare=False)
+    gated: _Gated = field(init=False, repr=False)
 
     def __post_init__(self):
         g = _gate(self.r)
@@ -75,7 +75,7 @@ class ILSInstance:
         return self.r.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeResult:
     estimate: np.ndarray
     residual: float

@@ -97,7 +97,7 @@ def check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Gated:
     """A factor that has passed the gate, which makes one, as does own()
     without a pass: source, the caller's array as given, against which the
@@ -189,7 +189,7 @@ def _solve_upper(r, b) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QRFactorization:
     """Thin QR factorization A = q1 r.
 
@@ -200,7 +200,7 @@ class QRFactorization:
 
     q1: np.ndarray
     r: np.ndarray
-    gated: _Gated = field(repr=False, compare=False)
+    gated: _Gated = field(repr=False)
 
     def __post_init__(self):
         if self.gated.source is not self.r:

@@ -96,7 +96,7 @@ class LLLCheckReport:
         return self.size_ok and self.lovasz_ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductionResult:
     """Output of a reduction: Qbar^T R Z = Rbar.
 
@@ -108,8 +108,8 @@ class ReductionResult:
     result is made: every reduction refuses, with SingularMatrixError
     naming the failed test, a result whose error or drift exceeds its
     tolerance.  check(r_input) re-verifies a result against a given input.
-    gated: a reordering's r_bar is its qr_factorize call's read-only r, and
-    this is the gate's value for it; a value for another array is refused.
+    gated: the gate's value for r_bar, which is read-only; a value for
+    another array is refused.
     """
 
     r_bar: np.ndarray
@@ -118,10 +118,10 @@ class ReductionResult:
     stats: ReductionStats
     reconstruction_error: float
     det_drift: float
-    gated: _Gated | None = field(default=None, repr=False, compare=False)
+    gated: _Gated = field(repr=False)
 
     def __post_init__(self):
-        if self.gated is not None and self.gated.source is not self.r_bar:
+        if self.gated.source is not self.r_bar:
             raise ValueError("gated is the gate's value for another factor than r_bar")
 
     def check(self, r_input):
@@ -171,11 +171,11 @@ def _contract(r_input, r_bar, z, q_bar) -> tuple[float, float]:
     return err, drift
 
 
-def _result(r_input, r_bar, z, q_bar, stats, gated=None) -> ReductionResult:
-    """The result of reducing r_input, once it passes the contract.  z is
-    unimodular by construction, so its determinant is not recomputed."""
-    err, drift = _contract(r_input, r_bar, z, q_bar)
-    return ReductionResult(r_bar=r_bar, z=z, q_bar=q_bar, stats=stats,
+def _result(r_input, gated, z, q_bar, stats) -> ReductionResult:
+    """The result of reducing r_input to gated.r, once it passes the contract.
+    z is unimodular by construction, so its determinant is not recomputed."""
+    err, drift = _contract(r_input, gated.r, z, q_bar)
+    return ReductionResult(r_bar=gated.r, z=z, q_bar=q_bar, stats=stats,
                            reconstruction_error=err, det_drift=drift, gated=gated)
 
 
@@ -332,7 +332,7 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
             iterations += 1
     stats = ReductionStats(size_reductions=size_reductions, swaps=swaps,
                            iterations=iterations)
-    return _result(g.source, np.ldexp(u + 0.0, g.e), _transform(z), q, stats)
+    return _result(g.source, _gate(np.ldexp(u, g.e)).own(), _transform(z), q, stats)
 
 
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:
@@ -372,7 +372,7 @@ def _perm_result(g, perm) -> ReductionResult:
                 seen[j] = True
                 j = perm[j]
     stats = ReductionStats(size_reductions=0, swaps=n - cycles, iterations=0)
-    return _result(g.source, f.r, z, g.signs[:, None] * f.q1, stats, f.gated)
+    return _result(g.source, f.gated, z, g.signs[:, None] * f.q1, stats)
 
 
 def _dual_basis(r) -> np.ndarray:

@@ -186,6 +186,14 @@ class TestReduceCommand:
         np.testing.assert_allclose(np.array(negative["q_bar"]).T @ r @ negative["z"],
                                    negative["r_bar"], atol=1e-12)
 
+    def test_gate_passes_are_pinned(self, tmp_path, capsys, gate_passes):
+        # _triangular_from's triangular check, cmd_reduce's _gate(r), whose
+        # value every reader of r takes, and lll_reduce's gate on its output,
+        # whose value every reader of r_bar takes
+        path = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        assert main(["reduce", "--matrix", path]) == 0
+        assert gate_passes[0] == 3
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["reduce", "--matrix", "/no/such/file.csv"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -571,8 +579,9 @@ class TestCaseFunctions:
         # invariance: qr_factorize's R in random_instance and, per ordering,
         # the reordered factor's QR, whose .gated values go on to the instance
         # and the reductions' results; sweep-delta: r once, and each of the
-        # five r_bar once; ensemble: the QR, whose .gated value goes on to the
-        # estimators, and LLL's r_bar once
+        # five r_bar once, inside lll_reduce; ensemble: the QR, whose .gated
+        # value goes on to the estimators, and LLL's r_bar once, inside
+        # lll_reduce
         case = {"invariance": _invariance_case, "sweep-delta": _sweep_case,
                 "ensemble": _ensemble_case}[config.command]
         for i in range(cases):

@@ -568,7 +568,7 @@ def test_qr_factorize_carries_the_gated_value_of_its_factor(gate_passes):
 def test_reorderings_and_instances_carry_the_gated_value_of_their_factor():
     for i in range(300):
         r = ill_conditioned(i) if i % 2 else random_triangular(case_spec(30, i), 1 + i % 6)
-        for reduce in (sqrd, vblast):
+        for reduce in (lll_reduce, sqrd, vblast):
             try:
                 red = reduce(r)
             except (SingularMatrixError, RankDeficientError, SingularDiagonalError):
@@ -590,6 +590,20 @@ def test_reorderings_and_instances_carry_the_gated_value_of_their_factor():
         assert (g.signs == 1.0).all() and not g.unit.flags.writeable
         other = replace(inst, r=2.0 * r)
         assert other.gated.r is other.r and _bits(other.gated) == _bits(_gate(other.r))
+
+
+def test_result_types_compare_by_identity():
+    # each holds arrays, whose == is elementwise, so equal values compare
+    # False rather than raise; a value equals only itself
+    r = np.array([[4.0, 9.0], [0.0, 1.0]])
+
+    def make():
+        inst = ILSInstance(r=r, y_tilde=np.ones(2))
+        return (_gate(r), qr_factorize(r), lll_reduce(r), inst, zf_decode(inst))
+
+    for x, y in zip(make(), make()):
+        assert x == x and not x != x
+        assert not x == y and x != y
 
 
 def test_a_random_instance_gates_its_factor_once(gate_passes):

@@ -18,7 +18,7 @@ def load_tool():
 
 def test_replay_digests_repeat_in_process(tmp_path, monkeypatch):
     tool = load_tool()
-    assert len(tool.INVOCATIONS) == 35
+    assert len(tool.INVOCATIONS) == 36
     tool.write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     picked = [tool.INVOCATIONS[0],
@@ -34,7 +34,7 @@ def test_replay_digests_match_the_committed_file(capsys):
     # a change that alters a line by design updates tools/replay_digests.txt
     # and names the line in CHANGES.md
     golden = TOOL.with_suffix(".txt").read_text(encoding="utf-8").splitlines()
-    assert len(golden) == 35
+    assert len(golden) == 36
     assert load_tool().main([]) == 0
     assert capsys.readouterr().out.splitlines() == golden
 

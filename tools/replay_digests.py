@@ -84,6 +84,7 @@ INVOCATIONS = (
     ("decode", "--matrix", "negflip4.csv", "--y", "y4.csv"),
     ("pzf", "--matrix", "negflip4.csv", "--sigma", "1", "--method", "mc",
      "--trials", "20000", "--seed", "7"),
+    ("reduce", "--matrix", "negflip4.csv"),
 )
 
 
