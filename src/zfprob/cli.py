@@ -42,7 +42,7 @@ from .errors import (
     LatticeError,
     ParseError,
 )
-from .linalg import _gate, check_sigma, check_upper_triangular, qr_factorize
+from .linalg import _gate, check_sigma, qr_factorize
 from .probability import (
     _empirical_estimates,
     pzf_diagonal,
@@ -291,14 +291,14 @@ def _triangular_from(matrix):
     """Matrices straight from a file may be rectangular models; reduce to
     the square triangular factor when they are not already triangular.
 
-    Returns (r, q1): a triangular file as given, negative pivots included
-    (every entry point flips them itself), with q1 None; else the QR factors,
-    whose q1.T maps an observation onto r's rows."""
+    Returns (g, q1): the gate's value for a triangular file, whose source is
+    the file as given, with q1 None; else the QR's gated value and its q1,
+    whose q1.T maps an observation onto the factor's rows."""
     try:
-        return check_upper_triangular(matrix), None
+        return _gate(matrix), None
     except DimensionMismatchError:  # not square upper triangular
         f = qr_factorize(matrix)
-        return f.r, f.q1
+        return f.gated, f.q1
 
 
 def _dispatch_estimator(factors, sigma, method, trials, spec: RngSpec) -> list:
@@ -326,11 +326,12 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
 
     # case 1: success probability before/after each reduction flavor
     r = np.array(REFERENCE_1_R)
+    gated = _gate(r)
     sigma = REFERENCE_1_SIGMA
-    p_original = pzf_quadrature(r, sigma)
+    p_original = pzf_quadrature(gated, sigma)
     r_size_reduced, _, applied = size_reduce_entry(r, np.eye(2, dtype=np.int64), 0, 1)
     p_size_reduced = pzf_quadrature(r_size_reduced, sigma)
-    full = lll_reduce(r, LLLParams(delta=config.delta))
+    full = lll_reduce(gated, LLLParams(delta=config.delta))
     p_reduced = pzf_quadrature(full.gated, sigma)
     diagonal_part = np.diag(np.diag(full.r_bar))
     p_diagonal = pzf_diagonal(diagonal_part, sigma)
@@ -361,8 +362,8 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
     y2 = np.array(REFERENCE_2_Y)
     inst = ILSInstance(r=r2, y_tilde=y2)
     before = zf_decode(inst)
-    red = lll_reduce(r2, LLLParams(delta=config.delta))
-    y_bar = red.q_bar.T @ y2
+    red = lll_reduce(inst.gated, LLLParams(delta=config.delta))
+    y_bar = red.q_bar.T @ inst.y_tilde
     after = zf_decode(ILSInstance(r=red.gated, y_tilde=y_bar))
     lifted = lift_estimate(red.z, after.estimate)
     report.cases.append({
@@ -391,8 +392,9 @@ def cmd_reproduce(config: ExperimentConfig) -> ExperimentReport:
 
     # case 3: a 3x3 instance where the reduction lowers the probability
     r3 = np.array(REFERENCE_3_R)
-    p3_before = pzf_quadrature(r3, REFERENCE_3_SIGMA)
-    red3 = lll_reduce(r3, LLLParams(delta=config.delta))
+    gated3 = _gate(r3)
+    p3_before = pzf_quadrature(gated3, REFERENCE_3_SIGMA)
+    red3 = lll_reduce(gated3, LLLParams(delta=config.delta))
     p3_after = pzf_quadrature(red3.gated, REFERENCE_3_SIGMA)
     report.cases.append({
         "case": "reference-3",
@@ -426,15 +428,14 @@ def cmd_reduce(config: ExperimentConfig) -> ExperimentReport:
     """Reduce a matrix from file and report the transform, its statistics,
     and the structural checks."""
     report = ExperimentReport(command="reduce", config=asdict(config))
-    r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
-    gated = _gate(r)
+    gated, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     result = lll_reduce(gated, LLLParams(delta=config.delta))
     check = is_lll_reduced(result.gated, config.delta)
     defect_before = orthogonality_defect(gated)
     defect_after = orthogonality_defect(result.gated)
     report.cases.append({
-        "matrix_digest": matrix_digest(r),
-        "r": r,
+        "matrix_digest": matrix_digest(gated.source),
+        "r": gated.source,
         "r_bar": result.r_bar,
         "z": result.z,
         "q_bar": result.q_bar,
@@ -467,11 +468,11 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(command="decode", config=asdict(config))
     matrix = load_matrix_csv(config.matrix_path)
     y = load_vector_csv(config.y_path)
-    r, q1 = _triangular_from(matrix)
+    gated, q1 = _triangular_from(matrix)
     if y.shape[0] != matrix.shape[0]:
         raise DimensionMismatchError(
             f"observation length {y.shape[0]} does not match {matrix.shape[0]} rows")
-    inst = ILSInstance(r=r, y_tilde=y if q1 is None else q1.T @ y)
+    inst = ILSInstance(r=gated, y_tilde=y if q1 is None else q1.T @ y)
     zf = zf_decode(inst)
     sic = sic_decode(inst)
     case = {
@@ -500,13 +501,13 @@ def cmd_decode(config: ExperimentConfig) -> ExperimentReport:
 def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
     """Estimate the success probability of one matrix with one method."""
     report = ExperimentReport(command="pzf", config=asdict(config))
-    r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
+    gated, _ = _triangular_from(load_matrix_csv(config.matrix_path))
     sigma = config.sigma if config.sigma is not None else 1.0
-    [est] = _dispatch_estimator((r,), sigma, config.method, config.trials,
+    [est] = _dispatch_estimator((gated,), sigma, config.method, config.trials,
                                 RngSpec(seed=config.seed))
     report.cases.append({
-        "matrix_digest": matrix_digest(r),
-        "r": r,
+        "matrix_digest": matrix_digest(gated.source),
+        "r": gated.source,
         "sigma": sigma,
         "estimate": est,
     })
@@ -515,14 +516,14 @@ def cmd_pzf(config: ExperimentConfig) -> ExperimentReport:
 
 def _sweep_case(config: ExperimentConfig, index: int) -> dict:
     if config.matrix_path:
-        r, _ = _triangular_from(load_matrix_csv(config.matrix_path))
-        if r.shape[0] != 2:
+        gated, _ = _triangular_from(load_matrix_csv(config.matrix_path))
+        if gated.r.shape[0] != 2:
             raise DimensionMismatchError("sweep-delta covers 2x2 matrices; larger "
                                          "reductions are not ordered by delta in general")
         sigma = config.sigma if config.sigma is not None else 1.0
     else:
         r, sigma = random_unreduced_2x2(case_spec(config.seed, index))
-    gated = _gate(r)  # once for the whole grid
+        gated = _gate(r)  # once for the whole grid
     points = []
     for delta in config.delta_grid or DEFAULT_DELTA_GRID:
         red = lll_reduce(gated, LLLParams(delta=delta))
@@ -535,7 +536,7 @@ def _sweep_case(config: ExperimentConfig, index: int) -> dict:
         points[j]["value"] >= points[i]["value"]
         - (points[i]["error_bound"] + points[j]["error_bound"])
         for i in range(len(points)) for j in range(i + 1, len(points)))
-    return {"index": index, "matrix_digest": matrix_digest(r), "sigma": sigma,
+    return {"index": index, "matrix_digest": matrix_digest(gated.source), "sigma": sigma,
             "points": points, "monotone": monotone}
 
 

@@ -8,7 +8,7 @@ triangular and square unless stated otherwise.
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def check_upper_triangular(r) -> np.ndarray:
         k = int(np.argmax(below))
         i, j = (int(index[k]) for index in np.nonzero(lower))
         raise DimensionMismatchError(
-            f"R is not upper triangular: entry ({i}, {j}) = {r[i, j]!r}")
+            f"R is not upper triangular: entry ({i}, {j}) = {float(r[i, j])!r}")
     # np.triu's own expression, so the bytes and the memory order are np.triu's
     return np.where(lower, np.zeros(1, r.dtype), r)
 
@@ -194,17 +194,16 @@ class QRFactorization:
     """Thin QR factorization A = q1 r.
 
     q1 : (m, n) orthonormal columns spanning range(A)
-    r  : (n, n) upper triangular with positive diagonal, read-only
-    gated : the gate's value for r, to pass r on without a second pass
+    gated : the gate's value for r, which passes r on without a second pass
+    r  : (n, n) upper triangular with positive diagonal, read-only: gated.r
     """
 
     q1: np.ndarray
-    r: np.ndarray
-    gated: _Gated = field(repr=False)
+    gated: _Gated
 
-    def __post_init__(self):
-        if self.gated.source is not self.r:
-            raise ValueError("gated is the gate's value for another factor than r")
+    @property
+    def r(self) -> np.ndarray:
+        return self.gated.r
 
 
 def qr_factorize(a) -> QRFactorization:
@@ -226,7 +225,7 @@ def qr_factorize(a) -> QRFactorization:
         g = _gate(np.ldexp(r_full[:n, :n], e))
     except SingularDiagonalError as exc:
         raise RankDeficientError(f"matrix is rank deficient: {exc}") from exc
-    return QRFactorization(q1=q[:, :n] * g.signs[None, :], r=g.r, gated=g.own())
+    return QRFactorization(q1=q[:, :n] * g.signs[None, :], gated=g.own())
 
 
 def round_nearest(x) -> int:

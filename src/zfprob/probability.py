@@ -29,7 +29,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .linalg import _as_array, _gate, _solve_upper, check_sigma
+from .linalg import _gate, _solve_upper, check_sigma
 from .reduction import _dual_basis, _perm_result, _sorted_order
 from .rng import RngSpec, gaussian_block, uniform_block
 from .tolerances import (
@@ -142,14 +142,15 @@ def _sidak_bracket(r, sigma) -> tuple[float, float]:
 
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
     """Closed form for diagonal R: product over i of erf(r_ii / (2 sqrt2 sigma))."""
-    r = _as_array(r, 2, "R")
-    # lower entries count too, so look before the triangular gate does
-    if r.shape[0] == r.shape[1] and r.size:
-        off = np.abs(r - np.diag(np.diag(r)))
-        if np.max(off) > DIAGONAL_OFFDIAG_TOL * np.max(np.abs(r)):
-            i, j = np.unravel_index(int(np.argmax(off)), off.shape)
-            raise NotDiagonalError(f"entry ({i}, {j}) = {r[i, j]!r} is non-negligible")
-    r, sigma = _unit_model(r, sigma)
+    check_sigma(sigma)
+    g = _gate(r)
+    # the source's lower entries count too, roundoff the gate clears included
+    source = np.asarray(g.source, dtype=float)
+    off = np.abs(source - np.diag(np.diag(source)))
+    if np.max(off, initial=0.0) > DIAGONAL_OFFDIAG_TOL * np.max(np.abs(source), initial=0.0):
+        i, j = np.unravel_index(int(np.argmax(off)), off.shape)
+        raise NotDiagonalError(f"entry ({i}, {j}) = {float(source[i, j])!r} is non-negligible")
+    r, sigma = _unit_model(g, sigma)
     n = r.shape[0]
     value = float(np.prod(0.5 * _slab_mass(0.0, np.diag(r), sigma)))
     return ProbabilityEstimate(value=min(max(value, 0.0), 1.0), method="Diagonal",

@@ -13,7 +13,7 @@ Indices are 0-based throughout.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,21 +108,20 @@ class ReductionResult:
     result is made: every reduction refuses, with SingularMatrixError
     naming the failed test, a result whose error or drift exceeds its
     tolerance.  check(r_input) re-verifies a result against a given input.
-    gated: the gate's value for r_bar, which is read-only; a value for
-    another array is refused.
+    gated: the gate's value for Rbar, the one place the result holds it;
+    r_bar is its read-only gated.r.
     """
 
-    r_bar: np.ndarray
+    gated: _Gated
     z: np.ndarray
     q_bar: np.ndarray
     stats: ReductionStats
     reconstruction_error: float
     det_drift: float
-    gated: _Gated = field(repr=False)
 
-    def __post_init__(self):
-        if self.gated.source is not self.r_bar:
-            raise ValueError("gated is the gate's value for another factor than r_bar")
+    @property
+    def r_bar(self) -> np.ndarray:
+        return self.gated.r
 
     def check(self, r_input):
         """Raise unless every structural invariant holds against r_input."""
@@ -175,8 +174,8 @@ def _result(r_input, gated, z, q_bar, stats) -> ReductionResult:
     """The result of reducing r_input to gated.r, once it passes the contract.
     z is unimodular by construction, so its determinant is not recomputed."""
     err, drift = _contract(r_input, gated.r, z, q_bar)
-    return ReductionResult(r_bar=gated.r, z=z, q_bar=q_bar, stats=stats,
-                           reconstruction_error=err, det_drift=drift, gated=gated)
+    return ReductionResult(gated=gated, z=z, q_bar=q_bar, stats=stats,
+                           reconstruction_error=err, det_drift=drift)
 
 
 def _frexp_product(v) -> tuple[float, int]:
@@ -283,7 +282,7 @@ def _swap_inplace(r, z, q, k):
     r[k, k - 1] = 0.0
 
 
-def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
+def lll_reduce(r, params: LLLParams = LLLParams()) -> ReductionResult:
     """Run the delta-parameterized reduction loop on upper-triangular r.
 
     The loop walks a column pointer k from 1 upward: size-reduce the
@@ -292,8 +291,6 @@ def lll_reduce(r, params: LLLParams | None = None) -> ReductionResult:
     advance.  Output satisfies |rbar_ik| <= 0.5 rbar_ii for all i < k and
     the pair condition at every k for the given delta.
     """
-    if params is None:
-        params = LLLParams()
     g = _gate(r)
     # unit scale: the pair test squares entries, the pivot floors compare them;
     # a copy, as the loop works in place and the gated factor is read-only

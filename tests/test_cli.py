@@ -43,7 +43,7 @@ from zfprob.errors import (
 )
 from zfprob.linalg import qr_factorize
 from zfprob.probability import ProbabilityEstimate
-from zfprob.reduction import LLLParams, ReductionStats, orthogonality_defect
+from zfprob.reduction import LLLParams, ReductionStats, lll_reduce, orthogonality_defect
 
 
 def write(tmp_path, name, text):
@@ -186,13 +186,26 @@ class TestReduceCommand:
         np.testing.assert_allclose(np.array(negative["q_bar"]).T @ r @ negative["z"],
                                    negative["r_bar"], atol=1e-12)
 
+    def test_roundoff_file_is_echoed_and_measured_as_given(self, tmp_path, capsys):
+        # the file passes the gate once, as loaded: the echo keeps its
+        # roundoff, and the contract is measured against it, as lll_reduce
+        # measures it on the loaded array
+        path = write(tmp_path, "m.csv", "4,9\n1e-12,1\n")
+        assert main(["reduce", "--matrix", path]) == 0
+        case = json.loads(capsys.readouterr().out)["cases"][0]
+        assert case["r"] == [[4.0, 9.0], [1e-12, 1.0]]
+        assert case["matrix_digest"] == matrix_digest(case["r"])
+        result = lll_reduce(load_matrix_csv(path))
+        assert case["reconstruction_error"] == result.reconstruction_error > 1e-13
+        assert case["det_drift"] == result.det_drift
+
     def test_gate_passes_are_pinned(self, tmp_path, capsys, gate_passes):
-        # _triangular_from's triangular check, cmd_reduce's _gate(r), whose
-        # value every reader of r takes, and lll_reduce's gate on its output,
-        # whose value every reader of r_bar takes
+        # _triangular_from's gate on the file, whose value every reader of r
+        # takes, and lll_reduce's gate on its output, whose value every
+        # reader of r_bar takes
         path = write(tmp_path, "m.csv", "4,9\n0,1\n")
         assert main(["reduce", "--matrix", path]) == 0
-        assert gate_passes[0] == 3
+        assert gate_passes[0] == 2
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["reduce", "--matrix", "/no/such/file.csv"]) == 2
@@ -296,6 +309,31 @@ def test_a_row_flip_changes_no_bit_of_decode_or_pzf(tmp_path, capsys):
     assert estimates[0]["value"].hex() == (0.20430316550777747).hex()
 
 
+@pytest.mark.parametrize("argv, passes", [
+    (["pzf", "--matrix", "M"], 1),
+    (["pzf", "--matrix", "A"], 2),
+    (["pzf", "--matrix", "M", "--method", "mc", "--trials", "2000"], 3),
+    (["decode", "--matrix", "M", "--y", "Y"], 1),
+    (["decode", "--matrix", "A", "--y", "YA"], 2),
+    (["sweep-delta", "--matrix", "M"], 6),
+    (["reproduce"], 9),
+], ids=["pzf", "pzf-model", "pzf-mc", "decode", "decode-model", "sweep-delta", "reproduce"])
+def test_each_command_gates_each_factor_once(argv, passes, tmp_path, capsys, gate_passes):
+    # reduce's count is pinned in TestReduceCommand.  A triangular file
+    # passes the gate where it is read; a model file fails that pass and its
+    # QR factor passes once; each reduced factor passes once, inside its
+    # reduction (five in the sweep's grid), and so does the QR of the mc
+    # sampler's ordering.  reproduce: its three factors, the size-reduced
+    # factor in size_reduce_entry and in pzf_quadrature, the diagonal part
+    # of case 1 and the three LLL outputs
+    files = {"M": write(tmp_path, "m.csv", "4,9\n0,1\n"),
+             "A": write(tmp_path, "a.csv", "1,2\n3,4\n5,7\n"),
+             "Y": write(tmp_path, "y.csv", "0.4\n-0.7\n"),
+             "YA": write(tmp_path, "ya.csv", "0.4\n-0.7\n1.1\n")}
+    assert main([files.get(a, a) for a in argv]) == 0
+    assert gate_passes[0] == passes
+
+
 class TestPzfCommand:
     def test_quad_reference_value(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "4,9\n0,1\n")
@@ -303,6 +341,11 @@ class TestPzfCommand:
                      "--method", "quad"]) == 0
         est = json.loads(capsys.readouterr().out)["cases"][0]["estimate"]
         assert abs(est["value"] - 0.3413) < 5e-4
+
+    def test_diagonal_refusal_names_the_entry_as_a_float(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "4,9\n0,1\n")
+        assert main(["pzf", "--matrix", path, "--method", "diagonal"]) == 2
+        assert capsys.readouterr().err == "error: entry (0, 1) = 9.0 is non-negligible\n"
 
     def test_diagonal_and_quad_agree(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "1.5,0\n0,2.5\n")
@@ -847,6 +890,18 @@ class TestOptionSets:
         assert estimate["value"] == 0.3413125797751561
         assert estimate["evaluations"] == 96
 
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["-m", "zfprob", "reduce", "--matrix", "M"], 0, '{"cases":', "[pass] reduce-"),
+        (["-m", "zfprob", "reduce"], 2, "", "error: reduce requires --matrix"),
+        (["-m", "zfprob", "--help"], 0, "usage: zfprob", ""),
+        (["-m", "zfprob.cli", "--help"], 0, "usage: zfprob", ""),
+    ], ids=["reduce", "reduce-without-matrix", "help", "cli-help"])
+    def test_module_runs_exit_with_the_status_of_main(self, argv, code, out, err, tmp_path):
+        argv = [write(tmp_path, "m.csv", "4,9\n0,1\n") if a == "M" else a for a in argv]
+        done = _python(*argv)
+        assert done.returncode == code, done.stderr
+        assert done.stdout.startswith(out) and err in done.stderr
+
 
 # fails a probe that loaded what a CLI run need not: scipy, or the process pool's modules
 _NOTHING_HEAVY = ("heavy = sorted(m for m in sys.modules if m.split('.')[0] in "
@@ -854,11 +909,16 @@ _NOTHING_HEAVY = ("heavy = sorted(m for m in sys.modules if m.split('.')[0] in "
                   "assert not heavy, heavy\n")
 
 
+def _python(*argv):
+    """A fresh interpreter that imports this zfprob, run with argv."""
+    src = str(Path(zfprob.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def _fresh(probe, *args):
     """probe run with args in a fresh interpreter that imports this zfprob."""
-    src = str(Path(zfprob.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
+    return _python("-c", probe, *args)
 
 
 class TestConfigValidation:

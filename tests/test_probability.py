@@ -169,8 +169,15 @@ class TestDiagonal:
             pzf_diagonal(2.0 ** -600 * np.eye(2), 1e300)
 
     def test_off_diagonal_rejected(self):
-        with pytest.raises(NotDiagonalError):
+        # the entry is named as a float, not as a numpy scalar's repr
+        with pytest.raises(NotDiagonalError, match=r"^entry \(0, 1\) = 0\.1 is non-negligible$"):
             pzf_diagonal(np.array([[1.0, 0.1], [0.0, 1.0]]), 1.0)
+        # lower roundoff that the gate clears still counts; a lower entry the
+        # gate refuses gets the gate's refusal, as at every entry point
+        with pytest.raises(NotDiagonalError, match=r"^entry \(1, 0\) = 1e-12 "):
+            pzf_diagonal(np.array([[1.0, 0.0], [1e-12, 1.0]]), 1.0)
+        with pytest.raises(DimensionMismatchError, match=r"not upper triangular: entry \(1, 0\)"):
+            pzf_diagonal(np.array([[1.0, 0.0], [1e-9, 1.0]]), 1.0)
 
     def test_bit_identical_to_the_erf_product(self):
         # the closed form is half the unshifted slab mass; scipy's erf is odd

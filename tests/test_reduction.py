@@ -849,11 +849,10 @@ def test_check_refuses_a_broken_result():
     with pytest.raises(NotUnimodularError, match=r"^transform determinant is -?4, expected \+-1$"):
         dataclasses.replace(result, z=2 * result.z).check(R_4_9)
     flipped = result.r_bar * np.array([[1.0], [-1.0]])
-    # every result carries the gate's value for its r_bar, so r_bar cannot change alone
-    with pytest.raises(ValueError, match="another factor than r_bar"):
-        dataclasses.replace(result, r_bar=flipped)
+    # r_bar is the gated value's factor, so a broken one is planted there
+    broken = dataclasses.replace(result.gated, r=flipped)
     with pytest.raises(SingularDiagonalError, match="^reduced matrix has a non-positive pivot$"):
-        dataclasses.replace(result, r_bar=flipped, gated=_gate(flipped)).check(R_4_9)
+        dataclasses.replace(result, gated=broken).check(R_4_9)
     # an input that differs by 1e-12 passes the reconstruction test, then its zero pivot is refused
     near = lll_reduce([[1.0, 0.0], [0.0, 1e-12]])
     with pytest.raises(SingularMatrixError, match="^input factor has a zero pivot$"):
