@@ -57,6 +57,8 @@ class ILSInstance:
     gated: _Gated = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.sigma is not None:
+            check_sigma(self.sigma)
         g = _gate(self.r)
         y = _as_array(self.y_tilde, 1, "observation")
         if y.shape[0] != g.r.shape[0]:
@@ -64,8 +66,6 @@ class ILSInstance:
                 f"observation has length {y.shape[0]}, expected {g.r.shape[0]}")
         # a row flip of R and y_tilde is the same problem; + 0.0 as in the gate
         y = g.signs * y + 0.0
-        if self.sigma is not None:
-            check_sigma(self.sigma)
         object.__setattr__(self, "r", g.r)
         object.__setattr__(self, "y_tilde", y)
         object.__setattr__(self, "gated", g.own())

@@ -8,7 +8,7 @@ triangular and square unless stated otherwise.
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,10 +105,10 @@ class _Gated:
     positive diagonal and no -0.0; signs, the row flips that made it; unit
     and e, unit_scale(r), unit read-only."""
 
-    source: object
+    source: object = field(repr=False)
     r: np.ndarray
     signs: np.ndarray
-    unit: np.ndarray
+    unit: np.ndarray = field(repr=False)
     e: int
 
     def own(self) -> "_Gated":
@@ -222,7 +222,10 @@ def qr_factorize(a) -> QRFactorization:
     # complete, not reduced: the modes round q1 and r differently, and replays pin those bits
     q, r_full = np.linalg.qr(a, mode="complete")
     try:
-        g = _gate(np.ldexp(r_full[:n, :n], e))
+        with np.errstate(over="ignore"):  # an entry past the float range turns inf
+            g = _gate(np.ldexp(r_full[:n, :n], e))
+    except DimensionMismatchError as exc:  # the gate's refusal of that inf
+        raise SingularMatrixError("R is out of floating-point range") from exc
     except SingularDiagonalError as exc:
         raise RankDeficientError(f"matrix is rank deficient: {exc}") from exc
     return QRFactorization(q1=q[:, :n] * g.signs[None, :], gated=g.own())

@@ -89,16 +89,16 @@ def erf(x: float) -> float:
 
 
 def _unit_model(r, sigma):
-    """The gated factor and sigma, both divided by the power of two of the
-    factor's largest entry: P_ZF depends on R / sigma alone, and the
-    division is exact."""
+    """Every estimator's entry: sigma is checked, then r is gated.  Returns the
+    gate's value g and sigma over the power of two g.unit divides the factor
+    by: P_ZF depends on R / sigma alone, and the division is exact."""
     check_sigma(sigma)
     g = _gate(r)
     with np.errstate(over="ignore"):
         unit_sigma = float(np.ldexp(sigma, -g.e))
     if not 0.0 < unit_sigma < math.inf:
         raise ValueError(f"sigma {sigma!r} is out of floating-point range next to R")
-    return g.unit, unit_sigma
+    return g, unit_sigma
 
 
 @functools.cache
@@ -142,19 +142,16 @@ def _sidak_bracket(r, sigma) -> tuple[float, float]:
 
 def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
     """Closed form for diagonal R: product over i of erf(r_ii / (2 sqrt2 sigma))."""
-    check_sigma(sigma)
-    g = _gate(r)
+    g, sigma = _unit_model(r, sigma)
     # the source's lower entries count too, roundoff the gate clears included
     source = np.asarray(g.source, dtype=float)
     off = np.abs(source - np.diag(np.diag(source)))
     if np.max(off, initial=0.0) > DIAGONAL_OFFDIAG_TOL * np.max(np.abs(source), initial=0.0):
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         raise NotDiagonalError(f"entry ({i}, {j}) = {float(source[i, j])!r} is non-negligible")
-    r, sigma = _unit_model(g, sigma)
-    n = r.shape[0]
-    value = float(np.prod(0.5 * _slab_mass(0.0, np.diag(r), sigma)))
-    return ProbabilityEstimate(value=min(max(value, 0.0), 1.0), method="Diagonal",
-                               error_bound=n * ERF_ABS_ERROR, evaluations=n)
+    p = 0.5 * _slab_mass(0.0, np.diag(g.unit), sigma)
+    return ProbabilityEstimate(value=min(max(float(np.prod(p)), 0.0), 1.0), method="Diagonal",
+                               error_bound=p.size * ERF_ABS_ERROR, evaluations=p.size)
 
 
 def _build_panel_grid(panels: int, d: int):
@@ -223,8 +220,8 @@ def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:
     range answer from the bracket with 0 evaluations.  evaluations counts
     the integrand evaluations spent either way.
     """
-    r, sigma = _unit_model(r, sigma)
-    n = r.shape[0]
+    g, sigma = _unit_model(r, sigma)
+    r, n = g.unit, g.unit.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise DimensionTooLargeError(
             f"deterministic quadrature supports n <= {QUADRATURE_MAX_DIM}, got {n}")
@@ -320,12 +317,13 @@ def pzf_monte_carlo(r, sigma: float, samples: int, rng: RngSpec) -> ProbabilityE
     below MC_MIN_ESS_FRACTION * samples: then a few draws carry the mean,
     and its standard error is no bound.
     """
-    r, sigma = _unit_model(r, sigma)
+    g, sigma = _unit_model(r, sigma)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    n = r.shape[0]
+    r, n = g.unit, g.unit.shape[0]
     try:
         order = _sorted_order(_dual_basis(r), largest=True)
+        # the unit factor gated again, not g: at g's scale the reordered R can overflow
         r = _perm_result(_gate(r), order[::-1]).r_bar
     except (RankDeficientError, SingularMatrixError):
         pass  # sample in the gated order
@@ -367,8 +365,8 @@ def _empirical_estimates(factors, sigma: float, trials: int, rng: RngSpec) -> li
     models = [_unit_model(r, sigma) for r in factors]
     if trials < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} trials, got {trials}")
-    n = models[0][0].shape[0]
-    maps = [_solve_upper(r, unit_sigma * np.eye(n)) for r, unit_sigma in models]
+    n = models[0][0].unit.shape[0]
+    maps = [_solve_upper(g.unit, unit_sigma * np.eye(n)) for g, unit_sigma in models]
     if not all(np.isfinite(m).all() for m in maps):
         raise SingularMatrixError("sigma R^-1 is out of floating-point range")
     successes = [0] * len(models)

@@ -322,8 +322,9 @@ def test_each_command_gates_each_factor_once(argv, passes, tmp_path, capsys, gat
     # reduce's count is pinned in TestReduceCommand.  A triangular file
     # passes the gate where it is read; a model file fails that pass and its
     # QR factor passes once; each reduced factor passes once, inside its
-    # reduction (five in the sweep's grid), and so does the QR of the mc
-    # sampler's ordering.  reproduce: its three factors, the size-reduced
+    # reduction (five in the sweep's grid).  The mc sampler gates its unit
+    # factor again, so that the QR of its ordering, one more pass, stays at
+    # unit scale: 3 in all.  reproduce: its three factors, the size-reduced
     # factor in size_reduce_entry and in pzf_quadrature, the diagonal part
     # of case 1 and the three LLL outputs
     files = {"M": write(tmp_path, "m.csv", "4,9\n0,1\n"),
@@ -346,6 +347,11 @@ class TestPzfCommand:
         path = write(tmp_path, "m.csv", "4,9\n0,1\n")
         assert main(["pzf", "--matrix", path, "--method", "diagonal"]) == 2
         assert capsys.readouterr().err == "error: entry (0, 1) = 9.0 is non-negligible\n"
+
+    def test_a_model_whose_r_leaves_the_float_range_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "a.csv", "1.7e308\n1.7e308\n")
+        assert main(["pzf", "--matrix", path]) == 2
+        assert capsys.readouterr().err == "error: R is out of floating-point range\n"
 
     def test_diagonal_and_quad_agree(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "1.5,0\n0,2.5\n")

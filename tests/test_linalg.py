@@ -117,6 +117,23 @@ class TestQRFactorize:
         with pytest.raises(RankDeficientError):
             qr_factorize(big * np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
 
+    def test_an_r_past_the_float_range_is_refused_by_name(self):
+        # finite inputs whose R is not: the column norm sqrt2 * 1.7e308, and
+        # the reorderings' R, which lll_reduce does not form
+        r = np.array([[1.7e308, 1e300, 1.7e308], [0.0, 1e300, 1.7e308], [0.0, 0.0, 1e300]])
+        for call in (lambda: qr_factorize([[1.7e308], [1.7e308]]),
+                     lambda: sqrd(r), lambda: vblast(r)):
+            with pytest.raises(SingularMatrixError,
+                               match="^R is out of floating-point range$") as raised:
+                call()
+            assert type(raised.value) is SingularMatrixError
+        lll_reduce(r).check(r)
+
+    def test_repr_shows_each_array_of_the_factor_once(self):
+        assert repr(lll_reduce([[4.0, 9.0], [0.0, 1.0]])).count("1.41421356") == 1
+        text = repr(qr_factorize([[1.0, 2.0], [3.0, 4.0]]))
+        assert text.count("3.16227766") == 1 and "gated=_Gated(r=array(" in text
+
 
 def _assert_solves_as_scipy(r, b):
     got = _solve_upper(r, b)
@@ -442,6 +459,31 @@ def test_gated_entry_points_share_one_refusal_table(row, entry):
         with pytest.raises(error) as raised:
             call(r)
         assert type(raised.value) is error
+
+
+# every entry point that takes sigma: name -> a call on (factor, sigma)
+SIGMA_GATED = {
+    "pzf_diagonal": pzf_diagonal,
+    "pzf_quadrature": pzf_quadrature,
+    "pzf_monte_carlo": lambda r, s: pzf_monte_carlo(r, s, 1000, RngSpec(seed=3)),
+    "pzf_empirical": lambda r, s: pzf_empirical(r, s, 1000, RngSpec(seed=3)),
+    "ILSInstance": lambda r, s: ILSInstance(r=r, y_tilde=_observation(r), sigma=s),
+}
+
+# the "bad sigma" row: each is refused before the factor is read
+BAD_SIGMAS = (0.0, -1.0, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("entry", sorted(SIGMA_GATED))
+@pytest.mark.parametrize("row", sorted(REFUSALS))
+def test_entry_points_check_sigma_before_the_factor(row, entry):
+    # sigma, then the factor through the gate, then what else the call reads;
+    # FACTOR is not diagonal, so pzf_diagonal's scan comes after sigma too
+    r = REFUSALS[row][0](FACTOR)
+    for sigma in BAD_SIGMAS:
+        with pytest.raises(ValueError, match="^sigma must be a positive finite real") as raised:
+            SIGMA_GATED[entry](r, sigma)
+        assert type(raised.value) is ValueError
 
 
 # every entry point that takes integers through integer_entries: name -> a call

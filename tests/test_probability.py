@@ -110,7 +110,8 @@ BASELINE_REFERENCE = {16: 0.0284093, 32: 8.5158e-6}
 
 
 def bracket(r, sigma):
-    return _sidak_bracket(*_unit_model(r, sigma))
+    g, unit_sigma = _unit_model(r, sigma)
+    return _sidak_bracket(g.unit, unit_sigma)
 
 
 def assert_in_bracket(est, r, sigma, bounds=1):
@@ -167,6 +168,18 @@ class TestDiagonal:
         # the estimators work on (R, sigma) / 2**e; here sigma / 2**e overflows
         with pytest.raises(ValueError, match="sigma"):
             pzf_diagonal(2.0 ** -600 * np.eye(2), 1e300)
+
+    def test_sigma_is_checked_before_the_off_diagonal_entry(self):
+        # bad in two ways: sigma / 2**1001 underflows, and entry (0, 1) is off
+        # the diagonal; every estimator reports the sigma
+        r = np.array([[2.0**1000, 2.0**990], [0.0, 2.0**1000]])
+        estimators = (pzf_diagonal, pzf_quadrature,
+                      lambda r, s: pzf_monte_carlo(r, s, 1000, RngSpec(seed=1)),
+                      lambda r, s: pzf_empirical(r, s, 1000, RngSpec(seed=1)))
+        for estimate in estimators:
+            with pytest.raises(ValueError, match=r"^sigma 5e-324 is out of floating-point "
+                                                 r"range next to R$"):
+                estimate(r, 5e-324)
 
     def test_off_diagonal_rejected(self):
         # the entry is named as a float, not as a numpy scalar's repr
@@ -431,7 +444,8 @@ class TestQuadratureBits:
     @pytest.mark.parametrize("seed", [1, 20181])
     def test_invariance_factors_give_the_reference_bits(self, seed, monkeypatch):
         calls = invariance_quadrature_calls(seed)
-        assert len(calls) == 120 and {_unit_model(r, 1.0)[0].shape[0] for r, _ in calls} == {2, 3}
+        assert len(calls) == 120
+        assert {_unit_model(r, 1.0)[0].unit.shape[0] for r, _ in calls} == {2, 3}
         got = [(e.value.hex(), e.evaluations) for e in (pzf_quadrature(*c) for c in calls)]
         monkeypatch.setattr("zfprob.probability._outer_value", per_call_outer_value)
         assert got == [(e.value.hex(), e.evaluations) for e in (pzf_quadrature(*c) for c in calls)]
@@ -811,9 +825,9 @@ def _row_layout_estimates(factors, sigma, trials, rng):
     """_empirical_estimates with trials as rows: each block times each map's
     transpose, a trial passing when its row is within 1/2 everywhere."""
     models = [_unit_model(r, sigma) for r in factors]
-    n = models[0][0].shape[0]
-    maps = [solve_triangular(r, unit_sigma * np.eye(n), lower=False, check_finite=False)
-            for r, unit_sigma in models]
+    n = models[0][0].unit.shape[0]
+    maps = [solve_triangular(g.unit, unit_sigma * np.eye(n), lower=False, check_finite=False)
+            for g, unit_sigma in models]
     successes = [0] * len(models)
     for first in range(0, trials, _EMPIRICAL_BLOCK):
         count = min(_EMPIRICAL_BLOCK, trials - first)
@@ -836,8 +850,8 @@ def _empirical_estimate(hits, trials, rng):
 def _one_shot_empirical(r, sigma, trials, rng):
     """pzf_empirical as one draw of the whole noise matrix, the reference
     for the streamed blocks."""
-    r, sigma = _unit_model(r, sigma)
-    n = r.shape[0]
+    g, sigma = _unit_model(r, sigma)
+    r, n = g.unit, g.unit.shape[0]
     noise = sigma * gaussian_block(rng, 0, trials * n).reshape(trials, n)
     if not np.isfinite(solve_triangular(r, sigma * np.eye(n), lower=False,
                                         check_finite=False)).all():

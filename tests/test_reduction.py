@@ -51,6 +51,7 @@ from zfprob.reduction import (
 )
 from zfprob.rng import RngSpec
 from zfprob.tolerances import (
+    ERF_ABS_ERROR,
     LLL_CHECK_SLACK,
     QUADRATURE_MAX_DIM,
     REDUCTION_RECONSTRUCTION_TOL,
@@ -799,7 +800,8 @@ def test_every_returned_result_passes_its_contract():
 def _inside_the_bracket(estimate, r, sigma):
     """Whether estimate lies in Sidak's bracket for (r, sigma), give or take
     three of its bounds."""
-    lower, upper = _sidak_bracket(*_unit_model(r, sigma))
+    g, unit_sigma = _unit_model(r, sigma)
+    lower, upper = _sidak_bracket(g.unit, unit_sigma)
     slack = 3 * estimate.error_bound
     return lower - slack <= estimate.value <= upper + slack
 
@@ -812,11 +814,25 @@ def test_sampler_reorders_through_the_contract():
     for index, error, match in ((176, SingularMatrixError, "^determinant drift .* exceeds 1e-09$"),
                                 (0, RankDeficientError, "^matrix is rank deficient: ")):
         r = ill_conditioned(index)
-        unit, _ = _unit_model(r, 0.3)
+        unit = _unit_model(r, 0.3)[0].unit
         order = _sorted_order(_dual_basis(unit), largest=True)
         with pytest.raises(error, match=match):
             _perm_result(_gate(unit), order[::-1])
         assert _inside_the_bracket(pzf_monte_carlo(r, 0.3, 2000, RngSpec(seed=1)), r, 0.3)
+
+
+def test_sampler_reorders_the_unit_factor():
+    # the sampler gates its unit factor again to reorder it: the reordered R
+    # of the caller's gate value leaves the float range here, and the sampler
+    # would fall back to the gated order and a bound of 2.3e-3
+    r = np.array([[1e300, 1.7e308], [0.0, 1.7e308]])
+    unit = _unit_model(r, 1e300)[0].unit
+    order = _sorted_order(_dual_basis(unit), largest=True)
+    with pytest.raises(SingularMatrixError, match="^R is out of floating-point range$"):
+        _perm_result(_gate(r), order[::-1])
+    estimate = pzf_monte_carlo(r, 1e300, 2000, RngSpec(seed=1))
+    assert estimate.error_bound == 2 * ERF_ABS_ERROR
+    assert abs(estimate.value - pzf_quadrature(r, 1e300).value) <= 1e-12
 
 
 def test_sampler_answers_every_factor_the_gate_accepts():
