@@ -9,6 +9,8 @@ plus counters of the elementary steps taken.  Covered strategies:
 * the sorted-pivot ordering (greedy smallest pivot, first to last),
 * the decision-feedback ordering (greedy largest pivot, last to first).
 
+The reduction loop's steps are scalar, so it runs on Python-float columns.
+
 Indices are 0-based throughout.
 """
 
@@ -192,11 +194,12 @@ def _in_range(x: float, what: str) -> float:
     return x
 
 
-def _size_reduce_inplace(r, z, i, k) -> bool:
-    """Column k minus the nearest integer multiple of column i in unit-scaled
-    r and in z, a list of sparse columns {row: Python int} that hold only
-    their nonzero entries; Python ints cannot wrap."""
-    pivot, entry = r.item(i, i), r.item(i, k)
+def _size_reduce_inplace(cols, z, i, k) -> bool:
+    """Column k minus the nearest integer multiple of column i in cols, the
+    unit-scaled factor as Python-float columns, and in z, sparse columns
+    {row: Python int} that hold only their nonzero entries; ints cannot wrap."""
+    ci, ck = cols[i], cols[k]
+    pivot, entry = ci[i], ck[i]
     if abs(pivot) < SOLVE_DIAG_MIN:
         raise SingularDiagonalError(f"pivot {i} has relative magnitude {abs(pivot)!r}")
     # then |r_ik / r_ii| <= 1/2 too, division being monotone, and that rounds to 0
@@ -204,8 +207,8 @@ def _size_reduce_inplace(r, z, i, k) -> bool:
         return False
     # else |entry / pivot| >= 1/2 + 2**-53, the pivot being normal, so mu != 0
     mu = round_nearest(entry / pivot)
-    # rows above i only, r is triangular
-    r[: i + 1, k] -= mu * r[: i + 1, i]
+    # rows above i only, the factor is triangular
+    ck[:i + 1] = [a - mu * b for a, b in zip(ck, ci[:i + 1])]
     zk = z[k]
     for row, b in z[i].items():
         a = zk.get(row, 0) - mu * b
@@ -243,43 +246,34 @@ def size_reduce_entry(r, z, i: int, k: int):
     if z.shape != (n, n):
         raise DimensionMismatchError(f"Z must be {n}x{n}, got {z.shape}")
     z = [{row: v for row, v in enumerate(col) if v} for col in z.T.tolist()]
-    applied = _size_reduce_inplace(r, z, i, k)
-    return np.ldexp(r, e), _transform(z), applied
+    cols = r.T.tolist()
+    applied = _size_reduce_inplace(cols, z, i, k)
+    return np.ldexp(np.array(cols).T, e, order="C"), _transform(z), applied
 
 
-def _lovasz_holds(r, k: int, delta: float) -> bool:
-    """Adjacent-pair condition at column k (1 <= k < n):
-    delta * r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_{k,k}^2.  r is unit-scaled, so
-    no square overflows, and its pivots clear the relative floor, so no
-    pivot's square underflows."""
-    a, b, c = r.item(k - 1, k - 1), r.item(k - 1, k), r.item(k, k)
-    return delta * (a * a) <= b * b + c * c
-
-
-def _swap_inplace(r, z, q, k):
-    """Exchange columns k-1 and k of r and of z, a list of columns, then
-    restore triangular form with one 2x2 rotation accumulated into q;
-    pivots stay positive.
-
-    r must be upper triangular, so rows below k of columns k-1 and k, and
-    columns left of k-1 of rows k-1 and k, are zero: the exchange runs on
-    rows <= k and the rotation on columns >= k-1 only."""
-    r[:k + 1, k - 1:k + 1] = r[:k + 1, k - 1:k + 1][:, ::-1]
+def _swap_inplace(cols, z, q, k):
+    """Exchange columns k-1 and k of cols, the unit-scaled factor as Python-float
+    columns, and of z, then restore triangular form with one 2x2 rotation,
+    accumulated into q; pivots stay positive.  Rows k-1 and k are zero left
+    of column k-1, the factor being triangular, so the rotation runs on the
+    columns from k-1 on, in Python floats whatever BLAS kernel is loaded."""
+    cols[k - 1], cols[k] = cols[k], cols[k - 1]
     z[k - 1], z[k] = z[k], z[k - 1]
     # the swap leaves one entry below the diagonal; rotate it away
-    a, b = r.item(k - 1, k - 1), r.item(k, k - 1)
+    a, b = cols[k - 1][k - 1], cols[k - 1][k]
     rho = math.hypot(a, b)
     if rho < SOLVE_DIAG_MIN:
         raise SingularDiagonalError(f"columns {k-1},{k} are numerically dependent")
     c = a / rho
     s = b / rho
-    g = np.array([[c, -s], [s, c]])
-    r[k - 1:k + 1, k - 1:] = g.T @ r[k - 1:k + 1, k - 1:]
-    q[:, k - 1:k + 1] = q[:, k - 1:k + 1] @ g
-    # pivot k-1 is now rho > 0 and pivot k is -s * (old pivot k-1) < 0: flip row k
-    r[k, k - 1:] = -r[k, k - 1:]
+    # pivot k-1 turns rho > 0 and pivot k -s * (old pivot k-1) < 0: row k is flipped
+    for col in cols[k - 1:]:
+        x, y = col[k - 1], col[k]
+        col[k - 1] = c * x + s * y
+        col[k] = -(c * y - s * x)
+    cols[k - 1][k] = 0.0
+    q[:, k - 1:k + 1] = q[:, k - 1:k + 1] @ np.array([[c, -s], [s, c]])
     q[:, k] = -q[:, k]
-    r[k, k - 1] = 0.0
 
 
 def lll_reduce(r, params: LLLParams = LLLParams()) -> ReductionResult:
@@ -290,12 +284,16 @@ def lll_reduce(r, params: LLLParams = LLLParams()) -> ReductionResult:
     back on failure, otherwise size-reduce the rest of the column and
     advance.  Output satisfies |rbar_ik| <= 0.5 rbar_ii for all i < k and
     the pair condition at every k for the given delta.
+
+    The loop's steps are scalar, so it runs on the unit-scaled factor as
+    Python-float columns, where numpy's per-call cost would outweigh each
+    step; r_bar's bits then do not depend on the BLAS kernel, which q_bar's,
+    accumulated in numpy, still do.
     """
     g = _gate(r)
-    # unit scale: the pair test squares entries, the pivot floors compare them;
-    # a copy, as the loop works in place and the gated factor is read-only
-    u = g.unit.copy(order="K")
-    n = u.shape[0]
+    # unit scale: the pair test squares entries, the pivot floors compare them
+    cols = g.unit.T.tolist()
+    n = len(cols)
     # z is kept as sparse columns of Python ints and leaves through _transform
     z = [{j: 1} for j in range(n)]
     q = np.diag(g.signs)
@@ -310,26 +308,27 @@ def lll_reduce(r, params: LLLParams = LLLParams()) -> ReductionResult:
         if passes > limit:
             raise IterationLimitExceededError(
                 f"no convergence after {limit} passes (delta={params.delta})")
-        changed = False
-        if _size_reduce_inplace(u, z, k - 1, k):
-            size_reductions += 1
-            changed = True
-        if not _lovasz_holds(u, k, params.delta):
-            _swap_inplace(u, z, q, k)
-            swaps += 1
-            changed = True
-            k = max(k - 1, 1)
+        steps = size_reductions + swaps
+        ck = cols[k]
+        for i in range(k - 1, -1, -1):
+            pivot = cols[i][i]
+            # most steps skip, so that test is inline; the call refuses a pivot below the floor
+            if abs(pivot) < SOLVE_DIAG_MIN or not abs(ck[i]) <= 0.5 * abs(pivot):
+                size_reductions += _size_reduce_inplace(cols, z, i, k)
+            # the pair condition, once the superdiagonal entry is size-reduced
+            if i == k - 1 and not params.delta * (pivot * pivot) <= ck[i] * ck[i] + ck[k] * ck[k]:
+                _swap_inplace(cols, z, q, k)
+                swaps += 1
+                k = max(k - 1, 1)
+                break
         else:
-            for i in range(k - 2, -1, -1):
-                if _size_reduce_inplace(u, z, i, k):
-                    size_reductions += 1
-                    changed = True
             k += 1
-        if changed:
+        if size_reductions + swaps > steps:
             iterations += 1
     stats = ReductionStats(size_reductions=size_reductions, swaps=swaps,
                            iterations=iterations)
-    return _result(g.source, _gate(np.ldexp(u, g.e)).own(), _transform(z), q, stats)
+    r_bar = np.ldexp(np.reshape(cols, (n, n)).T, g.e)
+    return _result(g.source, _gate(r_bar).own(), _transform(z), q, stats)
 
 
 def is_lll_reduced(r, delta: float = DEFAULT_DELTA) -> LLLCheckReport:

@@ -1,10 +1,16 @@
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zfprob
 import zfprob.reduction as reduction_module
 from zfprob.ensembles import case_spec, random_triangular
 from zfprob.errors import (
@@ -38,7 +44,6 @@ from zfprob.reduction import (
     _contract,
     _det_drift,
     _dual_basis,
-    _lovasz_holds,
     _perm_result,
     _sorted_order,
     _swap_inplace,
@@ -107,6 +112,7 @@ class TestSizeReduceEntry:
         r, z, applied = size_reduce_entry(R_4_9, EYE2, 0, 1)
         assert applied
         np.testing.assert_allclose(r, [[4.0, 1.0], [0.0, 1.0]])
+        assert r.flags.c_contiguous  # as the input, though the step runs on columns
         np.testing.assert_array_equal(z, [[1, -2], [0, 1]])
 
     def test_three_by_three_middle_entry(self):
@@ -170,26 +176,39 @@ class TestSizeReduceEntry:
 
 
 class TestLovaszHolds:
+    """The adjacent-pair condition, which lll_reduce tests inline: a
+    size-reduced input swaps exactly where it fails."""
+
     def test_fails_on_size_reduced_spiky_matrix(self):
-        assert not _lovasz_holds(np.array([[4.0, 1.0], [0.0, 1.0]]), 1, 0.75)
+        assert lll_reduce([[4.0, 1.0], [0.0, 1.0]], LLLParams(delta=0.75)).stats.swaps == 1
 
     def test_holds_on_balanced_matrix(self):
         r = np.array([[SQRT2, 0.0], [0.0, 2 * SQRT2]])
-        assert _lovasz_holds(r, 1, 1.0)
+        assert lll_reduce(r, LLLParams(delta=1.0)).stats == ReductionStats()
 
     def test_identity_boundary_equality(self):
-        assert _lovasz_holds(np.eye(3), 1, 1.0)
-        assert _lovasz_holds(np.eye(3), 2, 1.0)
+        result = lll_reduce(np.eye(3), LLLParams(delta=1.0))
+        assert result.stats == ReductionStats()
+        np.testing.assert_array_equal(result.z, np.eye(3, dtype=np.int64))
+
+
+def as_columns(r):
+    """A matrix as lll_reduce holds its factor: one list of Python floats per column."""
+    return np.array(r, dtype=float).T.tolist()
+
+
+def from_columns(cols):
+    return np.array(cols, dtype=float).T
 
 
 def swapped(r, z, q, k):
-    """_swap_inplace on copies, returning (r, z, q); z goes in as its list
-    of columns and comes back as an int64 array."""
-    r = np.array(r, dtype=float)
+    """_swap_inplace on copies, returning (r, z, q); r and z go in as their
+    lists of columns and come back as a float and an int64 array."""
+    cols = as_columns(r)
     z = np.array(z, dtype=np.int64).T.tolist()
     q = np.array(q, dtype=float)
-    _swap_inplace(r, z, q, k)
-    return r, np.array(z, dtype=np.int64).T, q
+    _swap_inplace(cols, z, q, k)
+    return from_columns(cols), np.array(z, dtype=np.int64).T, q
 
 
 class TestSwapAndRetriangularize:
@@ -225,30 +244,45 @@ class TestSwapAndRetriangularize:
             np.testing.assert_allclose(q2, np.eye(n), atol=1e-10)
 
 
-def full_width_swap(r, z, q, k):
-    """_swap_inplace as first written: it exchanges whole columns and rotates
-    whole rows, the zeros left of column k-1 and below row k included.  The
-    reference for the bits of the swap that touches only what it changes."""
-    r[:, [k - 1, k]] = r[:, [k, k - 1]]
+def full_width_swap(cols, z, q, k):
+    """_swap_inplace as first written, on columns: it rotates every column,
+    the zeros left of column k-1 included, as the 2x2 product g^T applied to
+    rows k-1 and k, then flips row k.  The reference for the bits of the swap
+    that touches only the columns it changes and flips as it rotates."""
+    cols[k - 1], cols[k] = cols[k], cols[k - 1]
     z[k - 1], z[k] = z[k], z[k - 1]
-    a = r[k - 1, k - 1]
-    b = r[k, k - 1]
+    a = cols[k - 1][k - 1]
+    b = cols[k - 1][k]
     rho = math.hypot(a, b)
     if rho < SOLVE_DIAG_MIN:
         raise SingularDiagonalError(f"columns {k-1},{k} are numerically dependent")
     c = a / rho
     s = b / rho
+    for col in cols:
+        col[k - 1], col[k] = c * col[k - 1] + s * col[k], -s * col[k - 1] + c * col[k]
     g = np.array([[c, -s], [s, c]])
-    r[[k - 1, k], :] = g.T @ r[[k - 1, k], :]
     q[:, [k - 1, k]] = q[:, [k - 1, k]] @ g
-    r[k] = -r[k]
+    for col in cols:
+        col[k] = -col[k]
     q[:, k] = -q[:, k]
-    r[k, k - 1] = 0.0
+    cols[k - 1][k] = 0.0
+
+
+def counted(monkeypatch, name, fn):
+    """Put fn in the place of reduction's module-level name, and return a
+    one-item list counting its calls, so a test can see that fn ran."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(reduction_module, name, counting)
+    return calls
 
 
 def test_swap_matches_the_full_width_swap_bit_for_bit():
-    # every k at n = 2 .. 64 rotates views 2 .. 64 columns wide, so the
-    # product meets every tile edge of the BLAS kernel
+    # every k at n = 2 .. 64: the rotation of q meets every tile edge of the BLAS kernel
     rng = np.random.default_rng(2013)
     for n in range(2, 65):
         r0 = np.triu(np.where(rng.random((n, n)) < 0.2, 0.0, rng.standard_normal((n, n))))
@@ -258,8 +292,9 @@ def test_swap_matches_the_full_width_swap_bit_for_bit():
         for k in range(1, n):
             got, want = [], []
             for swap, out in ((_swap_inplace, got), (full_width_swap, want)):
-                r, z, q = r0.copy(), [list(col) for col in z0], q0.copy()
-                swap(r, z, q, k)
+                cols, z, q = as_columns(r0), [list(col) for col in z0], q0.copy()
+                swap(cols, z, q, k)
+                r = from_columns(cols)
                 # the full-width flip leaves -0.0 left of column k-1 in row k
                 assert not np.tril(r, -1).any()
                 out += [np.triu(r).tobytes(), z, q.tobytes()]
@@ -292,9 +327,10 @@ def lll_outcome(r, delta):
 def test_lll_reduce_matches_the_full_width_swap_bit_for_bit(delta, monkeypatch):
     factors = [ill_conditioned(i) for i in range(500)] + [scrambled_n48(s) for s in (1, 2, 3)]
     got = [lll_outcome(r, delta) for r in factors]
-    monkeypatch.setattr(reduction_module, "_swap_inplace", full_width_swap)
+    calls = counted(monkeypatch, "_swap_inplace", full_width_swap)
     want = [lll_outcome(r, delta) for r in factors]
     assert got == want
+    assert calls[0] > 0
     # both results and refusals are compared
     assert sum(isinstance(o[0], bytes) for o in got) > 100
     assert sum(isinstance(o[0], type) for o in got) > 100
@@ -306,17 +342,19 @@ def dense_column(col, n):
     return col if isinstance(col, list) else [col.get(row, 0) for row in range(n)]
 
 
-def dense_size_reduce(r, z, i, k):
+def dense_size_reduce(cols, z, i, k):
     """_size_reduce_inplace as it was when z was a list of dense columns: it
-    rewrites all n Python ints of column k, zeros included.  The reference
-    for the bits of the update that touches only the nonzero entries."""
-    pivot, entry = r.item(i, i), r.item(i, k)
+    rewrites all n Python ints of column k, zeros included, and updates the
+    factor's column one entry at a time.  The reference for the bits of the
+    update that touches only the nonzero entries."""
+    pivot, entry = cols[i][i], cols[k][i]
     if abs(pivot) < SOLVE_DIAG_MIN:
         raise SingularDiagonalError(f"pivot {i} has relative magnitude {abs(pivot)!r}")
     if abs(entry) <= 0.5 * abs(pivot):
         return False
     mu = round_nearest(entry / pivot)
-    r[: i + 1, k] -= mu * r[: i + 1, i]
+    for row in range(i + 1):
+        cols[k][row] -= mu * cols[i][row]
     n = len(z)
     z[k] = [a - mu * b for a, b in zip(dense_column(z[k], n), dense_column(z[i], n))]
     return True
@@ -343,10 +381,11 @@ def test_lll_reduce_matches_the_dense_transform_bit_for_bit(delta, monkeypatch):
     factors = ([ill_conditioned(i) for i in range(500)] + [scrambled_n48(s) for s in (1, 2, 3)]
                + [falling_pivots(s, 0.03) for s in range(3)] + [falling_pivots(0, 0.2)])
     got = [lll_outcome(r, delta) for r in factors]
-    monkeypatch.setattr(reduction_module, "_size_reduce_inplace", dense_size_reduce)
-    monkeypatch.setattr(reduction_module, "_transform", dense_transform)
+    reductions = counted(monkeypatch, "_size_reduce_inplace", dense_size_reduce)
+    transforms = counted(monkeypatch, "_transform", dense_transform)
     want = [lll_outcome(r, delta) for r in factors]
     assert got == want
+    assert reductions[0] > 0 and transforms[0] > 0
     # both results and refusals are compared, a dense Z and an int64 refusal among them
     assert sum(isinstance(o[0], bytes) for o in got) > 100
     assert sum(isinstance(o[0], type) for o in got) > 100
@@ -381,12 +420,73 @@ def test_size_reduce_entry_matches_the_dense_transform_bit_for_bit(monkeypatch):
         return out
 
     got = outcomes()
-    monkeypatch.setattr(reduction_module, "_size_reduce_inplace", dense_size_reduce)
-    monkeypatch.setattr(reduction_module, "_transform", dense_transform)
+    reductions = counted(monkeypatch, "_size_reduce_inplace", dense_size_reduce)
+    transforms = counted(monkeypatch, "_transform", dense_transform)
     assert got == outcomes()
+    assert reductions[0] == len(cases) and transforms[0] > 0
     assert sum(o[-1] is True for o in got) > 50
     assert sum(o[-1] is False for o in got) > 20
     assert sum(isinstance(o[0], type) for o in got) > 5
+
+
+# ill_conditioned indices whose outcome class, result or refusal, changed by
+# design when the loop's rotation left BLAS for Python floats: {delta:
+# {index: True if it is a result now}}.  The rotation's low bits moved, and
+# the float measurement of the contract near its tolerance moved with them.
+CLASS_CHANGED_BY_DESIGN = {0.99: {480: True, 497: False}, 1.0: {480: True, 497: False}}
+# z_and_stats_digest(delta) as the loop gave it when its rotation ran through
+# BLAS, before that change
+Z_AND_STATS_DIGESTS = {
+    0.3: "f39c86e4177ec37272b49da07f69a6c3d4dbe3b758aaaab06793ee5ff011adb9",
+    0.75: "bd94ab11674a5490f06bde9bf7699fa3263f68b278ec9c0e336af0dc91e990f0",
+    0.99: "681b6f979759d731745811b5ed2efce439de55e85c59cd2371ad63fc1ca0c859",
+    1.0: "8ffb4a91f4cee91eb1c8449dd17802c2e0d3b912530dbbef4fd919b39de0c658",
+}
+
+
+def z_and_stats_digest(delta):
+    """sha256 over lll_reduce's z bytes and stats, input by input, on
+    scrambled_n48(1 .. 3) and ill_conditioned(i), i < 500, with "refused"
+    for a refusal; the inputs in CLASS_CHANGED_BY_DESIGN are left out."""
+    changed = CLASS_CHANGED_BY_DESIGN.get(delta, {})
+    factors = ([scrambled_n48(s) for s in (1, 2, 3)]
+               + [ill_conditioned(i) for i in range(500) if i not in changed])
+    h = hashlib.sha256()
+    for r in factors:
+        try:
+            res = lll_reduce(r, LLLParams(delta=delta))
+        except LatticeError:
+            h.update(hashlib.sha256(b"refused").digest())
+        else:
+            h.update(hashlib.sha256(res.z.tobytes() + repr(res.stats).encode()).digest())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("delta", sorted(Z_AND_STATS_DIGESTS))
+def test_z_and_stats_keep_their_bits(delta):
+    assert z_and_stats_digest(delta) == Z_AND_STATS_DIGESTS[delta]
+    for i, is_result in CLASS_CHANGED_BY_DESIGN.get(delta, {}).items():
+        assert isinstance(lll_outcome(ill_conditioned(i), delta)[0], bytes) == is_result
+
+
+def test_lll_reduce_r_bar_does_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel for the CPU unless OPENBLAS_CORETYPE names one;
+    # Nehalem's has no fused multiply-add, the kernels of later cores do.  Where
+    # OpenBLAS ignores the variable, both runs use one kernel and this holds too.
+    # q_bar still accumulates the rotations through BLAS, so it is not compared.
+    r = scrambled_n48(1)  # made here once: its QR depends on the kernel too
+    np.save(tmp_path / "r.npy", r)
+    script = ("import sys, numpy as np; from zfprob import lll_reduce; "
+              "res = lll_reduce(np.load(sys.argv[1])); "
+              "sys.stdout.write(res.r_bar.tobytes().hex() + ' ' + res.z.tobytes().hex())")
+    path = [str(Path(zfprob.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "r.npy")], env=env,
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    res = lll_reduce(r)
+    assert res.stats.swaps > 0
+    assert out.split() == [res.r_bar.tobytes().hex(), res.z.tobytes().hex()]
 
 
 class TestLLLReduce:

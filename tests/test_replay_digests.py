@@ -48,7 +48,7 @@ CSV_DIGESTS = {
     ("sweep-delta", "--trials", "10", "--format", "csv"):
         "c7575abddacd1bb31d3e962738707ae613772e3283c102656abf707d559b92fd",
     ("ensemble", "--n", "2", "--delta", "0.9", "--trials", "5", "--format", "csv"):
-        "bdb61881196884a81973c25377d1940ea7c13ed9b3e20c664300106d72f46414",
+        "7e615594cda41f22d56430635345119871ceb9ee5a729b6e1b5a07786cb3d668",
 }
 
 

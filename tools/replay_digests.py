@@ -12,7 +12,11 @@ the outputs shows every invocation whose replayable report changed:
 
 The input files are written to a temporary directory, and the invocations
 name them relative to it, so the echoed paths, and so the digests, do not
-depend on where the tool runs.
+depend on where the tool runs.  They do depend on the kernel OpenBLAS picks
+for the CPU, whose fused multiply-adds round QR factors, dot products and
+matrix products differently; the committed replay_digests.txt holds for
+the SkylakeX kernel, and ``OPENBLAS_VERBOSE=2`` makes OpenBLAS print the
+kernel it loads.
 """
 
 import argparse
