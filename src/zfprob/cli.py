@@ -518,8 +518,8 @@ def _sweep_case(config: ExperimentConfig, index: int) -> dict:
     if config.matrix_path:
         gated, _ = _triangular_from(load_matrix_csv(config.matrix_path))
         if gated.r.shape[0] != 2:
-            raise DimensionMismatchError("sweep-delta covers 2x2 matrices; larger "
-                                         "reductions are not ordered by delta in general")
+            raise DimensionMismatchError("sweep-delta covers 2x2 factors, and this file gives a "
+                                         f"{gated.r.shape[0]}x{gated.r.shape[1]} one")
         sigma = config.sigma if config.sigma is not None else 1.0
     else:
         r, sigma = random_unreduced_2x2(case_spec(config.seed, index))

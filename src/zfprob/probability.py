@@ -53,10 +53,6 @@ __all__ = [
 
 MIN_SAMPLES = 1000
 _EMPIRICAL_BLOCK = 2048  # trials per noise block: a block at n = 16 is 256 KB
-# points per dot in _outer_value's sum, whose blocks are added in order:
-# OpenBLAS splits a dot longer than 10,000 across its threads, and then its
-# bits depend on the thread count
-_DOT_BLOCK = 8192
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(QUADRATURE_NODES_PER_PANEL)
 
@@ -118,16 +114,6 @@ def _slab_mass(shift, pivot, sigma):
     return erf_array((shift + half) / root2sig) - erf_array((shift - half) / root2sig)
 
 
-def _density(sigma, t):
-    """The Gaussian factor exp(-||t||^2 / (2 sigma^2)) for each row t of the points R xi."""
-    # column by column: the sum np.sum(t * t, axis=1) forms, left to right,
-    # without its per-row inner loop over a few columns
-    sq = t[:, 0] * t[:, 0]
-    for j in range(1, t.shape[1]):
-        sq += t[:, j] * t[:, j]
-    return np.exp(-sq / (2.0 * sigma * sigma))
-
-
 def _sidak_bracket(r, sigma) -> tuple[float, float]:
     """(prod p_i, min p_i) for the unit model (r, sigma), where
     p_i = 0.5 * _slab_mass(0, 1 / ||row i of R^-1||, sigma), the closed form
@@ -156,15 +142,15 @@ def pzf_diagonal(r, sigma: float) -> ProbabilityEstimate:
 
 def _build_panel_grid(panels: int, d: int):
     # Gauss-Legendre nodes/weights tiled over `panels` equal pieces of [-1/2, 1/2],
-    # and their tensor product over d coordinates: points xi (rows) and weights
+    # and their tensor product over d coordinates: xi, one row per coordinate, and weights
     edges = np.linspace(-0.5, 0.5, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 / panels
     x = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
     w = np.tile(half * _GL_WEIGHTS, panels)
     axes = np.meshgrid(*([x] * d), indexing="ij")
-    xi = np.stack([a.ravel() for a in axes], axis=1)
-    weights = np.ones(xi.shape[0])
+    xi = np.stack([a.ravel() for a in axes])
+    weights = np.ones(xi.shape[1])
     for a in np.meshgrid(*([w] * d), indexing="ij"):
         weights *= a.ravel()
     xi.flags.writeable = weights.flags.writeable = False
@@ -175,10 +161,10 @@ _PANEL_GRIDS = {}  # (panels, d) -> _build_panel_grid(panels, d), for the small 
 
 
 def _panel_grid(panels: int, d: int):
-    """The read-only (xi, weights) of _outer_value's tensor grid.  A grid of
-    at most QUADRATURE_NODES_PER_PANEL ** 3 points (1 MiB at d = 3) is built
-    once per process, and the few such (panels, d) hold under 3 MiB in all;
-    a larger one, up to the evaluation cap, is built per call."""
+    """The read-only (xi, weights), xi of shape (d, N), of _outer_value's
+    grid.  A grid of at most QUADRATURE_NODES_PER_PANEL ** 3 points (1 MiB
+    at d = 3) is built once per process, and the few such (panels, d) hold
+    under 3 MiB in all; a larger one, up to the evaluation cap, per call."""
     grid = _PANEL_GRIDS.get((panels, d))
     if grid is None:
         grid = _build_panel_grid(panels, d)
@@ -189,17 +175,22 @@ def _panel_grid(panels: int, d: int):
 
 def _outer_value(r, sigma, pref, panels):
     """Integral over the outer n-1 coordinates of the exact inner-coordinate
-    mass times the outer Gaussian factor, times the probability prefactor."""
-    r11 = r[0, 0]
-    xi, weights = _panel_grid(panels, r.shape[0] - 1)
-    shift = xi @ r[0, 1:]
-    # a contiguous operand takes numpy's fast matmul route, with the same bits
-    outer = _density(sigma, xi @ np.ascontiguousarray(r[1:, 1:].T))
+    mass times the outer Gaussian factor, times the probability prefactor.
+    Summed in numpy's elementwise loops and pairwise sum, never in BLAS, so
+    the bits depend on no OpenBLAS kernel or thread count."""
+    r11, d = r[0, 0], r.shape[0] - 1
+    xi, weights = _panel_grid(panels, d)
+    shift = r[0, 1] * xi[0]
+    for j in range(1, d):
+        shift += r[0, 1 + j] * xi[j]
+    for i in range(d):  # ||R11 xi'||^2, row i of R11 xi' summed from its pivot
+        t = r[1 + i, 1 + i] * xi[i]
+        for j in range(i + 1, d):
+            t += r[1 + i, 1 + j] * xi[j]
+        sq = t * t if i == 0 else np.add(sq, t * t, out=sq)
+    outer = np.exp(-sq / (2.0 * sigma * sigma))
     vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer
-    total = float(weights[:_DOT_BLOCK] @ vals[:_DOT_BLOCK])
-    for start in range(_DOT_BLOCK, weights.size, _DOT_BLOCK):
-        total += float(weights[start:start + _DOT_BLOCK] @ vals[start:start + _DOT_BLOCK])
-    return pref * total, xi.shape[0]
+    return pref * float(np.sum(weights * vals)), weights.size
 
 
 def pzf_quadrature(r, sigma: float) -> ProbabilityEstimate:

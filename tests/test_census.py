@@ -8,7 +8,8 @@ from test_reduction import ill_conditioned, scrambled_n48  # tests/ is on sys.pa
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "census.py"
 # the slice of the census tier-1 runs, a few seconds' work
-QUICK = (("lll_reduce delta=0.75", "reduce-n48-seed1"), ("lll_reduce delta=0.99", "tri16"))
+QUICK = (("lll_reduce delta=0.75", "reduce-n48-seed1"), ("lll_reduce delta=0.99", "tri16"),
+         ("pzf_quadrature sigma=0.3", "triu-n3"))
 
 
 def load_tool():
@@ -28,7 +29,8 @@ def test_census_slice_matches_the_committed_digests():
     # and names the changed inputs, from census.py --diff, in CHANGES.md
     tool = load_tool()
     committed = committed_lines()
-    assert len(committed) == len(tool.DELTAS) * len(tool.FAMILIES)
+    assert len(committed) == (len(tool.DELTAS) * len(tool.FAMILIES)
+                              + len(tool.SIGMAS) * len(tool.QUADRATURE_FAMILIES))
     got = [tool.digest_line(*pair) for pair in tool.census(zfprob, QUICK)]
     assert len(got) == len(QUICK)
     assert set(got) <= set(committed)
@@ -51,7 +53,7 @@ def test_census_families_are_the_factors_the_tests_and_the_benchmark_use():
 
 def test_census_input_lines_name_each_input():
     tool = load_tool()
-    (name, family, outcomes), = tool.census(zfprob, QUICK[1:])
+    (name, family, outcomes), = tool.census(zfprob, QUICK[1:2])
     lines = list(tool.input_lines(name, family, outcomes))
     assert lines[0].split("|")[:4] == ["lll_reduce delta=0.99", "tri16", "0", "result"]
     assert len(lines) == 1

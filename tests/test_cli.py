@@ -639,11 +639,14 @@ class TestCaseFunctions:
             assert 0 < gate_passes[0] <= most
 
     def test_matrix_sweep_checks_its_file_in_the_run(self, tmp_path, capsys):
-        path = write(tmp_path, "m.csv", "3,1.5,0\n0,3,-1.51\n0,0,3\n")
-        config = ExperimentConfig(command="sweep-delta", matrix_path=path)
-        with pytest.raises(DimensionMismatchError, match="2x2"):
-            _sweep_case(config, 0)
-        assert main(["sweep-delta", "--matrix", path]) == 2
+        # the refusal names the factor's size, smaller or larger than 2x2
+        for text, size in (("3,1.5,0\n0,3,-1.51\n0,0,3\n", "3x3"), ("2\n", "1x1")):
+            path = write(tmp_path, "m.csv", text)
+            config = ExperimentConfig(command="sweep-delta", matrix_path=path)
+            with pytest.raises(DimensionMismatchError, match=f"2x2 .* gives a {size} one$"):
+                _sweep_case(config, 0)
+            assert main(["sweep-delta", "--matrix", path]) == 2
+            assert f"gives a {size} one" in capsys.readouterr().err
 
 
 class TestReportSerialization:

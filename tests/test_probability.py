@@ -34,9 +34,7 @@ from zfprob.probability import (
     MIN_SAMPLES,
     _EMPIRICAL_BLOCK,
     ProbabilityEstimate,
-    _build_panel_grid,
     _conditional_step,
-    _density,
     _empirical_estimates,
     _outer_value,
     _sidak_bracket,
@@ -333,8 +331,10 @@ class TestQuadrature:
 
 
 def per_call_outer_value(r, sigma, pref, panels):
-    """Reference: _outer_value with its tensor grid built on every call, the
-    strided matmul operand and the density's squares summed by np.sum."""
+    """Reference: _outer_value with its tensor grid built on every call, one
+    row of xi per outer coordinate; the shift and each row of R11 xi' summed
+    term by term from the left, their squares added row by row, and the
+    weighted values summed by np.sum."""
     d = r.shape[0] - 1
     r11 = r[0, 0]
     nodes, node_weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES_PER_PANEL)
@@ -343,19 +343,15 @@ def per_call_outer_value(r, sigma, pref, panels):
     half = 0.5 / panels
     x = (mid[:, None] + half * nodes[None, :]).ravel()
     w = np.tile(half * node_weights, panels)
-    axes = np.meshgrid(*([x] * d), indexing="ij")
-    xi = np.stack([a.ravel() for a in axes], axis=1)
-    weights = np.ones(xi.shape[0])
+    xi = np.stack([a.ravel() for a in np.meshgrid(*([x] * d), indexing="ij")])
+    weights = np.ones(xi.shape[1])
     for a in np.meshgrid(*([w] * d), indexing="ij"):
         weights *= a.ravel()
-    shift = xi @ r[0, 1:]
-    t = xi @ r[1:, 1:].T
-    outer = np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
+    shift = sum(r[0, 1 + j] * xi[j] for j in range(d))
+    rows = [sum(r[1 + i, 1 + j] * xi[j] for j in range(i, d)) for i in range(d)]
+    outer = np.exp(-sum(t * t for t in rows) / (2.0 * sigma * sigma))
     vals = (sigma / r11) * math.sqrt(math.pi / 2.0) * _slab_mass(shift, r11, sigma) * outer
-    total = float(weights[:8192] @ vals[:8192])
-    for start in range(8192, weights.size, 8192):
-        total += float(weights[start:start + 8192] @ vals[start:start + 8192])
-    return pref * total, xi.shape[0]
+    return pref * float(np.sum(weights * vals)), weights.size
 
 
 def quadrature_census(n, count):
@@ -401,8 +397,8 @@ class TestPanelGrid:
         bound = QUADRATURE_NODES_PER_PANEL ** 3
         small = {(p, d) for p, d in seen if (QUADRATURE_NODES_PER_PANEL * p) ** d <= bound}
         assert set(grids) == small
-        for xi, weights in grids.values():
-            assert xi.shape == (weights.size, xi.shape[1]) and weights.size <= bound
+        for (panels, d), (xi, weights) in grids.items():
+            assert xi.shape == (d, weights.size) and weights.size <= bound
             assert not xi.flags.writeable and not weights.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 weights[0] = 0.0
@@ -424,22 +420,8 @@ def invariance_quadrature_calls(seed):
 
 
 class TestQuadratureBits:
-    """The column-by-column density and the contiguous matmul operand keep
-    every bit of the np.sum density and the strided operand."""
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_density_equals_the_np_sum_form_on_every_kept_grid(self, d):
-        rng = np.random.default_rng(d)
-        panels = 1
-        while (QUADRATURE_NODES_PER_PANEL * panels) ** d <= QUADRATURE_NODES_PER_PANEL ** 3:
-            xi, _ = _build_panel_grid(panels, d)
-            for scale in (1e-3, 1.0, 40.0):
-                t = xi @ (scale * np.triu(rng.standard_normal((d, d)))).T
-                for sigma in (0.01, 0.3, 3.0):
-                    want = np.exp(-np.sum(t * t, axis=1) / (2.0 * sigma * sigma))
-                    assert _density(sigma, t).tobytes() == want.tobytes(), (panels, scale, sigma)
-            panels *= 2
-        assert panels > 1
+    """The kept grids, summed in numpy's elementwise loops and pairwise sum,
+    give the bits of the per-call reference on the benchmark's factors."""
 
     @pytest.mark.parametrize("seed", [1, 20181])
     def test_invariance_factors_give_the_reference_bits(self, seed, monkeypatch):
@@ -477,12 +459,40 @@ for n, i, sigma in ((3, 5, 0.1), (4, 0, 0.2)):
 
 
 def test_quadrature_bits_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits a dot longer than 10,000 across its threads; these grids
-    # double (n = 3) or octuple (n = 4) in size, so a total above 20,000 means
-    # the last grid passed 10,000 points
+    # the grid is summed by numpy's loops, which run in one thread whatever
+    # OpenBLAS's count; these grids double (n = 3) or octuple (n = 4) in
+    # size, so a total above 20,000 means the last grid passed 10,000 points
     outs = _thread_outputs(THREAD_PROBE)
     assert outs[0] == outs[1]
     assert all(int(evaluations) > 20_000 for evaluations in outs[0][1::2])
+
+
+# prints value.hex() and evaluations of quadratures on fixed upper-triangular
+# factors at n = 2, 3 and 4, drawn by default_rng and made without a QR
+KERNEL_PROBE = """
+import numpy as np
+from zfprob.probability import pzf_quadrature
+rng = np.random.default_rng(37)
+for n, sigma in ((2, 0.1), (2, 0.3), (3, 0.3), (3, 1.0), (4, 0.3), (4, 1.0)):
+    est = pzf_quadrature(np.triu(rng.standard_normal((n, n))), sigma)
+    print(est.value.hex(), est.evaluations)
+"""
+
+
+def test_quadrature_bits_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel for the CPU unless OPENBLAS_CORETYPE names one;
+    # Nehalem's has no fused multiply-add, the kernels of later cores do.  Where
+    # OpenBLAS ignores the variable, both runs use one kernel and this holds too.
+    path = [str(Path(zfprob.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", KERNEL_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(KERNEL_PROBE, {})
+    assert out.split() == here.getvalue().split()
+    assert all(int(evaluations) > 0 for evaluations in out.split()[1::2])
 
 
 # prints value.hex() of an n = 16 and an n = 48 empirical estimate whose

@@ -1,5 +1,8 @@
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,16 +42,49 @@ def test_replay_digests_match_the_committed_file(capsys):
     assert capsys.readouterr().out.splitlines() == golden
 
 
+# replays the invocations at the 0-based indices argv[3:] of the tool at
+# argv[1], with its input files in the directory argv[2], and prints their lines
+KERNEL_PROBE = """
+import importlib.util, os, sys
+import zfprob.cli
+spec = importlib.util.spec_from_file_location("replay_digests", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+tool.write_inputs(sys.argv[2])
+os.chdir(sys.argv[2])
+for i in map(int, sys.argv[3:]):
+    code, digest = tool.replay_digest(zfprob.cli, tool.INVOCATIONS[i])
+    print(code, digest or "-", " ".join(tool.INVOCATIONS[i]))
+"""
+
+
+def test_kernel_free_lines_hold_under_another_blas_kernel(tmp_path):
+    # reproduce and the sweeps make their factors without a QR and reduce them
+    # without q_bar's rotations, and the quadrature sums in numpy's loops, so
+    # lines 1-3 and 20-22 hold under every OpenBLAS kernel.  Nehalem's has no
+    # fused multiply-add, the kernels of later cores do; where OpenBLAS ignores
+    # OPENBLAS_CORETYPE, the run uses the default kernel and this holds too.
+    lines = (0, 1, 2, 19, 20, 21)
+    golden = TOOL.with_suffix(".txt").read_text(encoding="utf-8").splitlines()
+    path = [str(Path(zfprob.cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", KERNEL_PROBE, str(TOOL), str(tmp_path),
+                          *map(str, lines)], env=env, check=True, capture_output=True,
+                         text=True, timeout=120).stdout
+    assert out.splitlines() == [golden[i] for i in lines]
+
+
 # sha256 of report.to_csv().  The replay digests hash the report's JSON with
 # sorted keys, so they miss a change in the order of the keys of the dicts
 # that these commands embed in CSV cells (estimates, points, summary).
 CSV_DIGESTS = {
     ("reproduce", "--format", "csv"):
-        "3fad7a76c35c6080fa67d3753054da53aabbeed4305a6e4beab803efd131cc85",
+        "e14a5f319af23ad7abb3b50e939947aa89abc76af913fcff59d1a560caf55e96",
     ("sweep-delta", "--trials", "10", "--format", "csv"):
-        "c7575abddacd1bb31d3e962738707ae613772e3283c102656abf707d559b92fd",
+        "6dc98b74aa7f50635f10660ca6ba95b3898aa8728d3cdff91e51ab56d43d8e5d",
     ("ensemble", "--n", "2", "--delta", "0.9", "--trials", "5", "--format", "csv"):
-        "7e615594cda41f22d56430635345119871ceb9ee5a729b6e1b5a07786cb3d668",
+        "ffc197bb05cb83c4d90adb97ad985037d9d59e4b689ddf1d4279c3183c359939",
 }
 
 

@@ -1,13 +1,16 @@
-"""Census digests of lll_reduce over fixed families of input factors.
+"""Census digests of lll_reduce and pzf_quadrature over fixed families of input factors.
 
 Runs ``zfprob.lll_reduce`` at each delta in DELTAS on every factor of each
-family in FAMILIES and prints one line per (entry point, family): the
-sha256 over the outcomes of all its inputs, in order, then the family's
-name, its size and how many inputs each outcome kind took.  An outcome is
-a result's r_bar, z and q_bar bytes, its stats and its two contract
-numbers in hex, or a refusal's class and message.  Running it on two
-checkouts and diffing the outputs shows every (entry point, family) whose
-outcomes changed, and ``--diff`` names the inputs:
+family in FAMILIES, and ``zfprob.pzf_quadrature`` at each sigma in SIGMAS on
+every factor of each family in QUADRATURE_FAMILIES, and prints one line per
+(entry point, family): the sha256 over the outcomes of all its inputs, in
+order, then the family's name, its size and how many inputs each outcome
+kind took.  An outcome is a refusal's class and message or, for a result,
+the part that must not move and the rest: lll_reduce's z and stats, then
+its r_bar and q_bar bytes and two contract numbers in hex; pzf_quadrature's
+evaluations, then its value and bound in hex.  Running it on two checkouts
+and diffing the outputs shows every (entry point, family) whose outcomes
+changed, and ``--diff`` names the inputs:
 
     python3 tools/census.py > after.txt
     python3 tools/census.py --src ../parent/src > before.txt
@@ -15,18 +18,21 @@ outcomes changed, and ``--diff`` names the inputs:
     python3 tools/census.py --diff ../parent/src
 
 ``--inputs`` prints one line per input instead: the entry point, the
-family, the input's index, its outcome kind, and a digest of its z and
-stats and one of everything else.
+family, the input's index, its outcome kind, and a digest of the part that
+must not move and one of everything else.
 
-The digests hold for one OpenBLAS kernel: the reduce-n48 factors come out
-of a QR, and q_bar and the contract numbers out of BLAS products, whose
-low bits depend on the kernel OpenBLAS picks for the CPU
+The lll_reduce digests hold for one OpenBLAS kernel: the reduce-n48
+factors come out of a QR, and q_bar and the contract numbers out of BLAS
+products, whose low bits depend on the kernel OpenBLAS picks for the CPU
 (``OPENBLAS_VERBOSE=2`` prints it).  The committed digests in
 census_digests.txt were made with the kernel and thread setting named in
-its first line.
+its first line.  The pzf_quadrature digests hold for every kernel and
+thread count: its factors are drawn without a QR, and it sums in numpy's
+own loops.
 """
 
 import argparse
+import functools
 import hashlib
 import os
 import subprocess
@@ -37,6 +43,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent
 DELTAS = (0.5, 0.75, 0.99)
+SIGMAS = (0.1, 0.3, 1.0)
 
 
 def ill_conditioned(index):
@@ -72,20 +79,58 @@ def tri16():
                        for j in range(16)] for i in range(16)], dtype=float)]
 
 
+def upper_triangular(n, count):
+    """count n x n upper-triangular factors of standard normal entries, drawn
+    by default_rng([37, n]) and made without a QR."""
+    rng = np.random.default_rng([37, n])
+    return [np.triu(rng.standard_normal((n, n))) for _ in range(count)]
+
+
 FAMILIES = {
     "ill_conditioned": lambda: [ill_conditioned(i) for i in range(3000)],
     "reduce-n48-seed1": lambda: reduce_n48(1),
     "reduce-n48-seed20181": lambda: reduce_n48(20181),
     "tri16": tri16,
 }
+QUADRATURE_FAMILIES = {
+    "triu-n2": lambda: upper_triangular(2, 300),
+    "triu-n3": lambda: upper_triangular(3, 300),
+    "triu-n4": lambda: upper_triangular(4, 40),
+}
 
 
-def outcome(zfprob, r, params) -> tuple:
-    """(kind, the bytes of z and stats, the bytes of everything else) of
-    lll_reduce(r, params).  kind is "result", or a refusal's class with the
-    words of its message that come before the first one holding a digit."""
+def reduced(zfprob, r, delta) -> tuple:
+    """(the bytes of z and stats, the bytes of everything else) of lll_reduce(r)."""
+    res = zfprob.lll_reduce(r, zfprob.LLLParams(delta=delta))
+    s = res.stats
+    kept = res.z.tobytes() + f"{s.size_reductions} {s.swaps} {s.iterations}".encode()
+    rest = (res.r_bar.tobytes() + res.q_bar.tobytes()
+            + f"{res.reconstruction_error.hex()} {res.det_drift.hex()}".encode())
+    return kept, rest
+
+
+def quadrature(zfprob, r, sigma) -> tuple:
+    """(the bytes of evaluations, those of the value and bound in hex) of pzf_quadrature(r)."""
+    est = zfprob.pzf_quadrature(r, sigma)
+    return str(est.evaluations).encode(), f"{est.value.hex()} {est.error_bound.hex()}".encode()
+
+
+# (entry point, its call on one input, its families, the part of a result that must not move)
+ENTRY_POINTS = (
+    *((f"lll_reduce delta={d}", functools.partial(reduced, delta=d), FAMILIES, "z and stats")
+      for d in DELTAS),
+    *((f"pzf_quadrature sigma={s}", functools.partial(quadrature, sigma=s), QUADRATURE_FAMILIES,
+       "evaluations") for s in SIGMAS),
+)
+KEPT = {name: kept for name, _, _, kept in ENTRY_POINTS}
+
+
+def outcome(zfprob, call, r) -> tuple:
+    """(kind, the bytes that must not move, the bytes of everything else) of
+    call(zfprob, r).  kind is "result", or a refusal's class with the words
+    of its message that come before the first one holding a digit."""
     try:
-        res = zfprob.lll_reduce(r, params)
+        kept, rest = call(zfprob, r)
     except zfprob.LatticeError as exc:
         words = []
         for word in str(exc).split():
@@ -93,10 +138,6 @@ def outcome(zfprob, r, params) -> tuple:
                 break
             words.append(word)
         return f"{type(exc).__name__}:{'_'.join(words)}", b"", f"{type(exc)!r} {exc}".encode()
-    s = res.stats
-    kept = res.z.tobytes() + f"{s.size_reductions} {s.swaps} {s.iterations}".encode()
-    rest = (res.r_bar.tobytes() + res.q_bar.tobytes()
-            + f"{res.reconstruction_error.hex()} {res.det_drift.hex()}".encode())
     return "result", kept, rest
 
 
@@ -104,14 +145,13 @@ def census(zfprob, lines=None):
     """Yield (entry point, family, [outcome of each input]) for every pair,
     or for those in lines only."""
     inputs = {}
-    for delta in DELTAS:
-        name, params = f"lll_reduce delta={delta}", zfprob.LLLParams(delta=delta)
-        for family, make in FAMILIES.items():
+    for name, call, families, _ in ENTRY_POINTS:
+        for family, make in families.items():
             if lines is not None and (name, family) not in lines:
                 continue
             if family not in inputs:
                 inputs[family] = make()
-            yield name, family, [outcome(zfprob, r, params) for r in inputs[family]]
+            yield name, family, [outcome(zfprob, call, r) for r in inputs[family]]
 
 
 def digest_line(name, family, outcomes) -> str:
@@ -131,9 +171,10 @@ def input_lines(name, family, outcomes):
 
 
 def diff(src, other) -> int:
-    """Name every input whose outcome kind, or whose z and stats, differ
-    between the packages at other and at src, and count per (entry point,
-    family) the inputs that differ in bits only; 1 if any input differs."""
+    """Name every input whose outcome kind, or whose part that must not move,
+    differ between the packages at other and at src, and count per (entry
+    point, family) the inputs that differ in other bits only; 1 if any
+    input differs."""
     sides = []
     for where in (other, src):
         out = subprocess.run([sys.executable, __file__, "--src", where, "--inputs"],
@@ -146,12 +187,12 @@ def diff(src, other) -> int:
         if kind0 != kind1:
             print(f"{name} {family}[{index}]: {kind0} -> {kind1}")
         elif kept0 != kept1:
-            print(f"{name} {family}[{index}]: z or stats changed")
+            print(f"{name} {family}[{index}]: {KEPT[name]} changed")
         elif rest0 != rest1:
             bits[(name, family)] = bits.get((name, family), 0) + 1
     for (name, family), count in bits.items():
-        print(f"{name} {family}: {count} inputs keep their outcome kind, z and stats;"
-              " other bits differ")
+        print(f"{name} {family}: {count} inputs keep their outcome kind and"
+              f" {KEPT[name]}; other bits differ")
     return 1 if sides[0] != sides[1] else 0
 
 
