@@ -9,7 +9,7 @@ from test_reduction import ill_conditioned, scrambled_n48  # tests/ is on sys.pa
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "census.py"
 # the slice of the census tier-1 runs, a few seconds' work
 QUICK = (("lll_reduce delta=0.75", "reduce-n48-seed1"), ("lll_reduce delta=0.99", "tri16"),
-         ("pzf_quadrature sigma=0.3", "triu-n3"))
+         ("sqrd", "triu-n3"), ("pzf_quadrature sigma=0.3", "triu-n3"))
 
 
 def load_tool():
@@ -30,7 +30,8 @@ def test_census_slice_matches_the_committed_digests():
     tool = load_tool()
     committed = committed_lines()
     assert len(committed) == (len(tool.DELTAS) * len(tool.FAMILIES)
-                              + len(tool.SIGMAS) * len(tool.QUADRATURE_FAMILIES))
+                              + (len(tool.ORDERINGS) + len(tool.SIGMAS))
+                              * len(tool.TRIANGULAR_FAMILIES))
     got = [tool.digest_line(*pair) for pair in tool.census(zfprob, QUICK)]
     assert len(got) == len(QUICK)
     assert set(got) <= set(committed)

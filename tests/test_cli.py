@@ -27,6 +27,7 @@ from zfprob.cli import (
     _invariance_case,
     _plain,
     _sweep_case,
+    _triangular_from,
     cmd_reproduce,
     load_matrix_csv,
     load_vector_csv,
@@ -34,7 +35,13 @@ from zfprob.cli import (
     matrix_digest,
     run,
 )
-from zfprob.ensembles import case_spec, random_triangular
+from zfprob.decode import ILSInstance, lift_estimate, zf_decode
+from zfprob.ensembles import (
+    case_spec,
+    random_instance,
+    random_triangular,
+    random_unreduced_2x2,
+)
 from zfprob.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -42,8 +49,15 @@ from zfprob.errors import (
     ParseError,
 )
 from zfprob.linalg import qr_factorize
-from zfprob.probability import ProbabilityEstimate
-from zfprob.reduction import LLLParams, ReductionStats, lll_reduce, orthogonality_defect
+from zfprob.probability import ProbabilityEstimate, pzf_quadrature
+from zfprob.reduction import (
+    LLLParams,
+    ReductionStats,
+    lll_reduce,
+    orthogonality_defect,
+    sqrd,
+    vblast,
+)
 
 
 def write(tmp_path, name, text):
@@ -647,6 +661,138 @@ class TestCaseFunctions:
                 _sweep_case(config, 0)
             assert main(["sweep-delta", "--matrix", path]) == 2
             assert f"gives a {size} one" in capsys.readouterr().err
+
+
+def _invariance_reference(config, index):
+    """An invariance case with every ordering decoded and estimated anew from
+    plain arrays; returns the case and the two orderings' permutations."""
+    n = config.n or (2 if index % 2 == 0 else 3)
+    inst = random_instance(case_spec(config.seed, index), n)
+    base = zf_decode(inst)
+    p_base = pzf_quadrature(np.array(inst.r), inst.sigma)
+    defect_base = orthogonality_defect(np.array(inst.r))
+    case = {"index": index, "n": n, "sigma": inst.sigma,
+            "matrix_digest": matrix_digest(inst.r),
+            "residual": base.residual, "p": p_base.value}
+    perms = []
+    for name, strategy in (("sqrd", sqrd), ("vblast", vblast)):
+        red = strategy(np.array(inst.r))
+        r_bar = np.array(red.r_bar)
+        reduced = zf_decode(ILSInstance(r=r_bar, y_tilde=red.q_bar.T @ inst.y_tilde))
+        lifted = lift_estimate(red.z, reduced.estimate)
+        p_red = pzf_quadrature(r_bar, inst.sigma)
+        case[name] = {
+            "estimate_identical": bool(np.array_equal(lifted, base.estimate)),
+            "residual_delta": abs(reduced.residual - base.residual),
+            "defect_delta": abs(orthogonality_defect(r_bar) - defect_base),
+            "p_delta": abs(p_red.value - p_base.value),
+            "p_budget": p_red.error_bound + p_base.error_bound,
+            "swaps": red.stats.swaps,
+        }
+        perms.append(tuple(red.z.argmax(axis=0).tolist()))
+    return case, perms
+
+
+def _sweep_reference(config, index):
+    """A sweep-delta case with every delta's factor estimated anew."""
+    if config.matrix_path:
+        gated, _ = _triangular_from(load_matrix_csv(config.matrix_path))
+        source, r = gated.source, np.array(gated.r)
+        sigma = config.sigma if config.sigma is not None else 1.0
+    else:
+        r, sigma = random_unreduced_2x2(case_spec(config.seed, index))
+        source = r
+    points = []
+    for delta in config.delta_grid or cli_module.DEFAULT_DELTA_GRID:
+        red = lll_reduce(r, LLLParams(delta=delta))
+        est = pzf_quadrature(np.array(red.r_bar), sigma)
+        points.append({"delta": delta, "value": est.value,
+                       "error_bound": est.error_bound,
+                       "swaps": red.stats.swaps,
+                       "size_reductions": red.stats.size_reductions})
+    monotone = all(
+        points[j]["value"] >= points[i]["value"]
+        - (points[i]["error_bound"] + points[j]["error_bound"])
+        for i in range(len(points)) for j in range(i + 1, len(points)))
+    return {"index": index, "matrix_digest": matrix_digest(source), "sigma": sigma,
+            "points": points, "monotone": monotone}
+
+
+class TestEstimateReuse:
+    """A batch case estimates each distinct factor once, and its records are
+    those of a case that estimates every factor anew."""
+
+    @pytest.mark.parametrize("n,seeds,count", [
+        (2, (3, 11), 10), (3, (3, 11), 10), (4, (3, 11), 8), (0, (1,), 24),
+    ], ids=["n2", "n3", "n4", "mixed"])
+    def test_invariance_records_match_estimating_every_ordering(self, n, seeds, count):
+        kinds = set()
+        for seed in seeds:
+            config = ExperimentConfig(command="invariance", n=n, seed=seed)
+            for i in range(count):
+                want, (by_sqrd, by_vblast) = _invariance_reference(config, i)
+                assert (json.dumps(_invariance_case(config, i), default=_plain)
+                        == json.dumps(want, default=_plain))
+                kinds.add((by_sqrd != by_vblast, tuple(range(want["n"])) in (by_sqrd, by_vblast)))
+        # each set has a case whose ordering keeps the order; at n = 4 and in
+        # the mixed ensemble, also one whose two orders differ
+        assert any(keeps for _, keeps in kinds)
+        assert n in (2, 3) or any(differ for differ, _ in kinds)
+
+    @pytest.mark.parametrize("n,seed,index,calls", [
+        (3, 3, 0, 1), (3, 3, 1, 2), (4, 3, 1, 2), (4, 3, 2, 3),
+    ])
+    def test_invariance_estimates_each_distinct_factor_once(self, n, seed, index, calls,
+                                                            monkeypatch):
+        # 1: both orderings keep the order; 2: they agree on another order, or
+        # one keeps it; 3: they take two orders, neither the original
+        factors = []
+        monkeypatch.setattr(cli_module, "pzf_quadrature",
+                            lambda r, sigma: factors.append(r) or pzf_quadrature(r, sigma))
+        config = ExperimentConfig(command="invariance", n=n, seed=seed)
+        _invariance_case(config, index)
+        _, perms = _invariance_reference(config, index)
+        assert len(factors) == len({tuple(range(n)), *perms}) == calls
+
+    def test_sweep_estimates_each_distinct_factor_once(self, monkeypatch, tmp_path):
+        counted = []
+        monkeypatch.setattr(cli_module, "pzf_quadrature",
+                            lambda r, sigma: counted.append(r) or pzf_quadrature(r, sigma))
+        grid = cli_module.DEFAULT_DELTA_GRID
+        assert len(grid) == 5
+        random = ExperimentConfig(command="sweep-delta", seed=5)
+        cases = [(random, i, random_unreduced_2x2(case_spec(5, i))[0]) for i in range(10)]
+        cases.append((ExperimentConfig(command="sweep-delta",
+                                       matrix_path=write(tmp_path, "m.csv", "4,9\n0,1\n")),
+                      0, np.array([[4.0, 9.0], [0.0, 1.0]])))
+        total = 0
+        for config, index, r in cases:
+            counted.clear()
+            _sweep_case(config, index)
+            distinct = {lll_reduce(r, LLLParams(delta=d)).r_bar.tobytes() for d in grid}
+            assert len(counted) == len(distinct)
+            total += len(counted)
+        assert total < len(grid) * len(cases)
+
+    @pytest.mark.parametrize("seed", [5, 20181])
+    def test_sweep_records_match_estimating_every_delta(self, seed):
+        config = ExperimentConfig(command="sweep-delta", seed=seed)
+        for i in range(20):
+            assert (json.dumps(_sweep_case(config, i), default=_plain)
+                    == json.dumps(_sweep_reference(config, i), default=_plain))
+
+    @pytest.mark.parametrize("text,sigma,grid", [
+        ("4,9\n0,1\n", 0.5, None),
+        # the pair test holds below delta 0.6925 and fails above it
+        ("-1,0.45\n0,0.7\n", None, (0.3, 0.6, 0.9, 1.0)),
+        ("2,5\n1,3\n", 0.7, (0.26, 0.5, 0.99)),
+    ])
+    def test_matrix_sweep_records_match_estimating_every_delta(self, text, sigma, grid,
+                                                               tmp_path):
+        config = ExperimentConfig(command="sweep-delta", matrix_path=write(tmp_path, "m.csv", text),
+                                  sigma=sigma, delta_grid=grid)
+        assert (json.dumps(_sweep_case(config, 0), default=_plain)
+                == json.dumps(_sweep_reference(config, 0), default=_plain))
 
 
 class TestReportSerialization:

@@ -405,7 +405,8 @@ class TestPanelGrid:
 
 
 def invariance_quadrature_calls(seed):
-    """The (factor, sigma) of every pzf_quadrature call of invariance --trials 40."""
+    """The (factor, sigma) of every pzf_quadrature call of invariance --trials 40:
+    one per distinct factor of each case."""
     calls = []
 
     def record(r, sigma):
@@ -425,8 +426,9 @@ class TestQuadratureBits:
 
     @pytest.mark.parametrize("seed", [1, 20181])
     def test_invariance_factors_give_the_reference_bits(self, seed, monkeypatch):
+        # 40 cases of three factors each, R and its two orderings, hold this many distinct ones
         calls = invariance_quadrature_calls(seed)
-        assert len(calls) == 120
+        assert len(calls) == {1: 68, 20181: 67}[seed]
         assert {_unit_model(r, 1.0)[0].unit.shape[0] for r, _ in calls} == {2, 3}
         got = [(e.value.hex(), e.evaluations) for e in (pzf_quadrature(*c) for c in calls)]
         monkeypatch.setattr("zfprob.probability._outer_value", per_call_outer_value)

@@ -1,14 +1,16 @@
-"""Census digests of lll_reduce and pzf_quadrature over fixed families of input factors.
+"""Census digests of lll_reduce, sqrd, vblast and pzf_quadrature over fixed
+families of input factors.
 
 Runs ``zfprob.lll_reduce`` at each delta in DELTAS on every factor of each
-family in FAMILIES, and ``zfprob.pzf_quadrature`` at each sigma in SIGMAS on
-every factor of each family in QUADRATURE_FAMILIES, and prints one line per
-(entry point, family): the sha256 over the outcomes of all its inputs, in
-order, then the family's name, its size and how many inputs each outcome
-kind took.  An outcome is a refusal's class and message or, for a result,
-the part that must not move and the rest: lll_reduce's z and stats, then
-its r_bar and q_bar bytes and two contract numbers in hex; pzf_quadrature's
-evaluations, then its value and bound in hex.  Running it on two checkouts
+family in FAMILIES, and ``zfprob.sqrd``, ``zfprob.vblast`` and
+``zfprob.pzf_quadrature`` at each sigma in SIGMAS on every factor of each
+family in TRIANGULAR_FAMILIES, and prints one line per (entry point,
+family): the sha256 over the outcomes of all its inputs, in order, then the
+family's name, its size and how many inputs each outcome kind took.  An
+outcome is a refusal's class and message or, for a result, the part that
+must not move and the rest: a reduction's z and stats, then its r_bar and
+q_bar bytes and two contract numbers in hex; pzf_quadrature's evaluations,
+then its value and bound in hex.  Running it on two checkouts
 and diffing the outputs shows every (entry point, family) whose outcomes
 changed, and ``--diff`` names the inputs:
 
@@ -21,10 +23,11 @@ changed, and ``--diff`` names the inputs:
 family, the input's index, its outcome kind, and a digest of the part that
 must not move and one of everything else.
 
-The lll_reduce digests hold for one OpenBLAS kernel: the reduce-n48
-factors come out of a QR, and q_bar and the contract numbers out of BLAS
-products, whose low bits depend on the kernel OpenBLAS picks for the CPU
-(``OPENBLAS_VERBOSE=2`` prints it).  The committed digests in
+The reductions' digests hold for one OpenBLAS kernel: the reduce-n48
+factors, and sqrd's and vblast's r_bar and q_bar, come out of a QR, and
+q_bar and the contract numbers out of BLAS products, whose low bits depend
+on the kernel OpenBLAS picks for the CPU (``OPENBLAS_VERBOSE=2`` prints
+it).  The committed digests in
 census_digests.txt were made with the kernel and thread setting named in
 its first line.  The pzf_quadrature digests hold for every kernel and
 thread count: its factors are drawn without a QR, and it sums in numpy's
@@ -44,6 +47,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 DELTAS = (0.5, 0.75, 0.99)
 SIGMAS = (0.1, 0.3, 1.0)
+ORDERINGS = ("sqrd", "vblast")
 
 
 def ill_conditioned(index):
@@ -92,16 +96,18 @@ FAMILIES = {
     "reduce-n48-seed20181": lambda: reduce_n48(20181),
     "tri16": tri16,
 }
-QUADRATURE_FAMILIES = {
+TRIANGULAR_FAMILIES = {
     "triu-n2": lambda: upper_triangular(2, 300),
     "triu-n3": lambda: upper_triangular(3, 300),
     "triu-n4": lambda: upper_triangular(4, 40),
 }
 
 
-def reduced(zfprob, r, delta) -> tuple:
-    """(the bytes of z and stats, the bytes of everything else) of lll_reduce(r)."""
-    res = zfprob.lll_reduce(r, zfprob.LLLParams(delta=delta))
+def reduced(zfprob, r, delta=None, ordering=None) -> tuple:
+    """(the bytes of z and stats, the bytes of everything else) of
+    lll_reduce(r) at delta, or of the column ordering named by ordering."""
+    res = (zfprob.lll_reduce(r, zfprob.LLLParams(delta=delta)) if ordering is None
+           else getattr(zfprob, ordering)(r))
     s = res.stats
     kept = res.z.tobytes() + f"{s.size_reductions} {s.swaps} {s.iterations}".encode()
     rest = (res.r_bar.tobytes() + res.q_bar.tobytes()
@@ -119,7 +125,9 @@ def quadrature(zfprob, r, sigma) -> tuple:
 ENTRY_POINTS = (
     *((f"lll_reduce delta={d}", functools.partial(reduced, delta=d), FAMILIES, "z and stats")
       for d in DELTAS),
-    *((f"pzf_quadrature sigma={s}", functools.partial(quadrature, sigma=s), QUADRATURE_FAMILIES,
+    *((o, functools.partial(reduced, ordering=o), TRIANGULAR_FAMILIES, "z and stats")
+      for o in ORDERINGS),
+    *((f"pzf_quadrature sigma={s}", functools.partial(quadrature, sigma=s), TRIANGULAR_FAMILIES,
        "evaluations") for s in SIGMAS),
 )
 KEPT = {name: kept for name, _, _, kept in ENTRY_POINTS}
